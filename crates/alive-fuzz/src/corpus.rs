@@ -8,6 +8,7 @@
 //! are replayed as regression tests (`tests/corpus_replay.rs`).
 
 use alive_ir::Transform;
+use alive_trace::sealed::fnv1a64;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -60,27 +61,20 @@ impl Signature {
     /// that differ only in case indices, concrete values, line numbers,
     /// or timings map to the same signature.
     pub fn new(class: FailureClass, detail: &str) -> Signature {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fnv = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in class.as_str().bytes() {
-            fnv(b);
-        }
+        let mut bytes = class.as_str().as_bytes().to_vec();
         let mut in_digits = false;
         for b in detail.bytes() {
-            if b.is_ascii_digit() {
-                if !in_digits {
-                    fnv(b'N');
-                    in_digits = true;
-                }
-            } else {
-                in_digits = false;
-                fnv(b);
+            if !b.is_ascii_digit() {
+                bytes.push(b);
+            } else if !in_digits {
+                bytes.push(b'N');
             }
+            in_digits = b.is_ascii_digit();
         }
-        Signature { class, hash: h }
+        Signature {
+            class,
+            hash: fnv1a64(&bytes),
+        }
     }
 
     /// The filename stem for this signature, e.g. `panic-1f9a60d2c3b4a5e6`.
@@ -183,6 +177,23 @@ mod tests {
         assert_ne!(a, c);
         let d = Signature::new(FailureClass::Hang, "internal error: fault at query 3");
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn checked_in_reproducers_keep_their_signatures() {
+        // The corpus names each reproducer by the signature of the detail
+        // recorded in its header; a hashing change would orphan them.
+        let hang = Signature::new(
+            FailureClass::Hang,
+            "worker 0 ignored its deadline for 2s past the grace period; thread detached",
+        );
+        assert_eq!(hang.slug(), "hang-e82076308073063e");
+        let panic = Signature::new(
+            FailureClass::Panic,
+            "internal error: panic during Domain of definedness of Target is smaller than \
+             Source's check: injected fault: panic in alive_sat::Solver::solve",
+        );
+        assert_eq!(panic.slug(), "panic-6d9c0f3022dad538");
     }
 
     #[test]

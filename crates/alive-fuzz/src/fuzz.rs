@@ -17,6 +17,7 @@ use crate::gen::{gen_case, GenConfig};
 use crate::minimize::minimize;
 use crate::oracle::{paranoid_audit, AuditResult, OracleConfig};
 use alive_ir::Transform;
+use alive_trace::sealed::fnv1a64;
 use alive_trace::Tracer;
 use alive_verifier::{
     run_supervised, run_transforms, DriverConfig, Journal, OutcomeKind, PoolConfig, TaskSpec,
@@ -139,17 +140,10 @@ fn reinstall_faults() {
 
 /// FNV-1a over the parts that must be reproducible across runs.
 fn case_hash(index: usize, kind: OutcomeKind, detail: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    fnv(&(index as u64).to_le_bytes());
-    fnv(kind.as_str().as_bytes());
-    fnv(detail.as_bytes());
-    h
+    let mut bytes = (index as u64).to_le_bytes().to_vec();
+    bytes.extend_from_slice(kind.as_str().as_bytes());
+    bytes.extend_from_slice(detail.as_bytes());
+    fnv1a64(&bytes)
 }
 
 /// Classifies one verified outcome (with its audit) into a failure.

@@ -26,7 +26,8 @@
 //! assert_eq!(verdict.verdict, "valid");
 //! ```
 
-use crate::proto::{json_escape, parse_response, Response, StatsLine, VerdictLine};
+use crate::proto::{parse_response, Response, StatsLine, VerdictLine};
+use alive_trace::sealed::json_escape;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::Duration;

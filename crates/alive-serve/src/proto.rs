@@ -50,6 +50,7 @@
 //! at least that long (with jitter) before resubmitting. Overload never
 //! silently drops a request — every refusal is answered.
 
+use alive_trace::sealed::json_escape;
 use std::collections::HashMap;
 
 /// A parsed client request.
@@ -552,24 +553,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         }));
     }
     Err(format!("unrecognized response line: {line:?}"))
-}
-
-/// Escapes a string for embedding in a JSON string literal (the same
-/// escaping the journal and report writers use).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A field value in a protocol object.

@@ -7,20 +7,19 @@
 //! question the telemetry percentiles cannot — *which* transforms are
 //! the slow tail — and `alive slowlog` ranks them.
 //!
-//! The file reuses the store/journal line discipline (body + FNV-1a 64
-//! CRC suffix), so a torn tail from a crash is detected and skipped on
-//! read, never trusted. Unlike the store, the slowlog is advisory:
-//! the reader counts and skips corrupt lines instead of refusing, and
-//! rotation caps the size — when the file exceeds the cap it is
+//! The file is a [sealed](alive_trace::sealed) log written through one
+//! [`SealedLog`], like the store and the journal, under the same recovery
+//! policy: a torn tail from a crash is dropped on read and truncated when
+//! the daemon reopens the log, and a bad line with lines after it is
+//! refused. Rotation caps the size — when the file exceeds the cap it is
 //! renamed to `<path>.1` (replacing the previous rotation) and a fresh
 //! log starts. At most two files, bounded disk, no daemon involvement.
 
-use crate::proto::{json_escape, parse_flat_object, JsonValue};
-use alive_ir::canon::fnv1a64;
-use alive_verifier::durable::{self, DurableFile};
+use crate::proto::{parse_flat_object, JsonValue};
+use alive_trace::sealed::{self, first_line, json_escape, seal, unseal};
+use alive_verifier::durable::{self, SealedLog};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Schema tag on the header line of every slowlog file.
@@ -105,70 +104,63 @@ impl SlowRecord {
     }
 }
 
-/// Seals a body (a JSON object missing its closing brace) with the
-/// journal's CRC suffix discipline.
-fn seal(body: String) -> String {
-    let crc = fnv1a64(body.as_bytes());
-    format!("{body},\"crc\":\"{crc:016x}\"}}")
+/// The header line's body, before its seal.
+fn header_body() -> String {
+    format!("{{\"slowlog\":\"{SLOWLOG_SCHEMA}\"")
 }
 
-/// Strips and verifies the CRC suffix, returning the body.
-fn unseal(line: &str) -> Option<&str> {
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    let rest = line.strip_suffix("\"}")?;
-    let marker = ",\"crc\":\"";
-    let pos = rest.rfind(marker)?;
-    let (body, crc_hex) = rest.split_at(pos);
-    let crc_hex = &crc_hex[marker.len()..];
-    if crc_hex.len() != 16 {
-        return None;
-    }
-    let want = u64::from_str_radix(crc_hex, 16).ok()?;
-    (fnv1a64(body.as_bytes()) == want).then_some(body)
+fn is_header(line: &str) -> bool {
+    unseal(line).is_some_and(|body| body.contains(SLOWLOG_SCHEMA))
+}
+
+fn parse_record(line: &str) -> Option<SlowRecord> {
+    let body = unseal(line)?;
+    let fields = parse_flat_object(&format!("{body}}}")).ok()?;
+    Some(SlowRecord::from_fields(&fields))
 }
 
 /// The appending side: owned by the daemon, one instance per store.
 ///
-/// Writes go through the [`durable`] seam: each record is appended and
+/// Writes go through one [`SealedLog`]: each record is appended and
 /// fsync'd, sync failures are propagated (poisoning the handle until
 /// rotation/reopen), and rotation's rename persists the directory entry.
 #[derive(Debug)]
 pub struct SlowLog {
     path: PathBuf,
-    file: DurableFile,
-    len: u64,
+    log: SealedLog,
     max_bytes: u64,
 }
 
 impl SlowLog {
-    /// Opens (or creates) the slowlog at `path`, writing the schema
-    /// header if the file is new or empty. `max_bytes` caps the file
+    /// Opens (or creates) the slowlog at `path`, truncating a torn tail
+    /// so the next record is not appended onto it. A file that is new,
+    /// empty, or has no readable header (one torn by a crash) is started
+    /// fresh: nothing in it could be read back. `max_bytes` caps the file
     /// before rotation (0 means [`DEFAULT_MAX_BYTES`]).
+    ///
+    /// # Errors
+    ///
+    /// Refuses a file with mid-file damage.
     pub fn open(path: &Path, max_bytes: u64) -> io::Result<SlowLog> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut file = DurableFile::from_file(file);
-        let mut len = file.file().metadata()?.len();
-        if len == 0 {
-            len += Self::write_header(&mut file)?;
-            durable::fsync_parent(path)?;
-        }
+        let text = match sealed::read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            text => text?,
+        };
+        let log = if is_header(first_line(&text)) {
+            let replay = sealed::replay(&text, true, parse_record)?;
+            SealedLog::open_append(path, replay.good_bytes)?
+        } else {
+            SealedLog::create(path, &header_body())?
+        };
         Ok(SlowLog {
             path: path.to_path_buf(),
-            file,
-            len,
+            log,
             max_bytes: if max_bytes == 0 {
                 DEFAULT_MAX_BYTES
             } else {
                 max_bytes
             },
         })
-    }
-
-    fn write_header(file: &mut DurableFile) -> io::Result<u64> {
-        let line = seal(format!("{{\"slowlog\":\"{SLOWLOG_SCHEMA}\"")) + "\n";
-        file.append(line.as_bytes())?;
-        file.sync()?;
-        Ok(line.len() as u64)
     }
 
     /// Appends one sealed record, rotating first if the file is at its
@@ -181,14 +173,10 @@ impl SlowLog {
     /// (fsyncgate), and later appends refuse until the log rotates or the
     /// daemon reopens it.
     pub fn append(&mut self, rec: &SlowRecord) -> io::Result<u64> {
-        if self.len >= self.max_bytes {
+        if self.log.bytes() >= self.max_bytes {
             self.rotate()?;
         }
-        let line = seal(rec.render_body()) + "\n";
-        self.file.append(line.as_bytes())?;
-        self.file.sync()?;
-        self.len += line.len() as u64;
-        Ok(line.len() as u64)
+        self.log.append(&rec.render_body())
     }
 
     /// Renames the current file to `<path>.1` (replacing any previous
@@ -196,64 +184,38 @@ impl SlowLog {
     /// the fresh file's name are both made durable via the parent
     /// directory fsync inside the seam.
     fn rotate(&mut self) -> io::Result<()> {
-        let mut rotated = self.path.as_os_str().to_owned();
-        rotated.push(".1");
-        durable::rename(&self.path, &PathBuf::from(rotated))?;
-        let mut file = DurableFile::from_file(durable::create(&self.path)?);
-        self.len = Self::write_header(&mut file)?;
-        durable::fsync_parent(&self.path)?;
-        self.file = file;
+        durable::rename(&self.path, &durable::suffixed(&self.path, ".1"))?;
+        self.log = SealedLog::create(&self.path, &header_body())?;
         Ok(())
     }
 
     /// Current file length in bytes (header included).
     pub fn len(&self) -> u64 {
-        self.len
+        self.log.bytes()
     }
 
     /// Whether the log holds no records yet (header only).
     pub fn is_empty(&self) -> bool {
         // The header is always present, so "empty" means header-sized.
-        self.len <= seal(format!("{{\"slowlog\":\"{SLOWLOG_SCHEMA}\"")).len() as u64 + 1
+        self.len() <= seal(&header_body()).len() as u64 + 1
     }
 }
 
-/// The reader side: parses a slowlog file, returning the intact records
-/// and the number of lines dropped for a bad CRC or unparseable body.
-/// A missing/wrong header is a hard error — without the schema line the
-/// file is not a slowlog.
+/// The reader side: parses a slowlog file under the sealed-log policy,
+/// returning the intact records and the number of torn-tail lines dropped
+/// (0 or 1). A missing/wrong header is a hard error — without the schema
+/// line the file is not a slowlog — and so is mid-file damage.
 pub fn read_slowlog(path: &Path) -> Result<(Vec<SlowRecord>, usize), String> {
-    let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut lines = BufReader::new(file).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty file", path.display()))?
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let ok = unseal(&header)
-        .map(|body| body.contains(SLOWLOG_SCHEMA))
-        .unwrap_or(false);
-    if !ok {
+    let text = sealed::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    if !is_header(first_line(&text)) {
         return Err(format!(
             "{}: not a {SLOWLOG_SCHEMA} file (bad or missing header)",
             path.display()
         ));
     }
-    let mut records = Vec::new();
-    let mut dropped = 0usize;
-    for line in lines {
-        let line = line.map_err(|e| format!("{}: {e}", path.display()))?;
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = unseal(&line)
-            .and_then(|body| parse_flat_object(&format!("{body}}}")).ok())
-            .map(|fields| SlowRecord::from_fields(&fields));
-        match parsed {
-            Some(rec) => records.push(rec),
-            None => dropped += 1,
-        }
-    }
-    Ok((records, dropped))
+    let replay = sealed::replay(&text, true, parse_record)
+        .map_err(|d| format!("{}: {d}", path.display()))?;
+    Ok((replay.records, replay.discarded))
 }
 
 /// One ranked offender: every record of one canonical hash, collapsed.
@@ -311,6 +273,7 @@ pub fn rank(records: &[SlowRecord]) -> Vec<Offender> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("alive-slowlog-tests");
@@ -385,6 +348,39 @@ mod tests {
         let (records, dropped) = read_slowlog(&path).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(dropped, 1);
+    }
+
+    #[test]
+    fn reopen_truncates_a_torn_tail_before_appending() {
+        let path = temp("reopen-torn.slowlog");
+        let (a, b) = (rec("00000000000000aa", 20), rec("00000000000000bb", 30));
+        SlowLog::open(&path, 0).unwrap().append(&a).unwrap();
+        // A crash mid-append leaves half a line with no newline.
+        use std::io::Write as _;
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"rid\":\"rq-9\",\"name\":\"half").unwrap();
+        drop(f);
+        SlowLog::open(&path, 0).unwrap().append(&b).unwrap();
+        assert_eq!(read_slowlog(&path).unwrap(), (vec![a, b], 0));
+    }
+
+    #[test]
+    fn mid_file_damage_is_refused_not_skipped() {
+        let path = temp("midfile.slowlog");
+        let mut log = SlowLog::open(&path, 0).unwrap();
+        log.append(&rec("00000000000000aa", 20)).unwrap();
+        log.append(&rec("00000000000000bb", 30)).unwrap();
+        drop(log);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(
+            &path,
+            text.replacen("00000000000000aa", "00000000000000ab", 1),
+        )
+        .unwrap();
+        let err = read_slowlog(&path).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        let err = SlowLog::open(&path, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The `alive-trace/v1` JSONL stream: CRC-sealed line-oriented trace
 //! files written by [`JsonlSink`] and read back by [`read_trace`].
 //!
-//! The framing mirrors the verification journal: every line is a single
-//! JSON object whose last field is `"crc"`, the FNV-1a 64 hash of the
-//! bytes before it, rendered as 16 lower-case hex digits. The first line
-//! is a header naming the schema; each following line is one event:
+//! Every line is a [sealed](crate::sealed) JSON object: its last field is
+//! `"crc"`, the FNV-1a 64 hash of the bytes before it. The first line is
+//! a header naming the schema; each following line is one event:
 //!
 //! ```json
 //! {"trace":"alive-trace/v1","crc":"..."}
@@ -17,146 +16,59 @@
 //! a sub-key, e.g. the op kind under `blast.gates`); `end` carries the
 //! duration in `value`; `counter`/`gauge`/`sample` carry their
 //! delta/level/sample in `value`. Field order is fixed and parsing is
-//! strict — any deviation
-//! (reordered keys, truncated line, bad CRC) is a hard error with the
-//! offending line number, which is what the CI schema-validation job and
-//! `alive stats` rely on.
+//! strict — any deviation (reordered keys, truncated line, bad CRC) makes
+//! a line bad, and both readers apply the [`replay`] policy to bad lines.
 
+use crate::sealed::{first_line, json_escape, read, replay, seal, unseal, Scanner};
 use crate::{Event, EventKind, TraceSink};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
 /// Schema tag carried in the header line of every trace file.
 pub const TRACE_SCHEMA: &str = "alive-trace/v1";
 
-/// FNV-1a 64-bit hash (same parameters as the journal's line seal).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Appends the CRC field and closing brace to a partial JSON object.
-fn seal(body: String) -> String {
-    let crc = fnv1a64(body.as_bytes());
-    format!("{body},\"crc\":\"{crc:016x}\"}}")
-}
-
-/// Strips and verifies the CRC suffix, returning the body.
-fn unseal(line: &str) -> Option<&str> {
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    let rest = line.strip_suffix("\"}")?;
-    let marker = ",\"crc\":\"";
-    let pos = rest.rfind(marker)?;
-    let (body, crc_hex) = rest.split_at(pos);
-    let crc_hex = &crc_hex[marker.len()..];
-    if crc_hex.len() != 16 {
-        return None;
-    }
-    let want = u64::from_str_radix(crc_hex, 16).ok()?;
-    if fnv1a64(body.as_bytes()) != want {
-        return None;
-    }
-    Some(body)
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`json_escape`]; `None` on a malformed escape.
-fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
+/// Which optional fields a kind's line carries, in line order: `id` and
+/// `parent` before the shared `tid`/`us`/`name`, then `arg` and `value`.
+/// The writer and the parser both follow this one table.
+fn fields(kind: EventKind) -> (bool, bool, bool, bool) {
+    use EventKind::*;
+    let id = matches!(kind, Start | End);
+    let parent = kind == Start;
+    let arg = matches!(kind, Start | Counter | Mark);
+    let value = kind != Start;
+    (id, parent, arg, value)
 }
 
 /// Renders one event as a sealed JSONL line (no trailing newline).
 fn event_line(ev: &Event) -> String {
+    let (id, parent, arg, value) = fields(ev.kind);
     let mut body = format!("{{\"ev\":\"{}\"", ev.kind.as_str());
-    match ev.kind {
-        EventKind::Start => {
-            body.push_str(&format!(
-                ",\"id\":{},\"parent\":{},\"tid\":{},\"us\":{},\"name\":\"{}\",\"arg\":\"{}\"",
-                ev.id,
-                ev.parent,
-                ev.tid,
-                ev.us,
-                json_escape(ev.name),
-                json_escape(&ev.arg),
-            ));
-        }
-        EventKind::End => {
-            body.push_str(&format!(
-                ",\"id\":{},\"tid\":{},\"us\":{},\"name\":\"{}\",\"value\":{}",
-                ev.id,
-                ev.tid,
-                ev.us,
-                json_escape(ev.name),
-                ev.value,
-            ));
-        }
-        EventKind::Gauge | EventKind::Sample => {
-            body.push_str(&format!(
-                ",\"tid\":{},\"us\":{},\"name\":\"{}\",\"value\":{}",
-                ev.tid,
-                ev.us,
-                json_escape(ev.name),
-                ev.value,
-            ));
-        }
-        EventKind::Counter | EventKind::Mark => {
-            body.push_str(&format!(
-                ",\"tid\":{},\"us\":{},\"name\":\"{}\",\"arg\":\"{}\",\"value\":{}",
-                ev.tid,
-                ev.us,
-                json_escape(ev.name),
-                json_escape(&ev.arg),
-                ev.value,
-            ));
-        }
+    if id {
+        body.push_str(&format!(",\"id\":{}", ev.id));
     }
-    seal(body)
+    if parent {
+        body.push_str(&format!(",\"parent\":{}", ev.parent));
+    }
+    body.push_str(&format!(
+        ",\"tid\":{},\"us\":{},\"name\":\"{}\"",
+        ev.tid,
+        ev.us,
+        json_escape(ev.name)
+    ));
+    if arg {
+        body.push_str(&format!(",\"arg\":\"{}\"", json_escape(&ev.arg)));
+    }
+    if value {
+        body.push_str(&format!(",\"value\":{}", ev.value));
+    }
+    seal(&body)
+}
+
+/// The header line's body, before its seal.
+fn header_body() -> String {
+    format!("{{\"trace\":\"{TRACE_SCHEMA}\"")
 }
 
 /// A [`TraceSink`] streaming sealed JSONL to a file.
@@ -200,7 +112,7 @@ impl JsonlSink {
     pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
         let file = File::create(path)?;
         let mut out = BufWriter::new(file);
-        let header = seal(format!("{{\"trace\":\"{TRACE_SCHEMA}\""));
+        let header = seal(&header_body());
         writeln!(out, "{header}")?;
         fsync_parent(path)?;
         Ok(JsonlSink {
@@ -307,66 +219,13 @@ impl From<std::io::Error> for TraceReadError {
     }
 }
 
-/// Strict cursor over a record body; every helper returns `None` on any
-/// deviation from the exact written format.
-struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Scanner<'a> {
-        Scanner { rest: s }
-    }
-
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        self.rest = self.rest.strip_prefix(lit)?;
-        Some(())
-    }
-
-    fn number(&mut self) -> Option<u64> {
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let (digits, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        digits.parse().ok()
-    }
-
-    /// The body of a JSON string literal up to its closing quote
-    /// (respecting escapes), unescaped.
-    fn string_body(&mut self) -> Option<String> {
-        let bytes = self.rest.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => {
-                    let (raw, rest) = self.rest.split_at(i);
-                    self.rest = &rest[1..];
-                    return json_unescape(raw);
-                }
-                b'\\' => i += 2,
-                _ => i += 1,
-            }
-        }
-        None
-    }
-
-    fn at_end(&self) -> bool {
-        self.rest.is_empty()
-    }
-}
-
 /// Parses one sealed line (without its trailing newline) into an event.
-pub(crate) fn parse_event_line(line: &str) -> Option<TraceEvent> {
-    let body = unseal(line)?;
-    let mut s = Scanner::new(body);
+fn parse_event_line(line: &str) -> Option<TraceEvent> {
+    let mut s = Scanner::new(unseal(line)?);
     s.lit("{\"ev\":\"")?;
-    let kind_label = s.string_body()?;
-    let kind = EventKind::from_label(&kind_label)?;
+    let kind = EventKind::from_label(&s.string_body()?)?;
+    s.lit("\"")?;
+    let (id, parent, arg, value) = fields(kind);
     let mut ev = TraceEvent {
         kind,
         id: 0,
@@ -377,95 +236,53 @@ pub(crate) fn parse_event_line(line: &str) -> Option<TraceEvent> {
         arg: String::new(),
         value: 0,
     };
-    match kind {
-        EventKind::Start => {
-            s.lit(",\"id\":")?;
-            ev.id = s.number()?;
-            s.lit(",\"parent\":")?;
-            ev.parent = s.number()?;
-            s.lit(",\"tid\":")?;
-            ev.tid = u32::try_from(s.number()?).ok()?;
-            s.lit(",\"us\":")?;
-            ev.us = s.number()?;
-            s.lit(",\"name\":\"")?;
-            ev.name = s.string_body()?;
-            s.lit(",\"arg\":\"")?;
-            ev.arg = s.string_body()?;
-        }
-        EventKind::End => {
-            s.lit(",\"id\":")?;
-            ev.id = s.number()?;
-            s.lit(",\"tid\":")?;
-            ev.tid = u32::try_from(s.number()?).ok()?;
-            s.lit(",\"us\":")?;
-            ev.us = s.number()?;
-            s.lit(",\"name\":\"")?;
-            ev.name = s.string_body()?;
-            s.lit(",\"value\":")?;
-            ev.value = s.number()?;
-        }
-        EventKind::Gauge | EventKind::Sample => {
-            s.lit(",\"tid\":")?;
-            ev.tid = u32::try_from(s.number()?).ok()?;
-            s.lit(",\"us\":")?;
-            ev.us = s.number()?;
-            s.lit(",\"name\":\"")?;
-            ev.name = s.string_body()?;
-            s.lit(",\"value\":")?;
-            ev.value = s.number()?;
-        }
-        EventKind::Counter | EventKind::Mark => {
-            s.lit(",\"tid\":")?;
-            ev.tid = u32::try_from(s.number()?).ok()?;
-            s.lit(",\"us\":")?;
-            ev.us = s.number()?;
-            s.lit(",\"name\":\"")?;
-            ev.name = s.string_body()?;
-            s.lit(",\"arg\":\"")?;
-            ev.arg = s.string_body()?;
-            s.lit(",\"value\":")?;
-            ev.value = s.number()?;
-        }
+    if id {
+        s.lit(",\"id\":")?;
+        ev.id = s.number()?;
     }
-    if !s.at_end() {
-        return None;
+    if parent {
+        s.lit(",\"parent\":")?;
+        ev.parent = s.number()?;
     }
-    Some(ev)
+    s.lit(",\"tid\":")?;
+    ev.tid = u32::try_from(s.number()?).ok()?;
+    s.lit(",\"us\":")?;
+    ev.us = s.number()?;
+    s.lit(",\"name\":\"")?;
+    ev.name = s.string_body()?;
+    s.lit("\"")?;
+    if arg {
+        s.lit(",\"arg\":\"")?;
+        ev.arg = s.string_body()?;
+        s.lit("\"")?;
+    }
+    if value {
+        s.lit(",\"value\":")?;
+        ev.value = s.number()?;
+    }
+    s.at_end().then_some(ev)
 }
 
-/// Checks that `line` is the schema header.
-fn parse_header(line: &str) -> Option<()> {
-    let body = unseal(line)?;
-    let mut s = Scanner::new(body);
-    s.lit("{\"trace\":\"")?;
-    let schema = s.string_body()?;
-    if schema != TRACE_SCHEMA || !s.at_end() {
-        return None;
-    }
-    Some(())
+/// Whether `line` is the schema header.
+fn is_header(line: &str) -> bool {
+    unseal(line) == Some(header_body().as_str())
 }
 
 /// Loads a trace file, verifying the header and every line's CRC and
-/// schema. Strict: the first malformed line aborts the load (unlike the
-/// journal there is no torn-tail tolerance — a trace that fails here is
-/// a bug or an unflushed write, and the CI validation job wants to know).
+/// schema. Strict: any malformed line, a torn tail included, fails the
+/// load with its line number — a trace that fails here is a bug or an
+/// unflushed write, and the CI validation job wants to know.
 pub fn read_trace(path: &Path) -> Result<Vec<TraceEvent>, TraceReadError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut events = Vec::new();
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or(TraceReadError::BadHeader)??;
-    parse_header(&header).ok_or(TraceReadError::BadHeader)?;
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        let lineno = i + 2;
-        if line.is_empty() {
-            continue;
-        }
-        let ev = parse_event_line(&line).ok_or(TraceReadError::BadLine(lineno))?;
-        events.push(ev);
+    let text = read(path)?;
+    if !is_header(first_line(&text)) {
+        return Err(TraceReadError::BadHeader);
     }
-    Ok(events)
+    let trace =
+        replay(&text, true, parse_event_line).map_err(|d| TraceReadError::BadLine(d.line))?;
+    if trace.discarded > 0 {
+        return Err(TraceReadError::BadLine(trace.records.len() + 2));
+    }
+    Ok(trace.records)
 }
 
 /// Result of a [lenient](read_trace_lenient) trace load: every event that
@@ -484,76 +301,40 @@ pub struct LenientTrace {
 /// Loads a trace file tolerantly: an empty file, a missing/corrupt header,
 /// or a torn tail (e.g. the process died mid-write) yields the readable
 /// prefix plus a warning instead of an error. *Mid-file* corruption — a
-/// bad record with valid records after it — is still refused loudly
+/// bad line with any line after it — is still refused loudly
 /// ([`TraceReadError::BadLine`]): that is damage, not an interrupted
-/// write, and silently averaging over half a trace would mislead.
-/// Interactive consumers (`alive stats`) use this; CI validation keeps
-/// the strict [`read_trace`].
+/// write, and silently averaging over half a trace would mislead. Both
+/// readers apply the one [`replay`] policy; this one reports a torn tail
+/// as a warning where [`read_trace`] fails. Interactive consumers
+/// (`alive stats`) use this; CI validation keeps the strict reader.
 pub fn read_trace_lenient(path: &Path) -> Result<LenientTrace, TraceReadError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut events = Vec::new();
-    let mut lines = reader.lines();
-    let header = match lines.next() {
-        None => {
-            return Ok(LenientTrace {
-                events,
-                warning: Some("trace file is empty".into()),
-            })
-        }
-        Some(Err(e)) => {
-            return Ok(LenientTrace {
-                events,
-                warning: Some(format!("trace header unreadable ({e}); no events loaded")),
-            })
-        }
-        Some(Ok(h)) => h,
+    let text = read(path)?;
+    let warned = |warning: String| {
+        Ok(LenientTrace {
+            events: Vec::new(),
+            warning: Some(warning),
+        })
     };
-    if parse_header(&header).is_none() {
-        return Ok(LenientTrace {
-            events,
-            warning: Some(format!(
-                "not an {TRACE_SCHEMA} trace (bad or truncated header line); no events loaded"
-            )),
-        });
+    if text.is_empty() {
+        return warned("trace file is empty".into());
     }
-    let mut numbered = lines.enumerate();
-    while let Some((i, line)) = numbered.next() {
-        let lineno = i + 2;
-        let torn = |what: String, events: Vec<TraceEvent>| LenientTrace {
-            warning: Some(format!(
-                "{what} at line {lineno}; showing the {} events before it",
-                events.len()
-            )),
-            events,
-        };
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => return Ok(torn(format!("unreadable trace data ({e})"), events)),
-        };
-        if line.is_empty() {
-            continue;
-        }
-        match parse_event_line(&line) {
-            Some(ev) => events.push(ev),
-            None => {
-                // Torn tail vs. mid-file damage: if any *later* line still
-                // parses, the writer did not die here — the file is
-                // corrupt, and the prefix would be a misleading sample.
-                for (_, later) in numbered.by_ref() {
-                    let Ok(later) = later else { break };
-                    if !later.is_empty() && parse_event_line(&later).is_some() {
-                        return Err(TraceReadError::BadLine(lineno));
-                    }
-                }
-                // A torn tail from an interrupted writer: keep the prefix.
-                return Ok(torn("torn or corrupt trace record".into(), events));
-            }
-        }
+    if !is_header(first_line(&text)) {
+        return warned(format!(
+            "not an {TRACE_SCHEMA} trace (bad or truncated header line); no events loaded"
+        ));
     }
+    let trace =
+        replay(&text, true, parse_event_line).map_err(|d| TraceReadError::BadLine(d.line))?;
+    let warning = (trace.discarded > 0).then(|| {
+        format!(
+            "torn or corrupt trace record at line {}; showing the {} events before it",
+            trace.records.len() + 2,
+            trace.records.len()
+        )
+    });
     Ok(LenientTrace {
-        events,
-        warning: None,
+        events: trace.records,
+        warning,
     })
 }
 

@@ -58,6 +58,7 @@
 pub mod hist;
 pub mod jsonl;
 pub mod metrics;
+pub mod sealed;
 pub mod serve;
 pub mod stats;
 pub mod telemetry;

@@ -31,6 +31,7 @@ use crate::verify::{
 use alive_ir::Transform;
 use alive_proof::Certificate;
 use alive_smt::{Budget, CancelToken};
+use alive_trace::sealed::json_escape;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -306,23 +307,6 @@ impl RunReport {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Should an `Unknown` with this reason be retried at a larger budget?

@@ -5,14 +5,15 @@
 //! write/fsync/rename sequence — and each copy had a different gap:
 //! ignored `sync_data` results, no parent-directory fsync after a create
 //! or rename, rotation that clobbered its predecessor. This module is the
-//! one audited copy of the discipline; the callers keep their formats and
-//! recovery semantics but route every durability-relevant syscall through
-//! here.
+//! one audited copy of the discipline; the callers keep their formats but
+//! route every durability-relevant syscall through here. The sealed-line
+//! artifacts (journal, store, slowlog) share one writer, [`SealedLog`],
+//! and every full rewrite goes through [`write_atomic`].
 //!
 //! Three rules, uniformly enforced:
 //!
 //! * **Syncs are propagated, never ignored.** Every fsync result reaches
-//!   the caller. [`DurableFile`] additionally *poisons itself* on the
+//!   the caller. [`SealedLog`] additionally *poisons itself* on the
 //!   first failed sync: after a failed fsync the kernel may have dropped
 //!   the dirty pages while clearing the error, so a later fsync returning
 //!   `Ok` proves nothing about the earlier write (the "fsyncgate" failure
@@ -35,9 +36,10 @@
 //!   recovery after every single crash point. Without the feature the
 //!   hooks do not exist and cost nothing.
 
+use alive_trace::sealed::seal;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Deterministic crash-point injection (`ALIVE_CRASH_AT=N[:kind]`).
 ///
@@ -179,16 +181,6 @@ pub fn create(path: &Path) -> io::Result<File> {
         .open(path)
 }
 
-/// Opens an existing file for reading and appending. Not a durable
-/// operation (nothing is modified), so not a crash point.
-///
-/// # Errors
-///
-/// Propagates the underlying `open`.
-pub fn open_append(path: &Path) -> io::Result<File> {
-    OpenOptions::new().read(true).append(true).open(path)
-}
-
 /// Appends `bytes` to `file`. The data is not durable until [`sync`].
 ///
 /// # Errors
@@ -274,95 +266,155 @@ pub fn fsync_parent(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// An append-only file handle enforcing the fsyncgate discipline: the
-/// first failed sync (or unrepaired truncate) poisons the handle, and
-/// every later operation refuses until the file is reopened.
-#[derive(Debug)]
-pub struct DurableFile {
-    file: File,
-    poisoned: bool,
+/// `path` with `suffix` appended to its file name (`store.jsonl` →
+/// `store.jsonl.tmp`): how every sibling artifact is named.
+pub fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
 }
 
-impl DurableFile {
-    /// Wraps an already-open handle.
-    pub fn from_file(file: File) -> DurableFile {
-        DurableFile {
-            file,
-            poisoned: false,
-        }
+/// Atomically replaces the file at `path` with `bytes`: they are written
+/// to `<path>.tmp` and fsync'd, then renamed over `path` ([`rename`]
+/// fsyncs the parent directory). A crash at any point leaves either the
+/// complete old file or the complete new one.
+///
+/// # Errors
+///
+/// Propagates each step, plus any armed crash point. A failure before the
+/// rename leaves `path` untouched.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = suffixed(path, ".tmp");
+    {
+        let mut f = create(&tmp)?;
+        append(&mut f, bytes)?;
+        sync(&f)?;
     }
+    rename(&tmp, path)
+}
 
-    /// Opens an existing file for reading and appending.
+/// An append-only log of [sealed](alive_trace::sealed) lines: the one
+/// writer behind the journal, the verdict store, and the slow-query log.
+///
+/// Every append is sealed, written, and fsync'd before it returns. A
+/// failed write is rolled back to the last intact line, so the file never
+/// holds a half line while this handle owns it: under the one replay
+/// policy a half line with later appends after it would read as mid-file
+/// damage. The first failed sync (or failed rollback) poisons the handle,
+/// and every later append refuses until the log is reopened.
+#[derive(Debug)]
+pub struct SealedLog {
+    file: File,
+    poisoned: bool,
+    /// Bytes of intact sealed lines: the file's length.
+    bytes: u64,
+}
+
+impl SealedLog {
+    /// Creates (truncating) the log at `path` with the sealed `header` body
+    /// as line 1, fsyncs it, and makes the file's name durable with a
+    /// parent-directory fsync — so a crash leaves no file, an empty one, or
+    /// a complete header.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying `open`.
-    pub fn open_append(path: &Path) -> io::Result<DurableFile> {
-        Ok(DurableFile::from_file(open_append(path)?))
+    /// Propagates each step, plus any armed crash point.
+    pub fn create(path: &Path, header: &str) -> io::Result<SealedLog> {
+        let line = format!("{}\n", seal(header));
+        {
+            let mut file = create(path)?;
+            append(&mut file, line.as_bytes())?;
+            sync(&file)?;
+        }
+        fsync_parent(path)?;
+        // Reopen in append mode: a rollback truncate must not leave the
+        // write position past the end of the file.
+        SealedLog::open_append(path, line.len())
     }
 
-    /// The underlying handle (for reads and metadata).
-    pub fn file(&self) -> &File {
-        &self.file
+    /// Opens an existing log for appending, first truncating everything
+    /// past `good_bytes` — the intact prefix [`alive_trace::sealed::replay`]
+    /// found — so no record is ever appended onto a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the open and the truncate.
+    pub fn open_append(path: &Path, good_bytes: usize) -> io::Result<SealedLog> {
+        let file = OpenOptions::new().read(true).append(true).open(path)?;
+        let bytes = good_bytes as u64;
+        if file.metadata()?.len() > bytes {
+            truncate(&file, bytes)?;
+        }
+        Ok(SealedLog {
+            file,
+            poisoned: false,
+            bytes,
+        })
     }
 
-    /// Whether a failed sync has poisoned this handle.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Marks the handle untrusted; every later operation refuses. Used by
-    /// callers whose *repair* of a failed write itself failed.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    fn guard(&self) -> io::Result<()> {
+    /// Seals `body`, appends it as one line, and fsyncs. Returns the
+    /// line's length in bytes. The record is durable only when this
+    /// returns `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// Refuses when poisoned. A failed write is rolled back; a failed
+    /// sync poisons the handle — the kernel may have dropped the dirty
+    /// pages while clearing the error, so no later success can vouch for
+    /// this write.
+    pub fn append(&mut self, body: &str) -> io::Result<u64> {
         if self.poisoned {
             return Err(io::Error::other(
                 "file poisoned by an earlier failed sync; reopen to recover",
             ));
         }
-        Ok(())
+        let line = format!("{}\n", seal(body));
+        if let Err(e) = append(&mut self.file, line.as_bytes()) {
+            self.roll_back();
+            return Err(e);
+        }
+        if let Err(e) = sync(&self.file) {
+            self.poisoned = true;
+            return Err(e);
+        }
+        self.bytes += line.len() as u64;
+        Ok(line.len() as u64)
     }
 
-    /// Appends `bytes`; not durable until [`DurableFile::sync`]. A failed
-    /// write does *not* poison — the caller may still roll the file back
-    /// with [`DurableFile::truncate`].
-    ///
-    /// # Errors
-    ///
-    /// Refuses when poisoned; otherwise propagates [`append`].
-    pub fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.guard()?;
-        append(&mut self.file, bytes)
+    /// Fault injection: fails an append the way a full disk (`torn` off)
+    /// or a crash mid-write (`torn` on: half of `body`'s sealed line lands
+    /// first) would, then rolls it back like any failed write.
+    #[cfg(feature = "fault-injection")]
+    pub fn fail_append(&mut self, body: &str, torn: bool) {
+        if torn {
+            // The half-write may itself fail (an even shorter tear); the
+            // sync pushes the torn bytes to disk so recovery sees them.
+            let line = seal(body);
+            let _ = append(&mut self.file, &line.as_bytes()[..line.len() / 2]);
+            self.poisoned = sync(&self.file).is_err();
+        }
+        self.roll_back();
     }
 
-    /// Fsyncs pending data. A failure poisons the handle permanently:
-    /// the kernel may have dropped the dirty pages while clearing the
-    /// error, so no later success can vouch for the earlier writes.
-    ///
-    /// # Errors
-    ///
-    /// Refuses when poisoned; otherwise propagates [`sync`] (poisoning on
-    /// failure).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.guard()?;
-        sync(&self.file).inspect_err(|_| self.poisoned = true)
+    /// Truncates back to the last intact line; a failed repair poisons.
+    fn roll_back(&mut self) {
+        self.poisoned = self.poisoned || truncate(&self.file, self.bytes).is_err();
     }
 
-    /// Truncates to `len` and syncs the new length. A failed sync
-    /// poisons; a failed `set_len` is returned for the caller to judge
-    /// (its rollback context knows whether the tail is now garbage).
-    ///
-    /// # Errors
-    ///
-    /// Refuses when poisoned; otherwise propagates [`truncate`].
-    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.guard()?;
-        crash_point()?;
-        self.file.set_len(len)?;
-        self.sync()
+    /// Bytes of intact sealed lines, header included.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Whether a failed sync or repair has poisoned the handle.
+    pub fn poisoned(&self) -> bool {
+        self.poisoned
+    }
+
+    /// Marks the handle untrusted; every later append refuses. Used when
+    /// the file the handle points at was replaced under it.
+    pub fn poison(&mut self) {
+        self.poisoned = true;
     }
 }
 
@@ -415,15 +467,12 @@ mod tests {
     #[test]
     fn poisoned_handle_refuses_everything() {
         let path = tmp("poison.bin");
-        drop(create(&path).unwrap());
-        let mut f = DurableFile::open_append(&path).unwrap();
-        f.append(b"x").unwrap();
-        f.sync().unwrap();
-        f.poison();
-        assert!(f.append(b"y").is_err());
-        assert!(f.sync().is_err());
-        assert!(f.truncate(0).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), b"x", "no write landed");
+        let mut log = SealedLog::create(&path, "{\"h\":1").unwrap();
+        log.append("{\"x\":1").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        log.poison();
+        assert!(log.append("{\"y\":2").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before, "no write landed");
     }
 
     #[cfg(feature = "fault-injection")]

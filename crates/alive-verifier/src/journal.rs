@@ -26,42 +26,35 @@
 //! * `key` is an FNV-1a 64 hash of the transform's canonical printed text
 //!   plus the config fingerprint, so a journal from a different corpus or
 //!   different verifier settings never short-circuits a verdict.
-//! * `crc` is an FNV-1a 64 hash of everything before the `,"crc"` suffix.
-//!   A record is accepted only if its line is newline-terminated, its CRC
-//!   matches, and every field parses strictly.
+//! * `crc` is the [sealed-line](alive_trace::sealed) CRC: an FNV-1a 64
+//!   hash of everything before the `,"crc"` suffix. A record is accepted
+//!   only if its line is newline-terminated, its CRC matches, and every
+//!   field parses strictly.
 //!
 //! # Torn-write recovery
 //!
 //! After a `kill -9` the final record may be torn: missing its newline,
 //! truncated mid-field, or (on some filesystems) padded with garbage.
-//! [`Journal::load`] stops at the first unparseable line and discards it
-//! and everything after it — records are only ever appended, so a
-//! malformed line means the tail of the file is not trustworthy. The
-//! number of discarded lines is reported so the CLI can say so out loud.
+//! [`Journal::load`] applies the one sealed-log policy
+//! ([`alive_trace::sealed::replay`]): a bad *last* line is a torn tail,
+//! dropped and counted so the CLI can say so out loud, and
+//! [`Journal::open_append`] truncates it before appending. A bad line with
+//! any line after it is not the signature of a crashed append, so the
+//! load refuses with its line number rather than guess which records to
+//! trust.
 //!
 //! Re-running with `--resume` appends fresh records to the same file;
 //! when a key appears more than once the **last** record wins, so a
 //! requeued transform's escalated-budget verdict supersedes its earlier
 //! `hung`/`unknown` entry.
 
-use crate::driver::{json_escape, Attempt, OutcomeKind, TransformOutcome};
-use crate::durable::{self, DurableFile};
+use crate::driver::{Attempt, OutcomeKind, TransformOutcome};
+use crate::durable::SealedLog;
 use crate::verify::VerifyConfig;
 use alive_ir::Transform;
-use std::io::Read;
+use alive_trace::sealed::{self, first_line, fnv1a64, json_escape, seal, unseal, Replay, Scanner};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// FNV-1a 64-bit hash (the journal needs no cryptographic strength — keys
-/// guard against *accidental* mismatches, not adversaries).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The human-readable preimage of [`config_fingerprint`]: every verifier
 /// setting that affects verdicts, as `field=value` pairs joined by `;`.
@@ -248,7 +241,7 @@ impl JournalRecord {
 
     /// Serializes one full, CRC-sealed journal line (without the newline).
     pub fn to_line(&self) -> String {
-        seal(self.body())
+        seal(&self.body())
     }
 
     /// Parses one journal line (CRC check included).
@@ -312,131 +305,12 @@ impl JournalRecord {
     }
 }
 
-/// Appends the CRC suffix: `body` → `body,"crc":"<16 hex>"}`. Shared with
-/// the verdict store, which reuses the same line-sealing discipline.
-pub(crate) fn seal(body: String) -> String {
-    let crc = fnv1a64(body.as_bytes());
-    format!("{body},\"crc\":\"{crc:016x}\"}}")
-}
-
-/// Strips and verifies the CRC suffix, returning the body.
-pub(crate) fn unseal(line: &str) -> Option<&str> {
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    let rest = line.strip_suffix("\"}")?;
-    let marker = ",\"crc\":\"";
-    let pos = rest.rfind(marker)?;
-    let (body, crc_hex) = rest.split_at(pos);
-    let crc_hex = &crc_hex[marker.len()..];
-    if crc_hex.len() != 16 {
-        return None;
-    }
-    let want = u64::from_str_radix(crc_hex, 16).ok()?;
-    if fnv1a64(body.as_bytes()) != want {
-        return None;
-    }
-    Some(body)
-}
-
-/// Strict cursor over a record body; every helper returns `None` on any
-/// deviation from the exact written format (that is the torn-write check).
-/// Shared with the verdict store's record parser.
-pub(crate) struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    pub(crate) fn new(s: &'a str) -> Scanner<'a> {
-        Scanner { rest: s }
-    }
-
-    pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
-        self.rest = self.rest.strip_prefix(lit)?;
-        Some(())
-    }
-
-    pub(crate) fn try_lit(&mut self, lit: &str) -> bool {
-        if let Some(r) = self.rest.strip_prefix(lit) {
-            self.rest = r;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.rest.is_empty()
-    }
-
-    pub(crate) fn hex16(&mut self) -> Option<String> {
-        if self.rest.len() < 16 {
-            return None;
-        }
-        let (hex, rest) = self.rest.split_at(16);
-        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        self.rest = rest;
-        Some(hex.to_string())
-    }
-
-    pub(crate) fn number(&mut self) -> Option<u64> {
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let (digits, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        digits.parse().ok()
-    }
-
-    /// Reads an escaped JSON string body up to (not including) the closing
-    /// quote, leaving the cursor on the quote.
-    pub(crate) fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        let rest = self.rest;
-        let mut chars = rest.char_indices();
-        loop {
-            let (i, c) = chars.next()?;
-            match c {
-                '"' => {
-                    self.rest = &rest[i..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-}
-
 /// What [`Journal::load`] recovered from disk.
 #[derive(Debug, Default)]
 pub struct LoadedJournal {
     /// Accepted records, in file order (duplicate keys not collapsed).
     pub records: Vec<JournalRecord>,
-    /// Lines discarded as torn or corrupt (counts the first bad line and
-    /// everything after it).
+    /// Torn-tail lines discarded (0 or 1).
     pub discarded: usize,
     /// Config fingerprint from the header, if a header was readable.
     pub fingerprint: Option<u64>,
@@ -447,12 +321,12 @@ pub struct LoadedJournal {
 
 /// An open, append-only journal. Every [`Journal::append`] writes one
 /// sealed line and fsyncs before returning, so a record that the caller
-/// has seen acknowledged survives `kill -9`. All writes go through the
-/// [`durable`] seam: a failed fsync poisons the handle (fsyncgate), and
+/// has seen acknowledged survives `kill -9`. All writes go through one
+/// [`SealedLog`]: a failed fsync poisons the handle (fsyncgate), and
 /// every later append refuses rather than pretend the record landed.
 #[derive(Debug)]
 pub struct Journal {
-    file: DurableFile,
+    log: SealedLog,
     path: PathBuf,
 }
 
@@ -470,46 +344,27 @@ impl Journal {
         fingerprint: u64,
         description: Option<&str>,
     ) -> std::io::Result<Journal> {
-        let mut file = durable::create(path)?;
         let mut body =
             format!("{{\"journal\":\"alive-journal/v1\",\"config\":\"{fingerprint:016x}\"");
         if let Some(desc) = description {
             body.push_str(&format!(",\"desc\":\"{}\"", json_escape(desc)));
         }
-        let header = seal(body);
-        durable::append(&mut file, format!("{header}\n").as_bytes())?;
-        durable::sync(&file)?;
-        // The header is durable; now make the journal's *name* durable too,
-        // so a crash right after create cannot forget the file existed.
-        durable::fsync_parent(path)?;
         Ok(Journal {
-            file: DurableFile::from_file(file),
+            log: SealedLog::create(path, &body)?,
             path: path.to_path_buf(),
         })
     }
 
-    /// Opens an existing journal for appending (the `--resume` path).
+    /// Opens an existing journal for appending (the `--resume` path),
+    /// truncating a torn tail first so no record is appended onto it.
     ///
-    /// A torn (non-newline-terminated) tail left by `kill -9` is truncated
-    /// away first: [`Journal::load`] already refuses it, and leaving it in
-    /// place would turn it into a mid-file corrupt line that poisons every
-    /// record appended after it under the discard-everything-after rule.
+    /// # Errors
+    ///
+    /// Refuses a journal with mid-file damage, like [`Journal::load`].
     pub fn open_append(path: &Path) -> std::io::Result<Journal> {
-        let mut file = DurableFile::open_append(path)?;
-        let mut contents = Vec::new();
-        {
-            let mut reader = file.file();
-            reader.read_to_end(&mut contents)?;
-        }
-        if !contents.is_empty() && contents.last() != Some(&b'\n') {
-            let keep = contents
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |p| p + 1);
-            file.truncate(keep as u64)?;
-        }
+        let (_, replay) = replay_file(path)?;
         Ok(Journal {
-            file,
+            log: SealedLog::open_append(path, replay.good_bytes)?,
             path: path.to_path_buf(),
         })
     }
@@ -525,60 +380,47 @@ impl Journal {
     /// this leaves behind is exactly what [`Journal::load`] recovers
     /// from).
     pub fn append(&mut self, key: &str, outcome: &TransformOutcome) -> std::io::Result<()> {
-        let line = JournalRecord::from_outcome(key, outcome).to_line();
-        self.file.append(format!("{line}\n").as_bytes())?;
-        self.file.sync()
+        let rec = JournalRecord::from_outcome(key, outcome);
+        self.log.append(&rec.body()).map(drop)
     }
 
-    /// Loads a journal from disk, applying the torn-write recovery rules:
-    /// parse lines in order; the first line that fails the CRC or strict
-    /// field parse — or a final line missing its newline — invalidates
-    /// itself and every later line.
+    /// Loads a journal from disk under the sealed-log recovery policy: a
+    /// torn tail is dropped and counted in
+    /// [`LoadedJournal::discarded`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors, and refuses mid-file damage (a bad line
+    /// with any line after it) with its line number.
     pub fn load(path: &Path) -> std::io::Result<LoadedJournal> {
-        let text = std::fs::read_to_string(path)?;
-        let mut loaded = LoadedJournal::default();
-        let mut lines: Vec<&str> = text.split('\n').collect();
-        // `split` yields a trailing "" for a newline-terminated file; a
-        // non-empty last element is a torn tail.
-        let torn_tail = match lines.last() {
-            Some(&"") => {
-                lines.pop();
-                false
-            }
-            Some(_) => true,
-            None => false,
-        };
-        let total = lines.len();
-        for (i, line) in lines.iter().enumerate() {
-            let is_last = i + 1 == total;
-            if is_last && torn_tail {
-                loaded.discarded += 1;
-                break;
-            }
-            if i == 0 {
-                if let Some((fp, desc)) = parse_header(line) {
-                    loaded.fingerprint = Some(fp);
-                    loaded.description = desc;
-                    continue;
-                }
-                // No (valid) header: fall through and try it as a record,
-                // so headerless journals from tooling still load.
-            }
-            match JournalRecord::parse_line(line) {
-                Some(rec) => loaded.records.push(rec),
-                None => {
-                    loaded.discarded += total - i;
-                    break;
-                }
-            }
-        }
-        Ok(loaded)
+        let (header, replay) = replay_file(path)?;
+        let (fingerprint, description) = header.map_or((None, None), |(fp, d)| (Some(fp), d));
+        Ok(LoadedJournal {
+            records: replay.records,
+            discarded: replay.discarded,
+            fingerprint,
+            description,
+        })
     }
 }
 
-/// Parses the sealed header line, returning the config fingerprint and
-/// (when the writing version recorded one) the config description.
-fn parse_header(line: &str) -> Option<(u64, Option<String>)> {
+/// Reads and replays a journal file. Line 1 is the header when it parses
+/// as one; otherwise it is replayed as a record, because a crash inside
+/// [`Journal::create`] leaves a headerless file that `--resume` appends
+/// records to.
+fn replay_file(path: &Path) -> std::io::Result<(Option<Header>, Replay<JournalRecord>)> {
+    let text = sealed::read(path)?;
+    let header = parse_header(first_line(&text));
+    let replay = sealed::replay(&text, header.is_some(), JournalRecord::parse_line)?;
+    Ok((header, replay))
+}
+
+/// A journal header: the config fingerprint and (when the writing version
+/// recorded one) the config description.
+type Header = (u64, Option<String>);
+
+/// Parses the sealed header line.
+fn parse_header(line: &str) -> Option<Header> {
     let body = unseal(line)?;
     let mut sc = Scanner::new(body);
     sc.lit("{\"journal\":\"alive-journal/v1\",\"config\":\"")?;
@@ -643,7 +485,7 @@ mod tests {
     #[test]
     fn header_round_trips_through_seal() {
         let fingerprint = 0xfaa9_754c_5068_16cf_u64;
-        let header = seal(format!(
+        let header = seal(&format!(
             "{{\"journal\":\"alive-journal/v1\",\"config\":\"{fingerprint:016x}\""
         ));
         assert_eq!(parse_header(&header), Some((fingerprint, None)));
@@ -756,6 +598,33 @@ mod tests {
         bytes[mid] = bytes[mid].wrapping_add(1);
         let flipped = String::from_utf8_lossy(&bytes).into_owned();
         assert!(JournalRecord::parse_line(&flipped).is_none());
+    }
+
+    #[test]
+    fn mid_file_damage_is_refused_not_dropped() {
+        let dir = std::env::temp_dir().join("alive-journal-midfile-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let mut journal = Journal::create(&path, 7).unwrap();
+        for key in ["00000000000000aa", "00000000000000bb"] {
+            journal.append(key, &sample_outcome()).unwrap();
+        }
+        drop(journal);
+        // Damage the first record; the second stays intact after it.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(
+            &path,
+            text.replacen("00000000000000aa", "00000000000000ab", 1),
+        )
+        .unwrap();
+        for err in [
+            Journal::load(&path).unwrap_err(),
+            Journal::open_append(&path).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 2"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `alive serve` must answer "has this optimization ever been verified
 //! under these settings?" in microseconds. The store is that answer's
 //! home: an append-only JSONL file mapping the **canonical content hash**
-//! of a transform (see [`alive_ir::canon`]) to its verdict, reusing the
-//! journal's CRC-sealed line discipline ([`crate::journal`]) so a torn
-//! tail after `kill -9` is truncated, never trusted.
+//! of a transform (see [`alive_ir::canon`]) to its verdict, written as
+//! [sealed lines](alive_trace::sealed) through one
+//! [`SealedLog`](crate::durable::SealedLog) so a torn tail after `kill -9`
+//! is truncated, never trusted.
 //!
 //! # Record format (`alive-store/v1`)
 //!
@@ -49,9 +50,9 @@
 //! long-lived store accumulates dead records and pays replay cost for
 //! them on every open. [`VerdictStore::compact`] (in-process) and
 //! [`compact_store`] (offline, `alive compact`) rewrite the live records
-//! — header preserved byte for byte — to a temp file that atomically
-//! replaces the store via the [`crate::durable`] rename discipline
-//! (tmp + fsync + rename + parent-directory fsync). The daemon compacts
+//! — header preserved byte for byte — with
+//! [`write_atomic`](crate::durable::write_atomic) (tmp + fsync + rename +
+//! parent-directory fsync). The daemon compacts
 //! automatically on open when [`needs_compaction`] says the dead-record
 //! ratio crossed its threshold.
 //!
@@ -69,9 +70,9 @@
 //! quarantining the bad ones to `<path>.quarantine`, and rewriting the
 //! survivors into a fresh sealed store.
 
-use crate::driver::{json_escape, OutcomeKind};
-use crate::durable::{self, DurableFile};
-use crate::journal::{fnv1a64, seal, unseal, Scanner};
+use crate::driver::OutcomeKind;
+use crate::durable::{self, suffixed, SealedLog};
+use alive_trace::sealed::{self, first_line, fnv1a64, json_escape, seal, unseal, Damage, Scanner};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, Write};
@@ -110,7 +111,7 @@ impl StoreRecord {
 
     /// Serializes one full, CRC-sealed store line (without the newline).
     pub fn to_line(&self) -> String {
-        seal(self.body())
+        seal(&self.body())
     }
 
     /// Parses one store line (CRC check included).
@@ -171,16 +172,15 @@ pub enum StoreOpen {
 /// JSONL file. Every [`VerdictStore::insert`] is fsync'd before returning.
 #[derive(Debug)]
 pub struct VerdictStore {
-    file: DurableFile,
+    log: SealedLog,
+    /// The sealed header line, kept byte for byte for compaction.
+    header: String,
     path: PathBuf,
     fingerprint: u64,
     epoch: u64,
     /// hash (as u64) → index into `records`; last inserted wins.
     index: HashMap<u64, usize>,
     records: Vec<StoreRecord>,
-    /// Bytes of known-good sealed lines; a failed append truncates back
-    /// to this so the file never holds a half-record while we own it.
-    good_bytes: u64,
     /// Held for the store's lifetime; dropping releases `<path>.lock`.
     _lock: StoreLock,
 }
@@ -191,16 +191,8 @@ pub struct VerdictStore {
 /// stays recognizable. The generation suffix is the *evicted* store's
 /// epoch: bumping `--epoch` twice rotates to two distinct files instead
 /// of the second eviction destroying the first.
-pub fn evicted_path(path: &Path, epoch: u64) -> std::path::PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(format!(".evicted.{epoch}"));
-    std::path::PathBuf::from(name)
-}
-
-fn suffixed(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
+pub fn evicted_path(path: &Path, epoch: u64) -> PathBuf {
+    suffixed(path, &format!(".evicted.{epoch}"))
 }
 
 /// Path of the single-writer lock guarding a store: `<store>.lock`.
@@ -324,92 +316,63 @@ impl VerdictStore {
         description: Option<&str>,
     ) -> std::io::Result<(VerdictStore, StoreOpen)> {
         let lock = StoreLock::acquire(path)?;
-        if !path.exists() {
-            let store = VerdictStore::create(path, fingerprint, epoch, description, lock)?;
-            return Ok((store, StoreOpen::Created));
-        }
-        let text = std::fs::read_to_string(path)?;
-        let mut lines = text.split('\n');
-        let header = lines.next().and_then(parse_store_header);
-        match header {
-            Some((fp, ep)) if fp == fingerprint && ep == epoch => {}
-            other => {
+        let how = if path.exists() {
+            let text = sealed::read(path)?;
+            match parse_store_header(first_line(&text)) {
+                Some((fp, ep)) if fp == fingerprint && ep == epoch => {
+                    let loaded = sealed::replay(&text, true, StoreRecord::parse_line)
+                        .map_err(|d| refuse(path, d))?;
+                    let index = build_index(&loaded.records);
+                    let how = StoreOpen::Loaded {
+                        records: index.len(),
+                        discarded: loaded.discarded,
+                    };
+                    let store = VerdictStore {
+                        log: SealedLog::open_append(path, loaded.good_bytes)?,
+                        header: first_line(&text).to_string(),
+                        path: path.to_path_buf(),
+                        fingerprint,
+                        epoch,
+                        index,
+                        records: loaded.records,
+                        _lock: lock,
+                    };
+                    return Ok((store, how));
+                }
                 // Wrong config, wrong epoch, or unreadable header: never
                 // serve these verdicts. Keep the old file around for
                 // post-mortems rather than deleting data — under its own
                 // generation suffix, so repeated evictions cannot destroy
                 // each other's rotated files.
-                let (prior_config, prior_epoch) = other.unwrap_or((0, 0));
-                durable::rename(path, &evicted_path(path, prior_epoch))?;
-                let store = VerdictStore::create(path, fingerprint, epoch, description, lock)?;
-                return Ok((
-                    store,
+                other => {
+                    let (prior_config, prior_epoch) = other.unwrap_or((0, 0));
+                    durable::rename(path, &evicted_path(path, prior_epoch))?;
                     StoreOpen::Evicted {
                         prior_config,
                         prior_epoch,
-                    },
-                ));
+                    }
+                }
             }
-        }
-        let loaded = load_records(path, &text)?;
-        let mut file = DurableFile::open_append(path)?;
-        if (loaded.good_bytes as u64) < file.file().metadata()?.len() {
-            file.truncate(loaded.good_bytes as u64)?;
-        }
-        let index = build_index(&loaded.records);
-        let distinct = index.len();
-        Ok((
-            VerdictStore {
-                file,
-                path: path.to_path_buf(),
-                fingerprint,
-                epoch,
-                index,
-                records: loaded.records,
-                good_bytes: loaded.good_bytes as u64,
-                _lock: lock,
-            },
-            StoreOpen::Loaded {
-                records: distinct,
-                discarded: loaded.discarded,
-            },
-        ))
-    }
-
-    fn create(
-        path: &Path,
-        fingerprint: u64,
-        epoch: u64,
-        description: Option<&str>,
-        lock: StoreLock,
-    ) -> std::io::Result<VerdictStore> {
-        let mut file = durable::create(path)?;
+        } else {
+            StoreOpen::Created
+        };
         let mut body = format!(
             "{{\"store\":\"alive-store/v1\",\"config\":\"{fingerprint:016x}\",\"epoch\":{epoch}"
         );
         if let Some(desc) = description {
             body.push_str(&format!(",\"desc\":\"{}\"", json_escape(desc)));
         }
-        let header = seal(body);
-        durable::append(&mut file, format!("{header}\n").as_bytes())?;
-        durable::sync(&file)?;
-        // The header is on disk but the file *name* is not durable until
-        // its directory entry is.
-        durable::fsync_parent(path)?;
-        let good_bytes = header.len() as u64 + 1;
-        // Re-open in append mode so later inserts cannot clobber the header.
-        drop(file);
-        let file = DurableFile::open_append(path)?;
-        Ok(VerdictStore {
-            file,
+        let store = VerdictStore {
+            log: SealedLog::create(path, &body)?,
+            header: seal(&body),
             path: path.to_path_buf(),
             fingerprint,
             epoch,
             index: HashMap::new(),
             records: Vec::new(),
-            good_bytes,
             _lock: lock,
-        })
+        };
+        Ok((store, how))
     }
 
     /// The store's path (for messages).
@@ -452,11 +415,11 @@ impl VerdictStore {
     /// # Errors
     ///
     /// A failed append (disk full, injected fault) leaves the file
-    /// truncated back to its last good record when possible; when even
-    /// that repair fails the store is poisoned and every later insert
-    /// returns an error immediately. Either way the in-memory index is
-    /// untouched, so lookups keep answering — the verdict just is not
-    /// durable.
+    /// truncated back to its last good record when possible
+    /// ([`SealedLog::append`]); when even that repair fails the store is
+    /// poisoned and every later insert returns an error immediately.
+    /// Either way the in-memory index is untouched, so lookups keep
+    /// answering — the verdict just is not durable.
     pub fn insert(
         &mut self,
         canon: &str,
@@ -465,7 +428,7 @@ impl VerdictStore {
         wall_ms: u64,
         cert: &str,
     ) -> std::io::Result<()> {
-        if self.file.poisoned() {
+        if self.log.poisoned() {
             return Err(io::Error::other(format!(
                 "{}: store poisoned by an earlier failed append or sync; restart to recover",
                 self.path.display()
@@ -480,44 +443,29 @@ impl VerdictStore {
             wall_ms,
             cert: cert.to_string(),
         };
-        let line = rec.to_line();
-        if let Err(e) = self.append_line(&line) {
-            // Roll the file back to the last good record so the tail never
-            // holds a half-written line while this process owns the store.
-            // A failed repair (or repair sync) poisons the handle — per
-            // fsyncgate, nothing after a failed sync can be trusted.
-            if self.file.truncate(self.good_bytes).is_err() {
-                self.file.poison();
-            }
-            return Err(e);
-        }
-        self.good_bytes += line.len() as u64 + 1;
+        self.append(&rec.body())?;
         self.index.insert(h, self.records.len());
         self.records.push(rec);
         Ok(())
     }
 
-    fn append_line(&mut self, line: &str) -> std::io::Result<()> {
+    fn append(&mut self, body: &str) -> std::io::Result<()> {
         #[cfg(feature = "fault-injection")]
         match alive_sat::fault::fire(alive_sat::fault::FaultSite::Store) {
             Some(alive_sat::fault::FaultKind::IoError) => {
+                self.log.fail_append(body, false);
                 return Err(io::Error::other("injected fault: store append io-error"));
             }
             Some(alive_sat::fault::FaultKind::TornWrite) => {
                 // Land half the sealed line, then fail — the same on-disk
-                // state a `kill -9` mid-append produces. The caller's
-                // truncate-back repair must erase it. The half-write may
-                // itself fail (an even shorter tear); the sync pushes the
-                // torn bytes to disk so recovery sees them, and a *real*
-                // sync failure here poisons the handle via the seam.
-                let _ = self.file.append(&line.as_bytes()[..line.len() / 2]);
-                let _ = self.file.sync();
+                // state a `kill -9` mid-append produces. The rollback must
+                // erase it.
+                self.log.fail_append(body, true);
                 return Err(io::Error::other("injected fault: store append torn"));
             }
             _ => {}
         }
-        self.file.append(format!("{line}\n").as_bytes())?;
-        self.file.sync()
+        self.log.append(body).map(drop)
     }
 
     /// Records replayed from disk at open plus records appended since —
@@ -551,55 +499,37 @@ impl VerdictStore {
     /// reopen of the freshly renamed file) poisons the handle, because
     /// the old append handle now points at an unlinked inode.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
-        if self.file.poisoned() {
+        if self.log.poisoned() {
             return Err(io::Error::other(format!(
                 "{}: store poisoned; restart before compacting",
                 self.path.display()
             )));
         }
-        let bytes_before = self.good_bytes;
-        let text = std::fs::read_to_string(&self.path)?;
-        let header_line = text.split('\n').next().unwrap_or("").to_string();
-        if parse_store_header(&header_line).is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: store header unreadable", self.path.display()),
-            ));
-        }
+        let bytes_before = self.log.bytes();
         let live: Vec<StoreRecord> = self.live_records().cloned().collect();
-        let mut buf = String::with_capacity(self.good_bytes as usize);
-        buf.push_str(&header_line);
-        buf.push('\n');
-        for rec in &live {
-            buf.push_str(&rec.to_line());
-            buf.push('\n');
-        }
-        let tmp = suffixed(&self.path, ".compact-tmp");
-        {
-            let mut f = durable::create(&tmp)?;
-            durable::append(&mut f, buf.as_bytes())?;
-            durable::sync(&f)?;
-        }
-        durable::rename(&tmp, &self.path)?;
+        let bytes_after = rewrite(
+            &self.path,
+            &self.header,
+            live.iter().map(StoreRecord::to_line),
+        )?;
         // The old append handle points at the pre-compaction inode; a
         // write through it would vanish. Reopen or refuse.
-        match DurableFile::open_append(&self.path) {
-            Ok(f) => self.file = f,
+        match SealedLog::open_append(&self.path, bytes_after as usize) {
+            Ok(log) => self.log = log,
             Err(e) => {
-                self.file.poison();
+                self.log.poison();
                 return Err(e);
             }
         }
         let dropped = self.records.len() - live.len();
         self.records = live;
         self.index = build_index(&self.records);
-        self.good_bytes = buf.len() as u64;
         Ok(CompactReport {
             replayed: self.records.len() + dropped,
             live: self.records.len(),
             dropped,
             bytes_before,
-            bytes_after: self.good_bytes,
+            bytes_after: self.log.bytes(),
             fingerprint: self.fingerprint,
             epoch: self.epoch,
         })
@@ -626,74 +556,21 @@ fn parse_store_header(line: &str) -> Option<(u64, u64)> {
     Some((fp, epoch))
 }
 
-/// Record lines parsed with [`VerdictStore::open`]'s crash-signature
-/// semantics: tail damage dropped, mid-file damage refused.
-struct LoadedRecords {
-    records: Vec<StoreRecord>,
-    /// Bytes of the header plus every intact record line.
-    good_bytes: usize,
-    /// Torn or corrupt lines discarded from the tail.
-    discarded: usize,
-}
-
-/// Parses the record region of a store file. Only *tail* damage — a torn
-/// final line, or a complete final line failing its CRC — is self-healed
-/// by discarding, because that is the signature of a crashed append. A
-/// bad line with good records after it is a different disease (bit rot,
-/// manual edits, an interleaved writer) and discarding the good suffix
-/// would throw away verdicts, so refuse instead.
-fn load_records(path: &Path, text: &str) -> io::Result<LoadedRecords> {
-    let mut lines = text.split('\n');
-    let _header = lines.next();
-    let mut records = Vec::new();
-    let mut good_bytes = text.find('\n').map_or(text.len(), |p| p + 1);
-    let mut discarded = 0usize;
-    let mut rest: Vec<&str> = lines.collect();
-    let torn_tail = match rest.last() {
-        Some(&"") => {
-            rest.pop();
-            false
-        }
-        Some(_) => true,
-        None => false,
-    };
-    let total = rest.len();
-    for (i, line) in rest.iter().enumerate() {
-        let last = i + 1 == total;
-        if last && torn_tail {
-            discarded += 1;
-            break;
-        }
-        match StoreRecord::parse_line(line) {
-            Some(rec) => {
-                good_bytes += line.len() + 1;
-                records.push(rec);
-            }
-            None if last => {
-                discarded += 1;
-                break;
-            }
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: corrupt record at line {} with {} intact-looking line(s) \
-                         after it; refusing to discard them — run `alive scrub {}` to \
-                         salvage the store",
-                        path.display(),
-                        i + 2,
-                        total - i - 1,
-                        path.display()
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(LoadedRecords {
-        records,
-        good_bytes,
-        discarded,
-    })
+/// The refusal for mid-file damage. Only *tail* damage — a torn final
+/// line, or a complete final line failing its CRC — is the signature of a
+/// crashed append. A bad line with lines after it is a different disease
+/// (bit rot, manual edits, an interleaved writer), and discarding the good
+/// suffix would throw away verdicts, so point at the salvage tool instead.
+fn refuse(path: &Path, damage: Damage) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{}: {damage}; refusing to discard them — run `alive scrub {}` to salvage \
+             the store",
+            path.display(),
+            path.display()
+        ),
+    )
 }
 
 fn build_index(records: &[StoreRecord]) -> HashMap<u64, usize> {
@@ -746,8 +623,8 @@ pub fn needs_compaction(replayed: usize, live: usize) -> bool {
 /// followed by intact records — run `alive scrub` first.
 pub fn compact_store(path: &Path) -> io::Result<CompactReport> {
     let _lock = StoreLock::acquire(path)?;
-    let text = std::fs::read_to_string(path)?;
-    let header_line = text.split('\n').next().unwrap_or("");
+    let text = sealed::read(path)?;
+    let header_line = first_line(&text);
     let Some((fingerprint, epoch)) = parse_store_header(header_line) else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -758,7 +635,8 @@ pub fn compact_store(path: &Path) -> io::Result<CompactReport> {
             ),
         ));
     };
-    let loaded = load_records(path, &text)?;
+    let loaded =
+        sealed::replay(&text, true, StoreRecord::parse_line).map_err(|d| refuse(path, d))?;
     let index = build_index(&loaded.records);
     let mut live: Vec<usize> = index.values().copied().collect();
     live.sort_unstable();
@@ -775,21 +653,24 @@ pub fn compact_store(path: &Path) -> io::Result<CompactReport> {
         // Nothing dead and no tail to trim: leave the file untouched.
         return Ok(report(loaded.good_bytes as u64));
     }
-    let mut buf = String::with_capacity(loaded.good_bytes);
-    buf.push_str(header_line);
-    buf.push('\n');
-    for &i in &live {
-        buf.push_str(&loaded.records[i].to_line());
+    let lines = live.iter().map(|&i| loaded.records[i].to_line());
+    Ok(report(rewrite(path, header_line, lines)?))
+}
+
+/// Atomically rewrites the store at `path` as `header` followed by
+/// `lines` ([`durable::write_atomic`]), returning the new size in bytes.
+fn rewrite<S: AsRef<str>>(
+    path: &Path,
+    header: &str,
+    lines: impl IntoIterator<Item = S>,
+) -> io::Result<u64> {
+    let mut buf = format!("{header}\n");
+    for line in lines {
+        buf.push_str(line.as_ref());
         buf.push('\n');
     }
-    let tmp = suffixed(path, ".compact-tmp");
-    {
-        let mut f = durable::create(&tmp)?;
-        durable::append(&mut f, buf.as_bytes())?;
-        durable::sync(&f)?;
-    }
-    durable::rename(&tmp, path)?;
-    Ok(report(buf.len() as u64))
+    durable::write_atomic(path, buf.as_bytes())?;
+    Ok(buf.len() as u64)
 }
 
 /// What [`scrub_store`] did, for the operator's report.
@@ -830,7 +711,7 @@ pub struct ScrubReport {
 /// be deleted or left for the daemon's eviction path.
 pub fn scrub_store(path: &Path) -> io::Result<ScrubReport> {
     let _lock = StoreLock::acquire(path)?;
-    let text = std::fs::read_to_string(path)?;
+    let text = sealed::read(path)?;
     let mut lines = text.split('\n');
     let header_line = lines.next().unwrap_or("");
     let Some((fingerprint, epoch)) = parse_store_header(header_line) else {
@@ -878,8 +759,7 @@ pub fn scrub_store(path: &Path) -> io::Result<ScrubReport> {
     // still on disk, so a crash between these steps loses nothing.
     let qpath = quarantine_path(path);
     {
-        let file = OpenOptions::new().create(true).append(true).open(&qpath)?;
-        let mut q = DurableFile::from_file(file);
+        let mut q = OpenOptions::new().create(true).append(true).open(&qpath)?;
         let mut buf = format!(
             "# alive scrub: {} corrupt line(s) quarantined from {}\n",
             bad.len(),
@@ -888,24 +768,14 @@ pub fn scrub_store(path: &Path) -> io::Result<ScrubReport> {
         for (lineno, line) in &bad {
             buf.push_str(&format!("# line {lineno}\n{line}\n"));
         }
-        q.append(buf.as_bytes())?;
-        q.sync()?;
+        durable::append(&mut q, buf.as_bytes())?;
+        durable::sync(&q)?;
     }
     // The quarantine may be a fresh file; persist its directory entry
     // before touching the store, or a crash could keep the rewrite while
     // forgetting the quarantined evidence.
     durable::fsync_parent(&qpath)?;
-    let tmp = suffixed(path, ".scrub-tmp");
-    {
-        let mut f = durable::create(&tmp)?;
-        let mut buf = format!("{header_line}\n");
-        for line in &good {
-            buf.push_str(&format!("{line}\n"));
-        }
-        durable::append(&mut f, buf.as_bytes())?;
-        durable::sync(&f)?;
-    }
-    durable::rename(&tmp, path)?;
+    rewrite(path, header_line, &good)?;
     Ok(ScrubReport {
         examined,
         salvaged: good.len(),
