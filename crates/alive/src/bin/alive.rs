@@ -132,237 +132,407 @@ use alive_verifier::{
     RunReport, StoreOpen, TaskSpec, TransformOutcome,
 };
 use std::collections::HashMap;
-use std::path::Path;
+use std::ops::RangeBounds;
+use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: alive [--fast|--exhaustive] [--cpp] [--infer] [--proof <dir>] \
+/// A command's entry point. `Err` is a usage error: `main` prints it with
+/// the command's usage line and exits 64.
+type Run = fn(&mut Cursor<'_>) -> Result<ExitCode, String>;
+
+const VERIFY_USAGE: &str = "alive [--fast|--exhaustive] [--cpp] [--infer] [--proof <dir>] \
      [--timeout <secs>] [--budget <conflicts>] [--retries <n>] [--keep-going] \
      [--report <file.json>] [--jobs <n>] [--grace <secs>] \
      [--journal <file>] [--resume <file>] [--trace <file>] [--metrics] \
-     [--paranoid] [--dedupe] <file.opt>...\n\
-       alive stats <trace.jsonl> [--top <n>] [--folded] [--request <rid>]\n\
-       alive fuzz [--seed <n>] [--cases <n>] [--max-width <bits>] [--max-insts <n>] \
-     [--jobs <n>] [--timeout <secs>] [--budget <conflicts>] [--corpus <dir>] \
-     [--no-minimize] [--trace <file>] [--replay <dir>]\n\
-       alive serve [--store <file>] [--stdio | --socket <path>] [--epoch <n>] \
-     [--workers <n>] [--fast|--exhaustive] [--timeout <secs>] [--budget <conflicts>] \
-     [--retries <n>] [--cert-dir <dir>] [--trace <file>] [--metrics] [--slow-ms <ms>] \
-     [--max-connections <n>] [--queue-depth <n>] [--request-timeout <secs>] \
-     [--idle-timeout <secs>] [--drain-timeout <secs>]\n\
-       alive client --socket <path> [--max-retries <n>] [--seed <n>] \
-     [--trace-requests] <file.opt>...\n\
-       alive top --socket <path> [--interval <secs>] [--count <n>]\n\
-       alive slowlog <store.slowlog> [--top <n>]\n\
-       alive scrub <store.jsonl>\n\
-       alive compact <store.jsonl>\n\
-       alive hash <file.opt>...";
+     [--paranoid] [--dedupe] <file.opt>...";
 
-/// Width-coverage mode; `--fast` and `--exhaustive` are order-independent
-/// and mutually exclusive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WidthMode {
-    Default,
-    Fast,
-    Exhaustive,
+/// The subcommands, in `--help` order: name, usage line, entry point.
+const COMMANDS: &[(&str, &str, Run)] = &[
+    (
+        "stats",
+        "alive stats <trace.jsonl> [--top <n>] [--folded] [--request <rid>]",
+        run_stats,
+    ),
+    (
+        "fuzz",
+        "alive fuzz [--seed <n>] [--cases <n>] [--max-width <bits>] [--max-insts <n>] \
+         [--jobs <n>] [--timeout <secs>] [--budget <conflicts>] [--corpus <dir>] \
+         [--no-minimize] [--trace <file>] [--replay <dir>]",
+        run_fuzz_cmd,
+    ),
+    (
+        "serve",
+        "alive serve [--store <file>] [--stdio | --socket <path>] [--epoch <n>] \
+         [--workers <n>] [--fast|--exhaustive] [--timeout <secs>] [--budget <conflicts>] \
+         [--retries <n>] [--cert-dir <dir>] [--trace <file>] [--metrics] [--slow-ms <ms>] \
+         [--max-connections <n>] [--queue-depth <n>] [--request-timeout <secs>] \
+         [--idle-timeout <secs>] [--drain-timeout <secs>]",
+        run_serve,
+    ),
+    (
+        "client",
+        "alive client --socket <path> [--max-retries <n>] [--seed <n>] \
+         [--trace-requests] <file.opt>...",
+        run_client,
+    ),
+    (
+        "top",
+        "alive top --socket <path> [--interval <secs>] [--count <n>]",
+        run_top,
+    ),
+    (
+        "slowlog",
+        "alive slowlog <store.slowlog> [--top <n>]",
+        run_slowlog,
+    ),
+    ("scrub", "alive scrub <store.jsonl>", run_scrub),
+    ("compact", "alive compact <store.jsonl>", run_compact),
+    ("hash", "alive hash <file.opt>...", run_hash),
+];
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = COMMANDS
+        .iter()
+        .find(|c| args.first().map(String::as_str) == Some(c.0));
+    let all_usage: String;
+    let (usage, run, rest): (&str, Run, &[String]) = match command {
+        Some(&(_, usage, run)) => (usage, run, &args[1..]),
+        None => {
+            // The top-level usage: the default command, then each subcommand.
+            let lines = std::iter::once(VERIFY_USAGE).chain(COMMANDS.iter().map(|c| c.1));
+            all_usage = lines.collect::<Vec<_>>().join("\n");
+            (&all_usage, run_verify, &args)
+        }
+    };
+    let mut cursor = Cursor {
+        args: rest.iter(),
+        usage,
+    };
+    run(&mut cursor).unwrap_or_else(|msg| usage_error(usage, &msg))
 }
 
-/// Counts SIGINTs; bridged to the driver's `CancelToken` by a watcher
-/// thread (a signal handler must only touch async-signal-safe state, so it
-/// cannot call into the token's `Arc` machinery directly). The first
-/// signal cancels cooperatively; the second force-exits.
-static SIGINT_COUNT: AtomicU32 = AtomicU32::new(0);
-
-extern "C" fn on_sigint(_signum: i32) {
-    SIGINT_COUNT.fetch_add(1, Ordering::SeqCst);
+fn usage_error(usage: &str, msg: &str) -> ExitCode {
+    eprintln!("error: {msg}\nusage: {usage}");
+    ExitCode::from(64)
 }
 
-/// Installs the SIGINT handler via the C runtime (no libc crate needed —
-/// `signal` is always available from the platform's C library).
-fn install_sigint_handler() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+/// A cursor over one command's arguments. Every reader fails with a
+/// `<flag> requires <what>` message.
+struct Cursor<'a> {
+    args: std::slice::Iter<'a, String>,
+    usage: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next flag or positional argument. `-h`/`--help` prints the
+    /// usage and exits 0.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.args.next()?;
+        if arg == "-h" || arg == "--help" {
+            eprintln!("usage: {}", self.usage);
+            std::process::exit(0);
+        }
+        Some(arg)
     }
-    const SIGINT: i32 = 2;
-    unsafe {
-        signal(SIGINT, on_sigint);
+
+    /// Every remaining argument, none of them a flag.
+    fn positionals(&mut self) -> Result<Vec<String>, String> {
+        let mut all = Vec::new();
+        while let Some(arg) = self.next() {
+            all.push(positional(arg)?);
+        }
+        Ok(all)
+    }
+
+    /// The argument after `flag`, checked by `parse`.
+    fn read<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self.args.next().map(String::as_str);
+        value
+            .and_then(parse)
+            .ok_or_else(|| format!("{flag} requires {what}"))
+    }
+
+    /// The argument after `flag`: a path, an id, anything present.
+    fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.read(flag, what, |v| Some(v.to_string()))
+    }
+
+    /// A number within `range`.
+    fn number<T: FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        range: impl RangeBounds<T>,
+    ) -> Result<T, String> {
+        self.read(flag, what, |v| v.parse().ok().filter(|n| range.contains(n)))
+    }
+
+    /// A finite non-negative number of seconds.
+    fn secs(&mut self, flag: &str, what: &str) -> Result<Duration, String> {
+        self.read(flag, what, secs)
     }
 }
 
-/// Installs the same counting handler for SIGINT *and* SIGTERM. The serve
-/// daemon treats both as "drain and exit": process supervisors send
-/// SIGTERM, terminals send SIGINT, and both deserve the graceful path.
-fn install_stop_handlers() {
+fn secs(v: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(v.parse().ok()?).ok()
+}
+
+/// `arg` as a positional argument; anything flag-shaped is unknown.
+fn positional(arg: &str) -> Result<String, String> {
+    if arg.starts_with('-') {
+        Err(format!("unknown option '{arg}'"))
+    } else {
+        Ok(arg.to_string())
+    }
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument '{arg}'")
+}
+
+/// The one positional file a subcommand takes; `what` names it.
+fn one_file(files: Vec<String>, what: &str) -> Result<String, String> {
+    match <[String; 1]>::try_from(files) {
+        Ok([file]) => Ok(file),
+        Err(files) if files.is_empty() => Err(format!("no {what} file given")),
+        Err(_) => Err(format!("exactly one {what} file expected")),
+    }
+}
+
+/// `path` with its `.` components dropped, so `x.opt` and `./x.opt`
+/// compare equal.
+fn file_key(path: &str) -> PathBuf {
+    Path::new(path)
+        .components()
+        .filter(|c| *c != Component::CurDir)
+        .collect()
+}
+
+/// Refuses an output that names the same file as another output or an
+/// input, before any file is created or opened: the output would
+/// truncate or interleave with the other.
+fn distinct_paths(outputs: &[(&str, Option<&String>)], inputs: &[String]) -> Result<(), String> {
+    let outputs: Vec<(&str, &String)> =
+        outputs.iter().filter_map(|&(f, p)| Some((f, p?))).collect();
+    for (i, &(flag, path)) in outputs.iter().enumerate() {
+        let others = outputs[i + 1..].iter().copied();
+        let inputs = inputs.iter().map(|p| ("an input", p));
+        if let Some((other, _)) = others
+            .chain(inputs)
+            .find(|o| file_key(o.1) == file_key(path))
+        {
+            return Err(format!(
+                "{flag} and {other} point at the same file ({path}); use distinct paths"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The verifier flags `alive` and `alive serve` share. `--fast` and
+/// `--exhaustive` are order-independent and mutually exclusive.
+#[derive(Default)]
+struct VerifierFlags {
+    fast: bool,
+    exhaustive: bool,
+    timeout: Option<Duration>,
+    budget: Option<u64>,
+    retries: Option<u32>,
+    trace: Option<String>,
+    metrics: bool,
+}
+
+impl VerifierFlags {
+    /// Consumes `flag` (and its value) if it is one of these.
+    fn accept(&mut self, flag: &str, c: &mut Cursor) -> Result<bool, String> {
+        match flag {
+            "--fast" => self.fast = true,
+            "--exhaustive" => self.exhaustive = true,
+            "--timeout" => self.timeout = Some(c.secs(flag, "a non-negative number of seconds")?),
+            "--budget" => self.budget = Some(c.number(flag, "a conflict count", ..)?),
+            "--retries" => self.retries = Some(c.number(flag, "a count", ..)?),
+            "--trace" => self.trace = Some(c.value(flag, "a file argument")?),
+            "--metrics" => self.metrics = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn verify_config(&self) -> Result<VerifyConfig, String> {
+        match (self.fast, self.exhaustive) {
+            (true, true) => Err("--fast and --exhaustive contradict each other; pick one".into()),
+            (true, false) => Ok(VerifyConfig::fast()),
+            (false, true) => Ok(VerifyConfig {
+                typeck: alive::TypeckConfig::exhaustive(),
+                ..VerifyConfig::default()
+            }),
+            (false, false) => Ok(VerifyConfig::default()),
+        }
+    }
+
+    /// The driver settings these flags select. The tracer rides inside
+    /// the CEGIS config: one installation reaches the driver phases, the
+    /// bit-blaster, and the SAT solver cores.
+    fn driver(&self, verify: &VerifyConfig, tracer: &Tracer) -> DriverConfig {
+        let mut verify = verify.clone();
+        verify.ef.tracer = tracer.clone();
+        let defaults = DriverConfig::default();
+        DriverConfig {
+            verify,
+            timeout: self.timeout,
+            conflict_budget: self.budget,
+            max_retries: self.retries.unwrap_or(defaults.max_retries),
+            ..defaults
+        }
+    }
+}
+
+/// The tracer a command runs under: a JSONL stream (`--trace`), an
+/// in-process metrics aggregator (`--metrics`), both behind one tee, or
+/// the disabled tracer whose per-site cost is a single branch.
+struct Tracing {
+    tracer: Tracer,
+    jsonl: Option<(String, Arc<JsonlSink>)>,
+    metrics: Option<Arc<MetricsSink>>,
+}
+
+impl Tracing {
+    /// `None` (after printing why) when the trace file cannot be created.
+    fn open(trace: Option<&str>, metrics: bool) -> Option<Tracing> {
+        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+        let jsonl = match trace {
+            Some(path) => match JsonlSink::create(Path::new(path)) {
+                Ok(s) => {
+                    let s = Arc::new(s);
+                    sinks.push(Box::new(Arc::clone(&s)));
+                    Some((path.to_string(), s))
+                }
+                Err(e) => {
+                    eprintln!("error: cannot create trace file {path}: {e}");
+                    return None;
+                }
+            },
+            None => None,
+        };
+        let metrics = metrics.then(|| Arc::new(MetricsSink::new()));
+        if let Some(s) = &metrics {
+            sinks.push(Box::new(Arc::clone(s)));
+        }
+        let tracer = match sinks.len() {
+            0 => Tracer::disabled(),
+            1 => Tracer::new(sinks.pop().expect("one sink")),
+            _ => Tracer::new(Box::new(TeeSink::new(sinks))),
+        };
+        Some(Tracing {
+            tracer,
+            jsonl,
+            metrics,
+        })
+    }
+
+    /// Flushes explicitly — a worker the watchdog detached still holds a
+    /// clone of the sink, so the Drop-based flush may never run in this
+    /// process. Returns the rendered `--metrics` table, if any, and
+    /// whether every trace write landed (warning on stderr if not).
+    fn finish(&self) -> (Option<String>, bool) {
+        self.tracer.flush();
+        let intact = match &self.jsonl {
+            Some((path, sink)) if sink.had_error() => {
+                eprintln!("warning: trace writes failed; {path} is incomplete");
+                false
+            }
+            _ => true,
+        };
+        (self.metrics.as_ref().map(|m| m.render()), intact)
+    }
+}
+
+/// Counts SIGINTs (and SIGTERMs); bridged to the command by a watcher
+/// thread (a signal handler must only touch async-signal-safe state, so
+/// it cannot call into the `Arc` machinery directly).
+static SIGNALS: AtomicU32 = AtomicU32::new(0);
+
+extern "C" fn on_signal(_signum: i32) {
+    SIGNALS.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Installs the counting handler for SIGINT, and for SIGTERM when
+/// `also_sigterm`, via the C runtime (no libc crate needed). The first
+/// signal prints `message[0]` and runs `on_first`; a second prints
+/// `message[1]` and force-exits 130, so a hung solver cannot make the
+/// signal appear dead.
+fn watch_signals(
+    also_sigterm: bool,
+    message: [&'static str; 2],
+    on_first: impl FnOnce() + Send + 'static,
+) {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is the C runtime's, called with valid signal
+    // numbers; the handler only does an atomic add, which is
+    // async-signal-safe.
     unsafe {
-        signal(SIGINT, on_sigint);
-        signal(SIGTERM, on_sigint);
-    }
-}
-
-struct Options {
-    files: Vec<String>,
-    mode: WidthMode,
-    emit_cpp: bool,
-    infer: bool,
-    proof_dir: Option<String>,
-    timeout: Option<Duration>,
-    budget: Option<u64>,
-    retries: u32,
-    keep_going: bool,
-    report_path: Option<String>,
-    jobs: usize,
-    grace: Duration,
-    journal_path: Option<String>,
-    resume_path: Option<String>,
-    trace_path: Option<String>,
-    metrics: bool,
-    paranoid: bool,
-    dedupe: bool,
-}
-
-enum ParsedArgs {
-    Run(Box<Options>),
-    Exit(ExitCode),
-}
-
-fn usage_error(msg: &str) -> ParsedArgs {
-    eprintln!("error: {msg}\n{USAGE}");
-    ParsedArgs::Exit(ExitCode::from(64))
-}
-
-fn parse_args(args: &[String]) -> ParsedArgs {
-    let mut opts = Options {
-        files: Vec::new(),
-        mode: WidthMode::Default,
-        emit_cpp: false,
-        infer: false,
-        proof_dir: None,
-        timeout: None,
-        budget: None,
-        retries: 1,
-        keep_going: false,
-        report_path: None,
-        jobs: 1,
-        grace: Duration::from_secs(2),
-        journal_path: None,
-        resume_path: None,
-        trace_path: None,
-        metrics: false,
-        paranoid: false,
-        dedupe: false,
-    };
-    let mut fast = false;
-    let mut exhaustive = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fast" => fast = true,
-            "--exhaustive" => exhaustive = true,
-            "--cpp" => opts.emit_cpp = true,
-            "--infer" => opts.infer = true,
-            "--keep-going" => opts.keep_going = true,
-            "--proof" => match it.next() {
-                Some(dir) => opts.proof_dir = Some(dir.clone()),
-                None => return usage_error("--proof requires a directory argument"),
-            },
-            "--report" => match it.next() {
-                Some(f) => opts.report_path = Some(f.clone()),
-                None => return usage_error("--report requires a file argument"),
-            },
-            "--journal" => match it.next() {
-                Some(f) => opts.journal_path = Some(f.clone()),
-                None => return usage_error("--journal requires a file argument"),
-            },
-            "--resume" => match it.next() {
-                Some(f) => opts.resume_path = Some(f.clone()),
-                None => return usage_error("--resume requires a journal file argument"),
-            },
-            "--trace" => match it.next() {
-                Some(f) => opts.trace_path = Some(f.clone()),
-                None => return usage_error("--trace requires a file argument"),
-            },
-            "--metrics" => opts.metrics = true,
-            "--paranoid" => opts.paranoid = true,
-            "--dedupe" => opts.dedupe = true,
-            "--timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    opts.timeout = Some(Duration::from_secs_f64(secs));
-                }
-                _ => return usage_error("--timeout requires a non-negative number of seconds"),
-            },
-            "--grace" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    opts.grace = Duration::from_secs_f64(secs);
-                }
-                _ => return usage_error("--grace requires a non-negative number of seconds"),
-            },
-            "--budget" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => opts.budget = Some(n),
-                None => return usage_error("--budget requires a conflict count"),
-            },
-            "--retries" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => opts.retries = n,
-                None => return usage_error("--retries requires a count"),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.jobs = n,
-                _ => return usage_error("--jobs requires a worker count of at least 1"),
-            },
-            "-h" | "--help" => {
-                eprintln!("{USAGE}");
-                return ParsedArgs::Exit(ExitCode::SUCCESS);
-            }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"));
-            }
-            other => opts.files.push(other.to_string()),
+        signal(SIGINT, on_signal);
+        if also_sigterm {
+            signal(SIGTERM, on_signal);
         }
     }
-    if fast && exhaustive {
-        return usage_error("--fast and --exhaustive contradict each other; pick one");
-    }
-    opts.mode = match (fast, exhaustive) {
-        (true, _) => WidthMode::Fast,
-        (_, true) => WidthMode::Exhaustive,
-        _ => WidthMode::Default,
-    };
-    if opts.resume_path.is_some() && opts.journal_path.is_some() {
-        return usage_error("--resume already names the journal; drop --journal");
-    }
-    if opts.resume_path.is_some() && opts.proof_dir.is_some() {
-        return usage_error(
-            "--proof needs live verification; certificates are not journaled — \
-             re-run without --resume to produce them",
-        );
-    }
-    if opts.resume_path.is_some() && opts.paranoid {
-        return usage_error(
-            "--paranoid audits live verdicts; journal-replayed verdicts carry no \
-             certificates — re-run without --resume to audit them",
-        );
-    }
-    if let Some(trace) = &opts.trace_path {
-        // The trace and the journal are both append-streamed JSONL files;
-        // pointing them at one path would interleave the two schemas and
-        // corrupt both. Catch it before either file is touched.
-        if Some(trace) == opts.journal_path.as_ref() || Some(trace) == opts.resume_path.as_ref() {
-            return usage_error(&format!(
-                "--trace and --journal/--resume point at the same file ({trace}); \
-                 the trace would corrupt the journal — use distinct paths"
-            ));
+    std::thread::spawn(move || {
+        let mut on_first = Some(on_first);
+        loop {
+            let n = SIGNALS.load(Ordering::SeqCst);
+            if n >= 2 {
+                eprintln!("{}", message[1]);
+                std::process::exit(130);
+            }
+            if let Some(f) = on_first.take_if(|_| n >= 1) {
+                eprintln!("{}", message[0]);
+                f();
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    });
+}
+
+/// Reads and parses every file into one flat corpus; a transform without
+/// a `Name:` is called `<file>#<k>`. Returns the corpus and the number of
+/// files that could not be read or parsed (each reported on stderr).
+fn read_transforms(files: &[String], tracer: &Tracer) -> (Vec<(String, Transform)>, usize) {
+    let mut transforms = Vec::new();
+    let mut failures = 0;
+    for path in files {
+        let _parse_span = tracer.span_with("parse", || path.clone());
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_transforms(&text).map_err(|e| e.to_string()));
+        match parsed {
+            Ok(ts) => transforms.extend(ts.into_iter().enumerate().map(|(i, t)| {
+                let name = t
+                    .name
+                    .clone()
+                    .unwrap_or_else(|| format!("{path}#{}", i + 1));
+                (name, t)
+            })),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                failures += 1;
+            }
         }
     }
-    if opts.files.is_empty() {
-        return usage_error("no input files (try --help)");
-    }
-    ParsedArgs::Run(Box::new(opts))
+    (transforms, failures)
 }
 
 /// Installs the fault plan named by `ALIVE_FAULT` and the crash plan
@@ -415,51 +585,20 @@ const RESUME_ESCALATION: u32 = 8;
 /// readable prefix plus a stderr warning rather than an error — the
 /// percentages are then explicitly marked as partial by that warning. CI
 /// schema validation keeps using the strict reader.
-fn run_stats(args: &[String]) -> ExitCode {
-    const STATS_USAGE: &str =
-        "usage: alive stats <trace.jsonl> [--top <n>] [--folded] [--request <rid>]";
-    let mut file: Option<String> = None;
+fn run_stats(c: &mut Cursor) -> Result<ExitCode, String> {
+    let mut files = Vec::new();
     let mut top = 10usize;
     let mut folded = false;
     let mut request: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => top = n,
-                _ => {
-                    eprintln!("error: --top requires a count of at least 1\n{STATS_USAGE}");
-                    return ExitCode::from(64);
-                }
-            },
+    while let Some(arg) = c.next() {
+        match arg {
+            "--top" => top = c.number(arg, "a count of at least 1", 1..)?,
             "--folded" => folded = true,
-            "--request" => match it.next() {
-                Some(rid) => request = Some(rid.clone()),
-                None => {
-                    eprintln!("error: --request requires a request id\n{STATS_USAGE}");
-                    return ExitCode::from(64);
-                }
-            },
-            "-h" | "--help" => {
-                eprintln!("{STATS_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown option '{other}'\n{STATS_USAGE}");
-                return ExitCode::from(64);
-            }
-            other => {
-                if file.replace(other.to_string()).is_some() {
-                    eprintln!("error: exactly one trace file expected\n{STATS_USAGE}");
-                    return ExitCode::from(64);
-                }
-            }
+            "--request" => request = Some(c.value(arg, "a request id")?),
+            _ => files.push(positional(arg)?),
         }
     }
-    let Some(file) = file else {
-        eprintln!("error: no trace file given\n{STATS_USAGE}");
-        return ExitCode::from(64);
-    };
+    let file = one_file(files, "trace")?;
     let events = match read_trace_lenient(Path::new(&file)) {
         Ok(loaded) => {
             if let Some(w) = &loaded.warning {
@@ -469,7 +608,7 @@ fn run_stats(args: &[String]) -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // --request carves out one request's span subtree (a serve.request
@@ -483,18 +622,18 @@ fn run_stats(args: &[String]) -> ExitCode {
             }
             Ok(None) => {
                 eprintln!("error: {file}: no serve.request span with id '{rid}'");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             Err(e) => {
                 eprintln!("error: {file}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
         None => match TraceStats::from_events(&events) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {file}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
@@ -503,111 +642,52 @@ fn run_stats(args: &[String]) -> ExitCode {
     } else {
         print!("{}", stats.render(top));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `alive fuzz` subcommand: generate seeded random transforms, verify
 /// them, audit every verdict with the paranoid oracle, shrink failures,
 /// and persist reproducers. `--replay <dir>` re-runs a checked-in corpus
 /// as a regression suite instead of generating fresh cases.
-fn run_fuzz_cmd(args: &[String]) -> ExitCode {
-    const FUZZ_USAGE: &str = "usage: alive fuzz [--seed <n>] [--cases <n>] \
-         [--max-width <bits>] [--max-insts <n>] [--jobs <n>] [--timeout <secs>] \
-         [--budget <conflicts>] [--corpus <dir>] [--no-minimize] [--trace <file>] \
-         [--replay <dir>]";
-    let fuzz_usage_error = |msg: &str| -> ExitCode {
-        eprintln!("error: {msg}\n{FUZZ_USAGE}");
-        ExitCode::from(64)
-    };
+fn run_fuzz_cmd(c: &mut Cursor) -> Result<ExitCode, String> {
     let mut cfg = FuzzConfig {
         cases: 500,
         ..FuzzConfig::default()
     };
     let mut replay: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return fuzz_usage_error("--seed requires an integer"),
-            },
-            "--cases" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => cfg.cases = n,
-                None => return fuzz_usage_error("--cases requires a count"),
-            },
-            "--max-width" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if (1..=64).contains(&n) => cfg.gen.max_width = n,
-                _ => return fuzz_usage_error("--max-width requires a bitwidth in 1..=64"),
-            },
-            "--max-insts" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cfg.gen.max_insts = n,
-                _ => return fuzz_usage_error("--max-insts requires a count of at least 1"),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cfg.jobs = n,
-                _ => return fuzz_usage_error("--jobs requires a worker count of at least 1"),
-            },
-            "--timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    cfg.timeout = Some(Duration::from_secs_f64(secs));
-                }
-                _ => {
-                    return fuzz_usage_error("--timeout requires a non-negative number of seconds")
-                }
-            },
-            "--budget" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => cfg.conflict_budget = Some(n),
-                None => return fuzz_usage_error("--budget requires a conflict count"),
-            },
-            "--corpus" => match it.next() {
-                Some(d) => cfg.corpus_dir = Some(d.into()),
-                None => return fuzz_usage_error("--corpus requires a directory argument"),
-            },
-            "--replay" => match it.next() {
-                Some(d) => replay = Some(d.clone()),
-                None => return fuzz_usage_error("--replay requires a corpus directory argument"),
-            },
+    while let Some(arg) = c.next() {
+        match arg {
+            "--seed" => cfg.seed = c.number(arg, "an integer", ..)?,
+            "--cases" => cfg.cases = c.number(arg, "a count", ..)?,
+            "--max-width" => cfg.gen.max_width = c.number(arg, "a bitwidth in 1..=64", 1..=64)?,
+            "--max-insts" => cfg.gen.max_insts = c.number(arg, "a count of at least 1", 1..)?,
+            "--jobs" => cfg.jobs = c.number(arg, "a worker count of at least 1", 1..)?,
+            "--timeout" => cfg.timeout = Some(c.secs(arg, "a non-negative number of seconds")?),
+            "--budget" => cfg.conflict_budget = Some(c.number(arg, "a conflict count", ..)?),
+            "--corpus" => cfg.corpus_dir = Some(c.value(arg, "a directory argument")?.into()),
+            "--replay" => replay = Some(c.value(arg, "a corpus directory argument")?),
             "--no-minimize" => cfg.minimize = false,
-            "--trace" => match it.next() {
-                Some(f) => trace_path = Some(f.clone()),
-                None => return fuzz_usage_error("--trace requires a file argument"),
-            },
-            "-h" | "--help" => {
-                eprintln!("{FUZZ_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return fuzz_usage_error(&format!("unexpected argument '{other}'")),
+            "--trace" => trace_path = Some(c.value(arg, "a file argument")?),
+            _ => return Err(unexpected(arg)),
         }
     }
     #[cfg(feature = "fault-injection")]
     if !install_fault_plan_from_env() {
-        return ExitCode::from(64);
+        return Ok(ExitCode::from(64));
     }
-    let mut jsonl_sink: Option<Arc<JsonlSink>> = None;
-    let tracer = match &trace_path {
-        Some(path) => match JsonlSink::create(Path::new(path)) {
-            Ok(s) => {
-                let s = Arc::new(s);
-                jsonl_sink = Some(Arc::clone(&s));
-                Tracer::new(Box::new(s))
-            }
-            Err(e) => {
-                eprintln!("error: cannot create trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Tracer::disabled(),
+    let Some(tracing) = Tracing::open(trace_path.as_deref(), false) else {
+        return Ok(ExitCode::FAILURE);
     };
     let report = if let Some(dir) = &replay {
-        match replay_corpus(Path::new(dir), &cfg, &tracer) {
+        match replay_corpus(Path::new(dir), &cfg, &tracing.tracer) {
             Ok(r) => {
                 println!("replay: {} reproducer(s) from {dir}", r.cases);
                 r
             }
             Err(e) => {
                 eprintln!("error: {dir}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
@@ -615,7 +695,7 @@ fn run_fuzz_cmd(args: &[String]) -> ExitCode {
             "fuzz: seed {}, {} cases, widths 1..={}, jobs {}",
             cfg.seed, cfg.cases, cfg.gen.max_width, cfg.jobs
         );
-        run_fuzz(&cfg, &tracer)
+        run_fuzz(&cfg, &tracing.tracer)
     };
     for f in &report.failures {
         println!("----------------------------------------");
@@ -657,277 +737,113 @@ fn run_fuzz_cmd(args: &[String]) -> ExitCode {
         report.digest,
         report.wall.as_secs_f64()
     );
-    tracer.flush();
-    if let Some(sink) = &jsonl_sink {
-        if sink.had_error() {
-            eprintln!("warning: trace writes failed; the trace file is incomplete");
-            return ExitCode::FAILURE;
-        }
+    if !tracing.finish().1 {
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::from(report.exit_code())
+    Ok(ExitCode::from(report.exit_code()))
 }
 
 /// The `alive hash` subcommand: print each transform's canonical content
 /// hash — the identity the serve cache and `--dedupe` key on. Alpha
 /// renamings and commuted commutative operands print the same hash.
-fn run_hash(args: &[String]) -> ExitCode {
-    const HASH_USAGE: &str = "usage: alive hash <file.opt>...";
-    let mut files = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "-h" | "--help" => {
-                eprintln!("{HASH_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown option '{other}'\n{HASH_USAGE}");
-                return ExitCode::from(64);
-            }
-            other => files.push(other.to_string()),
-        }
-    }
+fn run_hash(c: &mut Cursor) -> Result<ExitCode, String> {
+    let files = c.positionals()?;
     if files.is_empty() {
-        eprintln!("error: no input files\n{HASH_USAGE}");
-        return ExitCode::from(64);
+        return Err("no input files".into());
     }
-    let mut failures = 0usize;
-    for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        match parse_transforms(&text) {
-            Ok(ts) => {
-                for (i, t) in ts.into_iter().enumerate() {
-                    let name = t
-                        .name
-                        .clone()
-                        .unwrap_or_else(|| format!("{path}#{}", i + 1));
-                    println!("{:016x}  {name}", canonical_hash(&t));
-                }
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                failures += 1;
-            }
-        }
+    let (transforms, failures) = read_transforms(&files, &Tracer::disabled());
+    for (name, t) in &transforms {
+        println!("{:016x}  {name}", canonical_hash(t));
     }
-    if failures > 0 {
+    Ok(if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// The `alive serve` subcommand: a verification daemon with a persistent
 /// content-addressed verdict cache. All diagnostics go to stderr — in
 /// `--stdio` mode stdout is the protocol channel.
-fn run_serve(args: &[String]) -> ExitCode {
-    const SERVE_USAGE: &str = "usage: alive serve [--store <file>] [--stdio | --socket <path>] \
-         [--epoch <n>] [--workers <n>] [--fast|--exhaustive] [--timeout <secs>] \
-         [--budget <conflicts>] [--retries <n>] [--cert-dir <dir>] [--trace <file>] \
-         [--metrics] [--slow-ms <ms>] [--max-connections <n>] [--queue-depth <n>] \
-         [--request-timeout <secs>] [--idle-timeout <secs>] [--drain-timeout <secs>]";
-    let serve_usage_error = |msg: &str| -> ExitCode {
-        eprintln!("error: {msg}\n{SERVE_USAGE}");
-        ExitCode::from(64)
-    };
+fn run_serve(c: &mut Cursor) -> Result<ExitCode, String> {
+    let mut flags = VerifierFlags::default();
     let mut store = "alive-store.jsonl".to_string();
     let mut socket: Option<String> = None;
     let mut stdio = false;
     let mut epoch = 0u64;
     let mut workers = 0usize;
-    let mut fast = false;
-    let mut exhaustive = false;
-    let mut timeout: Option<Duration> = None;
-    let mut budget: Option<u64> = None;
-    let mut retries = 1u32;
     let mut cert_dir: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics = false;
     let mut slow_ms: Option<u64> = None;
     let mut limits = ServeLimits::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => match it.next() {
-                Some(f) => store = f.clone(),
-                None => return serve_usage_error("--store requires a file argument"),
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.clone()),
-                None => return serve_usage_error("--socket requires a path argument"),
-            },
+    while let Some(arg) = c.next() {
+        if flags.accept(arg, c)? {
+            continue;
+        }
+        let seconds = "a non-negative number of seconds";
+        match arg {
+            "--store" => store = c.value(arg, "a file argument")?,
+            "--socket" => socket = Some(c.value(arg, "a path argument")?),
             "--stdio" => stdio = true,
-            "--epoch" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => epoch = n,
-                None => return serve_usage_error("--epoch requires an integer"),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => workers = n,
-                None => return serve_usage_error("--workers requires a count"),
-            },
-            "--fast" => fast = true,
-            "--exhaustive" => exhaustive = true,
-            "--timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    timeout = Some(Duration::from_secs_f64(secs));
-                }
-                _ => {
-                    return serve_usage_error("--timeout requires a non-negative number of seconds")
-                }
-            },
-            "--budget" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => budget = Some(n),
-                None => return serve_usage_error("--budget requires a conflict count"),
-            },
-            "--retries" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => retries = n,
-                None => return serve_usage_error("--retries requires a count"),
-            },
-            "--cert-dir" => match it.next() {
-                Some(d) => cert_dir = Some(d.clone()),
-                None => return serve_usage_error("--cert-dir requires a directory argument"),
-            },
-            "--trace" => match it.next() {
-                Some(f) => trace_path = Some(f.clone()),
-                None => return serve_usage_error("--trace requires a file argument"),
-            },
-            "--metrics" => metrics = true,
-            "--slow-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => slow_ms = Some(n),
-                None => {
-                    return serve_usage_error(
-                        "--slow-ms requires a millisecond threshold (0 logs every miss)",
-                    )
-                }
-            },
-            "--max-connections" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => limits.max_connections = n,
-                None => return serve_usage_error("--max-connections requires a count (0 = off)"),
-            },
-            "--queue-depth" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => limits.queue_depth = n,
-                None => return serve_usage_error("--queue-depth requires a count (0 = off)"),
-            },
-            "--request-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    limits.request_timeout = if secs == 0.0 {
-                        None
-                    } else {
-                        Some(Duration::from_secs_f64(secs))
-                    };
-                }
-                _ => {
-                    return serve_usage_error(
-                        "--request-timeout requires a non-negative number of seconds (0 = off)",
-                    )
-                }
-            },
-            "--idle-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    limits.idle_timeout = Duration::from_secs_f64(secs);
-                }
-                _ => {
-                    return serve_usage_error(
-                        "--idle-timeout requires a non-negative number of seconds (0 = off)",
-                    )
-                }
-            },
-            "--drain-timeout" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                    limits.drain_timeout = Duration::from_secs_f64(secs);
-                }
-                _ => {
-                    return serve_usage_error(
-                        "--drain-timeout requires a non-negative number of seconds",
-                    )
-                }
-            },
-            "-h" | "--help" => {
-                eprintln!("{SERVE_USAGE}");
-                return ExitCode::SUCCESS;
+            "--epoch" => epoch = c.number(arg, "an integer", ..)?,
+            "--workers" => workers = c.number(arg, "a count", ..)?,
+            "--cert-dir" => cert_dir = Some(c.value(arg, "a directory argument")?),
+            "--slow-ms" => {
+                let what = "a millisecond threshold (0 logs every miss)";
+                slow_ms = Some(c.number(arg, what, ..)?);
             }
-            other => return serve_usage_error(&format!("unexpected argument '{other}'")),
+            "--max-connections" => {
+                limits.max_connections = c.number(arg, "a count (0 = off)", ..)?
+            }
+            "--queue-depth" => limits.queue_depth = c.number(arg, "a count (0 = off)", ..)?,
+            "--request-timeout" => {
+                let d = c.secs(arg, &format!("{seconds} (0 = off)"))?;
+                limits.request_timeout = Some(d).filter(|d| !d.is_zero());
+            }
+            "--idle-timeout" => {
+                limits.idle_timeout = c.secs(arg, &format!("{seconds} (0 = off)"))?
+            }
+            "--drain-timeout" => limits.drain_timeout = c.secs(arg, seconds)?,
+            _ => return Err(unexpected(arg)),
         }
     }
-    if fast && exhaustive {
-        return serve_usage_error("--fast and --exhaustive contradict each other; pick one");
-    }
+    let verify_config = flags.verify_config()?;
     if stdio && socket.is_some() {
-        return serve_usage_error("--stdio and --socket are alternative transports; pick one");
+        return Err("--stdio and --socket are alternative transports; pick one".into());
     }
-    if !stdio && socket.is_none() {
-        stdio = true; // the portable default
+    // stdio is the portable default. Every file the daemon writes is the
+    // store or a `<store>.*` sibling (slowlog, lock, tmp, quarantine,
+    // evicted generations); the trace may be none of them.
+    let stdio = stdio || socket.is_none();
+    if let Some(trace) = &flags.trace {
+        let (t, s) = (file_key(trace), file_key(&store));
+        let (t, s) = (t.to_string_lossy(), s.to_string_lossy());
+        if t == s || t.starts_with(&format!("{s}.")) {
+            return Err(format!(
+                "--trace and --store point at the same file family ({trace}); the daemon \
+                 writes {store} and {store}.* — use distinct paths"
+            ));
+        }
     }
 
     // The daemon honours ALIVE_FAULT too: `store:*` and `serve:*` sites
     // live on this side of the wire.
     #[cfg(feature = "fault-injection")]
     if !install_fault_plan_from_env() {
-        return ExitCode::from(64);
+        return Ok(ExitCode::from(64));
     }
-
-    // Tracer: JSONL stream, in-process metrics, both, or disabled.
-    let mut jsonl_sink: Option<Arc<JsonlSink>> = None;
-    let mut metrics_sink: Option<Arc<MetricsSink>> = None;
-    let tracer = {
-        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if let Some(path) = &trace_path {
-            match JsonlSink::create(Path::new(path)) {
-                Ok(s) => {
-                    let s = Arc::new(s);
-                    jsonl_sink = Some(Arc::clone(&s));
-                    sinks.push(Box::new(s));
-                }
-                Err(e) => {
-                    eprintln!("error: cannot create trace file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if metrics {
-            let s = Arc::new(MetricsSink::new());
-            metrics_sink = Some(Arc::clone(&s));
-            sinks.push(Box::new(s));
-        }
-        match sinks.len() {
-            0 => Tracer::disabled(),
-            1 => Tracer::new(sinks.pop().expect("one sink")),
-            _ => Tracer::new(Box::new(TeeSink::new(sinks))),
-        }
+    let Some(tracing) = Tracing::open(flags.trace.as_deref(), flags.metrics) else {
+        return Ok(ExitCode::FAILURE);
     };
-
-    let verify_config = if fast {
-        VerifyConfig::fast()
-    } else if exhaustive {
-        VerifyConfig {
-            typeck: alive::TypeckConfig::exhaustive(),
-            ..VerifyConfig::default()
-        }
-    } else {
-        VerifyConfig::default()
-    };
-    let mut traced_verify = verify_config;
-    traced_verify.ef.tracer = tracer.clone();
     let config = ServeConfig {
         driver: DriverConfig {
-            verify: traced_verify,
-            timeout,
-            conflict_budget: budget,
-            max_retries: retries,
             with_certificates: cert_dir.is_some(),
-            ..DriverConfig::default()
+            ..flags.driver(&verify_config, &tracing.tracer)
         },
         store_path: store.clone().into(),
         epoch,
         workers,
         cert_dir: cert_dir.map(Into::into),
-        tracer: tracer.clone(),
+        tracer: tracing.tracer.clone(),
         limits,
         slow_ms,
     };
@@ -935,7 +851,7 @@ fn run_serve(args: &[String]) -> ExitCode {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: cannot open verdict store {store}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match how {
@@ -1001,26 +917,15 @@ fn run_serve(args: &[String]) -> ExitCode {
     // First SIGINT/SIGTERM begins the drain: stop accepting, finish (or
     // cancel) in-flight work, close the socket. A second signal while the
     // drain runs force-exits — a hung solver cannot wedge shutdown.
-    install_stop_handlers();
-    {
-        let watched = server.clone();
-        std::thread::spawn(move || {
-            let mut draining = false;
-            loop {
-                let n = SIGINT_COUNT.load(Ordering::SeqCst);
-                if n >= 2 {
-                    eprintln!("second signal: exiting immediately");
-                    std::process::exit(130);
-                }
-                if n >= 1 && !draining {
-                    eprintln!("signal: draining connections (again to force exit)");
-                    watched.begin_stop();
-                    draining = true;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        });
-    }
+    let watched = server.clone();
+    watch_signals(
+        true,
+        [
+            "signal: draining connections (again to force exit)",
+            "second signal: exiting immediately",
+        ],
+        move || watched.begin_stop(),
+    );
 
     let served = if stdio {
         serve_stdio(&server)
@@ -1034,7 +939,7 @@ fn run_serve(args: &[String]) -> ExitCode {
         #[cfg(not(unix))]
         {
             eprintln!("error: --socket requires a unix platform; use --stdio");
-            return ExitCode::from(64);
+            return Ok(ExitCode::from(64));
         }
     };
     let s = server.stats();
@@ -1068,53 +973,26 @@ fn run_serve(args: &[String]) -> ExitCode {
             eprintln!("serve: join latency: {}", fmt(&tel.join));
         }
     }
-    tracer.flush();
-    if let Some(sink) = &metrics_sink {
-        eprint!("{}", sink.render());
+    let (metrics, intact) = tracing.finish();
+    if let Some(table) = metrics {
+        eprint!("{table}");
     }
-    let mut failed = false;
-    if let Some(sink) = &jsonl_sink {
-        if sink.had_error() {
-            eprintln!("warning: trace writes failed; the trace file is incomplete");
-            failed = true;
-        }
-    }
-    if let Err(e) = served {
+    if let Err(e) = &served {
         eprintln!("error: serve transport failed: {e}");
-        failed = true;
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    Ok(if intact && served.is_ok() {
         ExitCode::SUCCESS
-    }
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// The `alive scrub` subcommand: offline salvage of a corrupted verdict
 /// store. Corrupt lines are quarantined, never discarded; the intact
 /// records are rewritten as a fresh sealed store the daemon will load.
-fn run_scrub(args: &[String]) -> ExitCode {
-    const SCRUB_USAGE: &str = "usage: alive scrub <store.jsonl>";
-    let mut stores = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "-h" | "--help" => {
-                eprintln!("{SCRUB_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown option '{other}'\n{SCRUB_USAGE}");
-                return ExitCode::from(64);
-            }
-            other => stores.push(other.to_string()),
-        }
-    }
-    if stores.len() != 1 {
-        eprintln!("error: scrub takes exactly one store file\n{SCRUB_USAGE}");
-        return ExitCode::from(64);
-    }
-    let path = &stores[0];
-    match scrub_store(Path::new(path)) {
+fn run_scrub(c: &mut Cursor) -> Result<ExitCode, String> {
+    let path = one_file(c.positionals()?, "store")?;
+    Ok(match scrub_store(Path::new(&path)) {
         Ok(report) => {
             println!(
                 "scrub: {path}: {} record line(s) examined (config {:016x}, epoch {})",
@@ -1134,34 +1012,15 @@ fn run_scrub(args: &[String]) -> ExitCode {
             eprintln!("error: cannot scrub {path}: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// The `alive compact` subcommand: offline rewrite of a verdict store
 /// keeping only the live record per canonical form. Refuses a store held
 /// by a live daemon (the daemon compacts its own store at open).
-fn run_compact(args: &[String]) -> ExitCode {
-    const COMPACT_USAGE: &str = "usage: alive compact <store.jsonl>";
-    let mut stores = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "-h" | "--help" => {
-                eprintln!("{COMPACT_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown option '{other}'\n{COMPACT_USAGE}");
-                return ExitCode::from(64);
-            }
-            other => stores.push(other.to_string()),
-        }
-    }
-    if stores.len() != 1 {
-        eprintln!("error: compact takes exactly one store file\n{COMPACT_USAGE}");
-        return ExitCode::from(64);
-    }
-    let path = &stores[0];
-    match compact_store(Path::new(path)) {
+fn run_compact(c: &mut Cursor) -> Result<ExitCode, String> {
+    let path = one_file(c.positionals()?, "store")?;
+    Ok(match compact_store(Path::new(&path)) {
         Ok(report) => {
             println!(
                 "compact: {path}: {} record(s) replayed (config {:016x}, epoch {})",
@@ -1182,7 +1041,7 @@ fn run_compact(args: &[String]) -> ExitCode {
             eprintln!("error: cannot compact {path}: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// The `alive client` subcommand: submit `.opt` files to a running serve
@@ -1193,49 +1052,26 @@ fn run_compact(args: &[String]) -> ExitCode {
 /// inconclusive) plus `69` when the daemon stayed unavailable through
 /// every retry.
 #[cfg(unix)]
-fn run_client(args: &[String]) -> ExitCode {
+fn run_client(c: &mut Cursor) -> Result<ExitCode, String> {
     use alive::serve::client::{Client, ClientConfig, ClientError};
-    const CLIENT_USAGE: &str = "usage: alive client --socket <path> [--max-retries <n>] \
-         [--seed <n>] [--trace-requests] <file.opt>...";
-    let client_usage_error = |msg: &str| -> ExitCode {
-        eprintln!("error: {msg}\n{CLIENT_USAGE}");
-        ExitCode::from(64)
-    };
     let mut config = ClientConfig::default();
     let mut socket: Option<String> = None;
     let mut trace_requests = false;
     let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.clone()),
-                None => return client_usage_error("--socket requires a path argument"),
-            },
+    while let Some(arg) = c.next() {
+        match arg {
+            "--socket" => socket = Some(c.value(arg, "a path argument")?),
             "--trace-requests" => trace_requests = true,
-            "--max-retries" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => config.max_retries = n,
-                None => return client_usage_error("--max-retries requires a count"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => config.seed = n,
-                None => return client_usage_error("--seed requires an integer"),
-            },
-            "-h" | "--help" => {
-                eprintln!("{CLIENT_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return client_usage_error(&format!("unknown option '{other}'"))
-            }
-            other => files.push(other.to_string()),
+            "--max-retries" => config.max_retries = c.number(arg, "a count", ..)?,
+            "--seed" => config.seed = c.number(arg, "an integer", ..)?,
+            _ => files.push(positional(arg)?),
         }
     }
     let Some(socket) = socket else {
-        return client_usage_error("--socket is required");
+        return Err("--socket is required".into());
     };
     if files.is_empty() {
-        return client_usage_error("no input files");
+        return Err("no input files".into());
     }
     config.socket = socket.into();
     let mut client = Client::new(config);
@@ -1294,7 +1130,7 @@ fn run_client(args: &[String]) -> ExitCode {
                     client.retries(),
                     client.busy_seen()
                 );
-                return ExitCode::from(69);
+                return Ok(ExitCode::from(69));
             }
         }
     }
@@ -1305,64 +1141,40 @@ fn run_client(args: &[String]) -> ExitCode {
         client.busy_seen(),
         client.backoff_total_ms()
     );
-    if invalid > 0 || errors > 0 {
+    Ok(if invalid > 0 || errors > 0 {
         ExitCode::FAILURE
     } else if inconclusive > 0 {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 #[cfg(not(unix))]
-fn run_client(_args: &[String]) -> ExitCode {
+fn run_client(_c: &mut Cursor) -> Result<ExitCode, String> {
     eprintln!("error: alive client needs unix sockets; use `alive serve --stdio` instead");
-    ExitCode::from(64)
+    Ok(ExitCode::from(64))
 }
 
 /// The `alive slowlog` subcommand: read a daemon's slow-query log and
 /// rank the worst offenders (per canonical hash, slowest verification
 /// first). Torn tail records are skipped with a warning, not fatal —
 /// the log is appended by a live daemon.
-fn run_slowlog(args: &[String]) -> ExitCode {
-    const SLOWLOG_USAGE: &str = "usage: alive slowlog <store.slowlog> [--top <n>]";
-    let mut file: Option<String> = None;
+fn run_slowlog(c: &mut Cursor) -> Result<ExitCode, String> {
+    let mut files = Vec::new();
     let mut top = 10usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => top = n,
-                _ => {
-                    eprintln!("error: --top requires a count of at least 1\n{SLOWLOG_USAGE}");
-                    return ExitCode::from(64);
-                }
-            },
-            "-h" | "--help" => {
-                eprintln!("{SLOWLOG_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown option '{other}'\n{SLOWLOG_USAGE}");
-                return ExitCode::from(64);
-            }
-            other => {
-                if file.replace(other.to_string()).is_some() {
-                    eprintln!("error: exactly one slowlog file expected\n{SLOWLOG_USAGE}");
-                    return ExitCode::from(64);
-                }
-            }
+    while let Some(arg) = c.next() {
+        match arg {
+            "--top" => top = c.number(arg, "a count of at least 1", 1..)?,
+            _ => files.push(positional(arg)?),
         }
     }
-    let Some(file) = file else {
-        eprintln!("error: no slowlog file given\n{SLOWLOG_USAGE}");
-        return ExitCode::from(64);
-    };
+    let file = one_file(files, "slowlog")?;
     let (records, skipped) = match alive::serve::slowlog::read_slowlog(Path::new(&file)) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("error: {file}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if skipped > 0 {
@@ -1370,7 +1182,7 @@ fn run_slowlog(args: &[String]) -> ExitCode {
     }
     if records.is_empty() {
         println!("slowlog: no records");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let offenders = alive::serve::slowlog::rank(&records);
     println!(
@@ -1391,50 +1203,32 @@ fn run_slowlog(args: &[String]) -> ExitCode {
     if offenders.len() > top {
         println!("... and {} more (raise --top)", offenders.len() - top);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `alive top` subcommand: a live operator view over a daemon's
 /// `stats` wire op — lifetime counters, windowed rates, and latency
 /// percentiles, refreshed in place until interrupted.
 #[cfg(unix)]
-fn run_top(args: &[String]) -> ExitCode {
+fn run_top(c: &mut Cursor) -> Result<ExitCode, String> {
     use alive::serve::client::{Client, ClientConfig};
     use std::io::IsTerminal;
-    const TOP_USAGE: &str = "usage: alive top --socket <path> [--interval <secs>] [--count <n>]";
-    let top_usage_error = |msg: &str| -> ExitCode {
-        eprintln!("error: {msg}\n{TOP_USAGE}");
-        ExitCode::from(64)
-    };
     let mut socket: Option<String> = None;
     let mut interval = Duration::from_secs(2);
     let mut count = 0u64; // 0 = until interrupted
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.clone()),
-                None => return top_usage_error("--socket requires a path argument"),
-            },
-            "--interval" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs > 0.0 => {
-                    interval = Duration::from_secs_f64(secs);
-                }
-                _ => return top_usage_error("--interval requires a positive number of seconds"),
-            },
-            "--count" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => count = n,
-                None => return top_usage_error("--count requires an integer (0 = forever)"),
-            },
-            "-h" | "--help" => {
-                eprintln!("{TOP_USAGE}");
-                return ExitCode::SUCCESS;
+    while let Some(arg) = c.next() {
+        match arg {
+            "--socket" => socket = Some(c.value(arg, "a path argument")?),
+            "--interval" => {
+                let positive = |v: &str| secs(v).filter(|d| !d.is_zero());
+                interval = c.read(arg, "a positive number of seconds", positive)?;
             }
-            other => return top_usage_error(&format!("unexpected argument '{other}'")),
+            "--count" => count = c.number(arg, "an integer (0 = forever)", ..)?,
+            _ => return Err(unexpected(arg)),
         }
     }
     let Some(socket) = socket else {
-        return top_usage_error("--socket is required");
+        return Err("--socket is required".into());
     };
     let mut client = Client::new(ClientConfig {
         socket: socket.clone().into(),
@@ -1449,7 +1243,7 @@ fn run_top(args: &[String]) -> ExitCode {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::from(69);
+                return Ok(ExitCode::from(69));
             }
         };
         let now = std::time::Instant::now();
@@ -1513,132 +1307,103 @@ fn run_top(args: &[String]) -> ExitCode {
         }
         polls += 1;
         if count != 0 && polls >= count {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(interval);
     }
 }
 
 #[cfg(not(unix))]
-fn run_top(_args: &[String]) -> ExitCode {
+fn run_top(_c: &mut Cursor) -> Result<ExitCode, String> {
     eprintln!("error: alive top needs unix sockets");
-    ExitCode::from(64)
+    Ok(ExitCode::from(64))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("stats") {
-        return run_stats(&args[1..]);
+/// The default command: verify every transform in the given files.
+fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
+    let mut flags = VerifierFlags::default();
+    let (mut emit_cpp, mut infer, mut keep_going) = (false, false, false);
+    let (mut paranoid, mut dedupe) = (false, false);
+    let mut proof_dir: Option<String> = None;
+    let mut report_path: Option<String> = None;
+    let mut journal_path: Option<String> = None;
+    let mut resume_path: Option<String> = None;
+    let mut jobs = 1usize;
+    let mut grace = Duration::from_secs(2);
+    let mut files = Vec::new();
+    while let Some(arg) = c.next() {
+        if flags.accept(arg, c)? {
+            continue;
+        }
+        match arg {
+            "--cpp" => emit_cpp = true,
+            "--infer" => infer = true,
+            "--keep-going" => keep_going = true,
+            "--paranoid" => paranoid = true,
+            "--dedupe" => dedupe = true,
+            "--proof" => proof_dir = Some(c.value(arg, "a directory argument")?),
+            "--report" => report_path = Some(c.value(arg, "a file argument")?),
+            "--journal" => journal_path = Some(c.value(arg, "a file argument")?),
+            "--resume" => resume_path = Some(c.value(arg, "a journal file argument")?),
+            "--grace" => grace = c.secs(arg, "a non-negative number of seconds")?,
+            "--jobs" => jobs = c.number(arg, "a worker count of at least 1", 1..)?,
+            _ => files.push(positional(arg)?),
+        }
     }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return run_fuzz_cmd(&args[1..]);
+    let verify_config = flags.verify_config()?;
+    if resume_path.is_some() && journal_path.is_some() {
+        return Err("--resume already names the journal; drop --journal".into());
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        return run_serve(&args[1..]);
+    if resume_path.is_some() && proof_dir.is_some() {
+        return Err(
+            "--proof needs live verification; certificates are not journaled — \
+                    re-run without --resume to produce them"
+                .into(),
+        );
     }
-    if args.first().map(String::as_str) == Some("hash") {
-        return run_hash(&args[1..]);
+    if resume_path.is_some() && paranoid {
+        return Err(
+            "--paranoid audits live verdicts; journal-replayed verdicts carry no \
+                    certificates — re-run without --resume to audit them"
+                .into(),
+        );
     }
-    if args.first().map(String::as_str) == Some("scrub") {
-        return run_scrub(&args[1..]);
+    distinct_paths(
+        &[
+            ("--trace", flags.trace.as_ref()),
+            ("--report", report_path.as_ref()),
+            ("--journal", journal_path.as_ref()),
+            ("--resume", resume_path.as_ref()),
+        ],
+        &files,
+    )?;
+    if files.is_empty() {
+        return Err("no input files (try --help)".into());
     }
-    if args.first().map(String::as_str) == Some("compact") {
-        return run_compact(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("client") {
-        return run_client(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return run_top(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("slowlog") {
-        return run_slowlog(&args[1..]);
-    }
-    let opts = match parse_args(&args) {
-        ParsedArgs::Run(o) => o,
-        ParsedArgs::Exit(code) => return code,
-    };
 
     #[cfg(feature = "fault-injection")]
     if !install_fault_plan_from_env() {
-        return ExitCode::from(64);
+        return Ok(ExitCode::from(64));
     }
 
-    if let Some(dir) = &opts.proof_dir {
+    if let Some(dir) = &proof_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("error: cannot create proof directory {dir}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-
-    // Assemble the tracer: a JSONL stream (--trace), an in-process metrics
-    // aggregator (--metrics), both behind one tee, or the disabled tracer
-    // whose per-site cost is a single branch.
-    let mut jsonl_sink: Option<Arc<JsonlSink>> = None;
-    let mut metrics_sink: Option<Arc<MetricsSink>> = None;
-    let tracer = {
-        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if let Some(path) = &opts.trace_path {
-            match JsonlSink::create(Path::new(path)) {
-                Ok(s) => {
-                    let s = Arc::new(s);
-                    jsonl_sink = Some(Arc::clone(&s));
-                    sinks.push(Box::new(s));
-                }
-                Err(e) => {
-                    eprintln!("error: cannot create trace file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if opts.metrics {
-            let s = Arc::new(MetricsSink::new());
-            metrics_sink = Some(Arc::clone(&s));
-            sinks.push(Box::new(s));
-        }
-        match sinks.len() {
-            0 => Tracer::disabled(),
-            1 => Tracer::new(sinks.pop().expect("one sink")),
-            _ => Tracer::new(Box::new(TeeSink::new(sinks))),
-        }
+    let Some(tracing) = Tracing::open(flags.trace.as_deref(), flags.metrics) else {
+        return Ok(ExitCode::FAILURE);
     };
-
-    // Parse every file up front so the driver sees one flat corpus.
-    let mut transforms: Vec<(String, Transform)> = Vec::new();
-    let mut parse_failures = 0usize;
-    for path in &opts.files {
-        let _parse_span = tracer.span_with("parse", || path.clone());
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                parse_failures += 1;
-                continue;
-            }
-        };
-        match parse_transforms(&text) {
-            Ok(ts) => {
-                for (i, t) in ts.into_iter().enumerate() {
-                    let name = t
-                        .name
-                        .clone()
-                        .unwrap_or_else(|| format!("{path}#{}", i + 1));
-                    transforms.push((name, t));
-                }
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                parse_failures += 1;
-            }
-        }
-    }
+    let tracer = &tracing.tracer;
+    let (mut transforms, parse_failures) = read_transforms(&files, tracer);
 
     // --dedupe: collapse transforms sharing a canonical form (alpha
     // renaming, commutative operand order). One representative is
     // verified; each duplicate reports the representative's verdict.
     let mut dup_names: Vec<Vec<String>> = Vec::new();
     let mut duplicates = 0usize;
-    if opts.dedupe {
+    if dedupe {
         let mut rep_of: HashMap<String, usize> = HashMap::new();
         let mut kept: Vec<(String, Transform)> = Vec::new();
         for (name, t) in transforms.drain(..) {
@@ -1665,31 +1430,12 @@ fn main() -> ExitCode {
     // Covers config assembly, corpus fingerprinting, and journal/resume
     // planning — closed before the driver starts so its spans don't nest.
     let setup_span = tracer.span("setup");
-    let verify_config = match opts.mode {
-        WidthMode::Fast => VerifyConfig::fast(),
-        WidthMode::Exhaustive => VerifyConfig {
-            typeck: alive::TypeckConfig::exhaustive(),
-            ..VerifyConfig::default()
-        },
-        WidthMode::Default => VerifyConfig::default(),
-    };
-    // The tracer rides inside the CEGIS config: one installation reaches
-    // the driver phases, the bit-blaster, and the SAT solver cores.
-    let mut traced_verify = verify_config.clone();
-    traced_verify.ef.tracer = tracer.clone();
     let driver = DriverConfig {
-        verify: traced_verify,
-        timeout: opts.timeout,
-        conflict_budget: opts.budget,
-        keep_going: opts.keep_going,
-        max_retries: opts.retries,
-        with_certificates: opts.proof_dir.is_some() || opts.paranoid,
-        ..DriverConfig::default()
+        keep_going,
+        with_certificates: proof_dir.is_some() || paranoid,
+        ..flags.driver(&verify_config, tracer)
     };
-    let pool = PoolConfig {
-        jobs: opts.jobs,
-        grace: opts.grace,
-    };
+    let pool = PoolConfig { jobs, grace };
 
     // Journal keys tie each verdict to the transform text *and* the
     // verifier settings, so a journal never short-circuits a different
@@ -1705,12 +1451,12 @@ fn main() -> ExitCode {
     let mut preset: Vec<(usize, TransformOutcome)> = Vec::new();
     let mut tasks: Vec<TaskSpec> = Vec::new();
     let mut journal: Option<Journal> = None;
-    if let Some(path) = &opts.resume_path {
+    if let Some(path) = &resume_path {
         let loaded = match Journal::load(Path::new(path)) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("error: cannot read journal {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if loaded.discarded > 0 {
@@ -1765,12 +1511,12 @@ fn main() -> ExitCode {
             Ok(j) => journal = Some(j),
             Err(e) => {
                 eprintln!("error: cannot append to journal {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
         tasks = (0..transforms.len()).map(TaskSpec::fresh).collect();
-        if let Some(path) = &opts.journal_path {
+        if let Some(path) = &journal_path {
             match Journal::create_described(
                 Path::new(path),
                 fingerprint,
@@ -1779,36 +1525,24 @@ fn main() -> ExitCode {
                 Ok(j) => journal = Some(j),
                 Err(e) => {
                     eprintln!("error: cannot create journal {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
     }
 
-    // Ctrl-C → cooperative cancellation: the watcher thread raises the
-    // token, every solver winds down at its next budget poll, the pool
-    // drains, and the partial report still gets written. A second Ctrl-C
-    // while draining force-exits immediately.
-    install_sigint_handler();
-    {
-        let token = driver.cancel.clone();
-        std::thread::spawn(move || {
-            let mut cancelled = false;
-            loop {
-                let n = SIGINT_COUNT.load(Ordering::SeqCst);
-                if n >= 2 {
-                    eprintln!("second interrupt: exiting immediately");
-                    std::process::exit(130);
-                }
-                if n >= 1 && !cancelled {
-                    token.cancel();
-                    cancelled = true;
-                    eprintln!("interrupt: draining workers (Ctrl-C again to force exit)");
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        });
-    }
+    // Ctrl-C → cooperative cancellation: the token is raised, every solver
+    // winds down at its next budget poll, the pool drains, and the partial
+    // report still gets written. A second Ctrl-C force-exits.
+    let token = driver.cancel.clone();
+    watch_signals(
+        false,
+        [
+            "interrupt: draining workers (Ctrl-C again to force exit)",
+            "second interrupt: exiting immediately",
+        ],
+        move || token.cancel(),
+    );
 
     let mut aux_failures = 0usize;
     let mut paranoid_disagreements = 0usize;
@@ -1836,7 +1570,7 @@ fn main() -> ExitCode {
                             ""
                         }
                     );
-                    if let Some(dir) = &opts.proof_dir {
+                    if let Some(dir) = &proof_dir {
                         match persist_certificates(
                             dir,
                             &outcome.name,
@@ -1851,7 +1585,7 @@ fn main() -> ExitCode {
                         }
                     }
                     let t = &transforms[i].1;
-                    if opts.infer {
+                    if infer {
                         match infer_attributes(t, &verify_config) {
                             Ok(r) => {
                                 if r.pre_weakened || r.post_strengthened {
@@ -1861,7 +1595,7 @@ fn main() -> ExitCode {
                             Err(e) => println!("(attribute inference: {e})"),
                         }
                     }
-                    if opts.emit_cpp {
+                    if emit_cpp {
                         match generate_cpp(t) {
                             Ok(cpp) => println!("{cpp}"),
                             Err(e) => println!("(codegen: {e})"),
@@ -1875,7 +1609,7 @@ fn main() -> ExitCode {
                 OutcomeKind::Error => println!("error: {}", outcome.detail),
                 OutcomeKind::Hung => println!("Hung: {}", outcome.detail),
             }
-            if opts.paranoid {
+            if paranoid {
                 let audit = paranoid_audit(
                     &transforms[i].1,
                     outcome.kind,
@@ -1961,24 +1695,16 @@ fn main() -> ExitCode {
         aux_failures += 1;
     }
 
-    // Flush explicitly: a worker the watchdog detached still holds a clone
-    // of the sink, so the Drop-based flush may never run in this process.
-    tracer.flush();
-    if let Some(sink) = &jsonl_sink {
-        if sink.had_error() {
-            eprintln!(
-                "warning: trace writes failed; {} is incomplete",
-                opts.trace_path.as_deref().unwrap_or("the trace file"),
-            );
-            aux_failures += 1;
-        }
+    let (metrics, intact) = tracing.finish();
+    if !intact {
+        aux_failures += 1;
     }
-    if let Some(sink) = &metrics_sink {
+    if let Some(table) = metrics {
         println!();
-        print!("{}", sink.render());
+        print!("{table}");
     }
 
-    if let Some(path) = &opts.report_path {
+    if let Some(path) = &report_path {
         if let Err(e) = write_report(path, &report) {
             eprintln!("error: cannot write report {path}: {e}");
             aux_failures += 1;
@@ -1989,7 +1715,7 @@ fn main() -> ExitCode {
     if code != 130 && (parse_failures > 0 || aux_failures > 0) {
         code = 1;
     }
-    ExitCode::from(code as u8)
+    Ok(ExitCode::from(code as u8))
 }
 
 fn write_report(path: &str, report: &RunReport) -> std::io::Result<()> {

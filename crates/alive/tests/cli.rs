@@ -648,6 +648,7 @@ fn fuzz_rejects_bad_arguments() {
         &["fuzz", "--cases"][..],
         &["fuzz", "--max-width", "0"][..],
         &["fuzz", "--jobs", "0"][..],
+        &["fuzz", "--max-width", "65"][..],
         &["fuzz", "stray-positional"][..],
     ] {
         let (code, _, stderr) = run(args);
@@ -865,6 +866,9 @@ fn serve_rejects_bad_arguments() {
         &["serve", "--fast", "--exhaustive"][..],
         &["serve", "--stdio", "--socket", "/tmp/x.sock"][..],
         &["serve", "stray-positional"][..],
+        &["serve", "--timeout", "-1"][..],
+        &["serve", "--request-timeout", "x"][..],
+        &["serve", "--drain-timeout", "-1"][..],
     ] {
         let (code, _, stderr) = run(args);
         assert_eq!(code, 64, "args {args:?}: {stderr}");
@@ -930,6 +934,182 @@ fn resume_fingerprint_mismatch_names_the_changed_fields() {
         "mismatch report must name the changed field:\n{stderr}"
     );
     assert!(stdout.contains("resume: 0 verdict(s) reused"), "{stdout}");
+}
+
+/// Every flag the CLI accepts: `(subcommand, flag, sample value)`, with
+/// `""` for the default verify command and `None` for switches.
+const FLAG_SURFACE: &[(&str, &str, Option<&str>)] = &[
+    ("", "--fast", None),
+    ("", "--exhaustive", None),
+    ("", "--cpp", None),
+    ("", "--infer", None),
+    ("", "--keep-going", None),
+    ("", "--metrics", None),
+    ("", "--paranoid", None),
+    ("", "--dedupe", None),
+    ("", "--proof", Some("certs")),
+    ("", "--report", Some("r.json")),
+    ("", "--journal", Some("j.jsonl")),
+    ("", "--resume", Some("j.jsonl")),
+    ("", "--trace", Some("t.jsonl")),
+    ("", "--timeout", Some("1.5")),
+    ("", "--grace", Some("1")),
+    ("", "--budget", Some("100")),
+    ("", "--retries", Some("2")),
+    ("", "--jobs", Some("2")),
+    ("stats", "--top", Some("5")),
+    ("stats", "--folded", None),
+    ("stats", "--request", Some("r1")),
+    ("fuzz", "--seed", Some("7")),
+    ("fuzz", "--cases", Some("3")),
+    ("fuzz", "--max-width", Some("8")),
+    ("fuzz", "--max-insts", Some("2")),
+    ("fuzz", "--jobs", Some("1")),
+    ("fuzz", "--timeout", Some("1")),
+    ("fuzz", "--budget", Some("100")),
+    ("fuzz", "--corpus", Some("corpus")),
+    ("fuzz", "--replay", Some("corpus")),
+    ("fuzz", "--no-minimize", None),
+    ("fuzz", "--trace", Some("t.jsonl")),
+    ("serve", "--store", Some("s.jsonl")),
+    ("serve", "--socket", Some("s.sock")),
+    ("serve", "--stdio", None),
+    ("serve", "--epoch", Some("3")),
+    ("serve", "--workers", Some("2")),
+    ("serve", "--fast", None),
+    ("serve", "--exhaustive", None),
+    ("serve", "--timeout", Some("1")),
+    ("serve", "--budget", Some("100")),
+    ("serve", "--retries", Some("2")),
+    ("serve", "--cert-dir", Some("certs")),
+    ("serve", "--trace", Some("t.jsonl")),
+    ("serve", "--metrics", None),
+    ("serve", "--slow-ms", Some("0")),
+    ("serve", "--max-connections", Some("4")),
+    ("serve", "--queue-depth", Some("4")),
+    ("serve", "--request-timeout", Some("0")),
+    ("serve", "--idle-timeout", Some("30")),
+    ("serve", "--drain-timeout", Some("5")),
+    ("client", "--socket", Some("s.sock")),
+    ("client", "--max-retries", Some("3")),
+    ("client", "--seed", Some("7")),
+    ("client", "--trace-requests", None),
+    ("top", "--socket", Some("s.sock")),
+    ("top", "--interval", Some("0.5")),
+    ("top", "--count", Some("1")),
+    ("slowlog", "--top", Some("5")),
+];
+
+/// The CLI surface golden: each flag (with its value) is consumed without
+/// running anything, each value flag refuses a missing value, and every
+/// subcommand answers `--help`.
+#[test]
+fn flag_surface_is_stable() {
+    for &(sub, flag, value) in FLAG_SURFACE {
+        let mut args: Vec<&str> = [sub, flag].into_iter().filter(|a| !a.is_empty()).collect();
+        let bare = args.clone();
+        args.extend(value);
+        args.push("--not-a-flag");
+        let (code, _, stderr) = run(&args);
+        assert_eq!(code, 64, "args {args:?}: {stderr}");
+        assert!(stderr.contains("--not-a-flag"), "args {args:?}: {stderr}");
+        if value.is_some() {
+            let (code, _, stderr) = run(&bare);
+            assert_eq!(code, 64, "args {bare:?}: {stderr}");
+            assert!(stderr.contains("requires"), "args {bare:?}: {stderr}");
+        }
+    }
+    for sub in [
+        "", "stats", "fuzz", "serve", "client", "top", "slowlog", "scrub", "compact", "hash",
+    ] {
+        let args: Vec<&str> = [sub, "--help"]
+            .into_iter()
+            .filter(|a| !a.is_empty())
+            .collect();
+        let (code, _, stderr) = run(&args);
+        assert_eq!(code, 0, "args {args:?}: {stderr}");
+    }
+}
+
+/// Value and arity checks of the smaller subcommands: each is a usage
+/// error before any socket or file is touched.
+#[test]
+fn subcommand_values_are_validated() {
+    for args in [
+        &["top", "--socket", "s", "--interval", "0"][..],
+        &["top", "--socket", "s", "--count", "x"][..],
+        &["client", "x.opt"][..],
+        &["client", "--socket", "s", "--max-retries", "x", "y.opt"][..],
+        &["stats", "--top", "0", "t"][..],
+        &["stats", "--request"][..],
+        &["slowlog", "--top", "0", "s"][..],
+        &["hash", "--x"][..],
+        &["scrub", "a", "b"][..],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, 64, "args {args:?}: {stderr}");
+    }
+}
+
+/// An output flag naming an input (or another output) is refused before
+/// anything is written: `x.opt` and `./x.opt` are the same file.
+#[test]
+fn outputs_may_not_overwrite_inputs() {
+    let dir = temp_dir("distinct-paths");
+    std::fs::write(dir.join("x.opt"), GOOD).unwrap();
+    for args in [
+        &["--trace", "x.opt", "x.opt"][..],
+        &["--trace", "./x.opt", "x.opt"][..],
+        &["--report", "x.opt", "x.opt"][..],
+        &["--report", "x.opt", "./x.opt"][..],
+        &["--journal", "r.json", "--report", "./r.json", "x.opt"][..],
+    ] {
+        let out = alive_bin().current_dir(&dir).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "args {args:?}: {stderr}");
+        assert!(stderr.contains("same file"), "args {args:?}: {stderr}");
+        assert_eq!(std::fs::read_to_string(dir.join("x.opt")).unwrap(), GOOD);
+        assert!(!dir.join("r.json").exists(), "args {args:?}");
+    }
+}
+
+/// `serve --trace` naming the verdict store (or a sibling the daemon
+/// writes, `<store>.*`) is refused before the store is opened, so the
+/// cached verdict survives.
+#[test]
+fn serve_trace_may_not_name_the_store() {
+    let dir = temp_dir("serve-trace-store");
+    let store = dir.join("s.jsonl");
+    let requests = "{\"op\":\"verify\",\"id\":\"a\",\"text\":\"%r = add %x, 0\\n=>\\n%r = %x\"}\n\
+                    {\"op\":\"shutdown\",\"id\":\"q\"}\n";
+    let first = serve_stdio(&store, requests);
+    assert!(first.contains("\"cached\":false"), "{first}");
+    let s = store.to_str().unwrap();
+    let dotted = format!("{}/./s.jsonl", dir.to_str().unwrap());
+    let slowlog = format!("{s}.slowlog");
+    for trace in [s, dotted.as_str(), slowlog.as_str()] {
+        let (code, _, stderr) =
+            run(&["serve", "--stdio", "--fast", "--store", s, "--trace", trace]);
+        assert_eq!(code, 64, "--trace {trace}: {stderr}");
+        assert!(stderr.contains("same file"), "--trace {trace}: {stderr}");
+    }
+    let again = serve_stdio(&store, requests);
+    assert!(again.contains("\"cached\":true"), "{again}");
+}
+
+/// The README's usage block is the exact `alive --help` text.
+#[test]
+fn readme_usage_matches_help() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md");
+    let (code, _, help) = run(&["--help"]);
+    assert_eq!(code, 0, "{help}");
+    for line in help.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        assert!(
+            readme.contains(line),
+            "README.md lacks `alive --help` line:\n{line}"
+        );
+    }
 }
 
 #[cfg(feature = "fault-injection")]
