@@ -1,8 +1,8 @@
 //! Resource governance for the solver stack.
 //!
 //! A [`Budget`] bundles every resource limit a long-running query can be
-//! held to: a wall-clock deadline, counters for conflicts, propagations and
-//! decisions, and a cooperative [`CancelToken`]. One budget value is shared
+//! held to: a wall-clock deadline, a conflict counter, and a cooperative
+//! [`CancelToken`]. One budget value is shared
 //! across a whole verification query — the deadline is an *absolute*
 //! instant, so cloning the budget into several SAT calls (as the CEGIS loop
 //! does) still enforces a single overall time limit rather than restarting
@@ -52,10 +52,6 @@ pub enum Exhaustion {
     Deadline,
     /// The conflict budget was spent.
     Conflicts,
-    /// The propagation budget was spent.
-    Propagations,
-    /// The decision budget was spent.
-    Decisions,
     /// The [`CancelToken`] was raised.
     Cancelled,
     /// A deterministic fault-injection hook forced the answer (only ever
@@ -63,22 +59,11 @@ pub enum Exhaustion {
     Injected,
 }
 
-impl Exhaustion {
-    /// `true` for causes that a retry at a larger budget might resolve
-    /// (deadline and counter exhaustion), `false` for cancellation and
-    /// injected faults.
-    pub fn is_retryable(self) -> bool {
-        !matches!(self, Exhaustion::Cancelled | Exhaustion::Injected)
-    }
-}
-
 impl fmt::Display for Exhaustion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Exhaustion::Deadline => "wall-clock deadline exceeded",
             Exhaustion::Conflicts => "conflict budget exhausted",
-            Exhaustion::Propagations => "propagation budget exhausted",
-            Exhaustion::Decisions => "decision budget exhausted",
             Exhaustion::Cancelled => "cancelled",
             Exhaustion::Injected => "injected fault",
         })
@@ -87,10 +72,9 @@ impl fmt::Display for Exhaustion {
 
 /// A resource budget for one query (or one family of related queries).
 ///
-/// The default budget is unlimited. Counter limits (`conflicts`,
-/// `propagations`, `decisions`) apply per solve call; `deadline` and
-/// `cancel` are absolute and therefore shared by every call holding a
-/// clone of the budget.
+/// The default budget is unlimited. The `conflicts` limit applies per
+/// solve call; `deadline` and `cancel` are absolute and therefore shared
+/// by every call holding a clone of the budget.
 ///
 /// # Examples
 ///
@@ -113,20 +97,11 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Maximum conflicts per solve call.
     pub conflicts: Option<u64>,
-    /// Maximum propagations per solve call.
-    pub propagations: Option<u64>,
-    /// Maximum decisions per solve call.
-    pub decisions: Option<u64>,
     /// Cooperative cancellation flag.
     pub cancel: Option<CancelToken>,
 }
 
 impl Budget {
-    /// An unlimited budget (same as `Budget::default()`).
-    pub fn unlimited() -> Budget {
-        Budget::default()
-    }
-
     /// Sets the deadline to `timeout` from now.
     #[must_use]
     pub fn deadline_in(mut self, timeout: Duration) -> Budget {
@@ -141,20 +116,6 @@ impl Budget {
         self
     }
 
-    /// Sets the per-call propagation limit.
-    #[must_use]
-    pub fn with_propagations(mut self, n: u64) -> Budget {
-        self.propagations = Some(n);
-        self
-    }
-
-    /// Sets the per-call decision limit.
-    #[must_use]
-    pub fn with_decisions(mut self, n: u64) -> Budget {
-        self.decisions = Some(n);
-        self
-    }
-
     /// Attaches a cancellation token.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Budget {
@@ -162,18 +123,9 @@ impl Budget {
         self
     }
 
-    /// `true` if no limit of any kind is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.conflicts.is_none()
-            && self.propagations.is_none()
-            && self.decisions.is_none()
-            && self.cancel.is_none()
-    }
-
     /// Checks the limits that do not need solver counters: cancellation
     /// first (it is the cheaper read and the more urgent signal), then the
-    /// deadline. Counter limits are the solver's job.
+    /// deadline. The conflict limit is the solver's job.
     pub fn check_soft(&self) -> Option<Exhaustion> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
@@ -196,7 +148,7 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited() {
         let b = Budget::default();
-        assert!(b.is_unlimited());
+        assert!(b.deadline.is_none() && b.conflicts.is_none() && b.cancel.is_none());
         assert_eq!(b.check_soft(), None);
     }
 
@@ -204,7 +156,6 @@ mod tests {
     fn expired_deadline_trips_soft_check() {
         let b = Budget::default().deadline_in(Duration::ZERO);
         assert_eq!(b.check_soft(), Some(Exhaustion::Deadline));
-        assert!(!b.is_unlimited());
     }
 
     #[test]
@@ -226,15 +177,5 @@ mod tests {
             .deadline_in(Duration::ZERO)
             .with_cancel(token);
         assert_eq!(b.check_soft(), Some(Exhaustion::Cancelled));
-    }
-
-    #[test]
-    fn retryability_classification() {
-        assert!(Exhaustion::Deadline.is_retryable());
-        assert!(Exhaustion::Conflicts.is_retryable());
-        assert!(Exhaustion::Propagations.is_retryable());
-        assert!(Exhaustion::Decisions.is_retryable());
-        assert!(!Exhaustion::Cancelled.is_retryable());
-        assert!(!Exhaustion::Injected.is_retryable());
     }
 }

@@ -14,7 +14,7 @@
 //! * activity-based learned-clause database reduction,
 //! * incremental solving under assumptions with unsat-core extraction, and
 //! * a resource governor ([`Budget`]/[`CancelToken`]) polled throughout the
-//!   search loop, so deadlines, counter limits, and cooperative
+//!   search loop, so deadlines, the conflict limit, and cooperative
 //!   cancellation all degrade a solve to [`SolveResult::Unknown`] (with the
 //!   cause in [`Solver::exhaustion`]) instead of running away.
 //!

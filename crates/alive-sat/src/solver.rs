@@ -130,13 +130,6 @@ const RESCALE_LIMIT: f64 = 1e100;
 /// propagation fast path.
 const SOFT_POLL_INTERVAL: u64 = 2048;
 
-/// Counter snapshot at solve entry; per-call budgets measure against it.
-struct BudgetStart {
-    conflicts: u64,
-    propagations: u64,
-    decisions: u64,
-}
-
 impl Default for Solver {
     fn default() -> Solver {
         Solver::new()
@@ -229,20 +222,12 @@ impl Solver {
         self.stats
     }
 
-    /// Limits the number of conflicts a single `solve` may spend.
-    ///
-    /// `None` (the default) means no limit. When the budget is exhausted
-    /// [`Solver::solve`] returns [`SolveResult::Unknown`]. Convenience for
-    /// setting only the conflict field of the [`Budget`].
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.budget.conflicts = budget;
-    }
-
-    /// Installs a full resource [`Budget`] (deadline, counters, cancel).
+    /// Installs a resource [`Budget`] (deadline, conflicts, cancel). When it
+    /// is exhausted [`Solver::solve`] returns [`SolveResult::Unknown`].
     ///
     /// The deadline and cancellation flag are polled every few thousand
     /// propagations/decisions, so even a conflict-free, propagation-heavy
-    /// solve observes them promptly; counter limits are checked exactly.
+    /// solve observes them promptly; the conflict limit is checked exactly.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -800,18 +785,15 @@ impl Solver {
             return SolveResult::Unsat;
         }
 
-        let budget_start = BudgetStart {
-            conflicts: self.stats.conflicts,
-            propagations: self.stats.propagations,
-            decisions: self.stats.decisions,
-        };
+        // The conflict limit is per call: it measures from this snapshot.
+        let conflicts_at_start = self.stats.conflicts;
         // Force a soft poll within the first interval of work.
         self.next_soft_poll = (self.stats.propagations + self.stats.decisions) + SOFT_POLL_INTERVAL;
         let mut luby_idx = 0u64;
         loop {
             let restart_limit = 100 * luby(luby_idx);
             luby_idx += 1;
-            match self.search(assumptions, restart_limit, &budget_start) {
+            match self.search(assumptions, restart_limit, conflicts_at_start) {
                 Some(r) => {
                     self.cancel_until(0);
                     return r;
@@ -825,22 +807,13 @@ impl Solver {
         }
     }
 
-    /// Checks every budget dimension against the counters accumulated since
-    /// `start`; deadline/cancellation are polled on an amortized tick.
-    fn budget_exceeded(&mut self, start: &BudgetStart) -> Option<Exhaustion> {
+    /// Checks the conflict limit against the conflicts spent since
+    /// `conflicts_at_start`; deadline/cancellation are polled on an
+    /// amortized tick.
+    fn budget_exceeded(&mut self, conflicts_at_start: u64) -> Option<Exhaustion> {
         if let Some(max) = self.budget.conflicts {
-            if self.stats.conflicts - start.conflicts >= max {
+            if self.stats.conflicts - conflicts_at_start >= max {
                 return Some(Exhaustion::Conflicts);
-            }
-        }
-        if let Some(max) = self.budget.propagations {
-            if self.stats.propagations - start.propagations >= max {
-                return Some(Exhaustion::Propagations);
-            }
-        }
-        if let Some(max) = self.budget.decisions {
-            if self.stats.decisions - start.decisions >= max {
-                return Some(Exhaustion::Decisions);
             }
         }
         let ticks = self.stats.propagations + self.stats.decisions;
@@ -859,7 +832,7 @@ impl Solver {
         &mut self,
         assumptions: &[Lit],
         restart_limit: u64,
-        budget_start: &BudgetStart,
+        conflicts_at_start: u64,
     ) -> Option<SolveResult> {
         let mut conflicts_this_run = 0u64;
         loop {
@@ -909,7 +882,7 @@ impl Solver {
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
 
-                if let Some(e) = self.budget_exceeded(budget_start) {
+                if let Some(e) = self.budget_exceeded(conflicts_at_start) {
                     self.exhaustion = Some(e);
                     return Some(SolveResult::Unknown);
                 }
@@ -922,10 +895,9 @@ impl Solver {
                 }
             } else {
                 // No conflict: a propagation-heavy or decision-heavy solve
-                // must still observe counter budgets, the deadline, and the
-                // cancellation flag (a satisfiable-but-huge query may never
-                // conflict at all).
-                if let Some(e) = self.budget_exceeded(budget_start) {
+                // must still observe the deadline and the cancellation flag
+                // (a satisfiable-but-huge query may never conflict at all).
+                if let Some(e) = self.budget_exceeded(conflicts_at_start) {
                     self.exhaustion = Some(e);
                     return Some(SolveResult::Unknown);
                 }

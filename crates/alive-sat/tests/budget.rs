@@ -1,5 +1,4 @@
-//! Budget (conflicts, propagations, decisions, deadline, cancellation)
-//! and statistics behavior.
+//! Budget (conflicts, deadline, cancellation) and statistics behavior.
 
 use alive_sat::{Budget, CancelToken, Exhaustion, SolveResult, Solver, Var};
 use proptest::prelude::*;
@@ -34,10 +33,10 @@ fn hard_instance(s: &mut Solver, n: usize) -> Vec<Var> {
 fn budget_exhaustion_returns_unknown() {
     let mut s = Solver::new();
     let _ = hard_instance(&mut s, 8);
-    s.set_conflict_budget(Some(1));
+    s.set_budget(Budget::default().with_conflicts(1));
     assert_eq!(s.solve(), SolveResult::Unknown);
     // Removing the budget lets the solver finish (unsat).
-    s.set_conflict_budget(None);
+    s.set_budget(Budget::default());
     assert_eq!(s.solve(), SolveResult::Unsat);
 }
 
@@ -60,46 +59,6 @@ fn propagation_chain(s: &mut Solver, n: usize) -> Vec<Var> {
         s.add_clause([w[0].negative(), w[1].positive()]);
     }
     vars
-}
-
-#[test]
-fn propagation_budget_trips_without_conflicts() {
-    // The satisfiable chain never conflicts, so a conflict budget alone
-    // would never fire; the propagation budget must stop it.
-    let mut s = Solver::new();
-    let vars = propagation_chain(&mut s, 4000);
-    s.set_budget(Budget::default().with_propagations(100));
-    // Trigger the chain inside the search (not at level 0): decide the head.
-    assert_eq!(
-        s.solve_with_assumptions(&[vars[0].positive()]),
-        SolveResult::Unknown
-    );
-    assert_eq!(s.exhaustion(), Some(Exhaustion::Propagations));
-    assert_eq!(s.stats().conflicts, 0, "chain must not conflict");
-    // Lifting the budget completes the same query on the same instance.
-    s.set_budget(Budget::default());
-    assert_eq!(
-        s.solve_with_assumptions(&[vars[0].positive()]),
-        SolveResult::Sat
-    );
-    assert_eq!(s.value(vars[3999]), Some(true));
-}
-
-#[test]
-fn decision_budget_trips_without_conflicts() {
-    let mut s = Solver::new();
-    // 64 unconstrained variable pairs: each needs a decision, none conflict.
-    for _ in 0..64 {
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause([a.positive(), b.positive()]);
-    }
-    s.set_budget(Budget::default().with_decisions(5));
-    assert_eq!(s.solve(), SolveResult::Unknown);
-    assert_eq!(s.exhaustion(), Some(Exhaustion::Decisions));
-    s.set_budget(Budget::default());
-    assert_eq!(s.solve(), SolveResult::Sat);
-    assert_eq!(s.exhaustion(), None);
 }
 
 #[test]
@@ -140,16 +99,16 @@ fn raising_the_budget_after_unknown_gives_correct_answers() {
     assert_eq!(s.solve(), SolveResult::Unsat);
     assert_eq!(s.exhaustion(), None);
 
-    // Sat side: a conflict-free chain under a propagation budget, retried
-    // at a larger budget on the same solver instance.
+    // Sat side: a conflict-free chain stopped by an expired deadline,
+    // retried under a fresh budget on the same solver instance.
     let mut s = Solver::new();
     let vars = propagation_chain(&mut s, 3000);
-    s.set_budget(Budget::default().with_propagations(50));
+    s.set_budget(Budget::default().deadline_in(Duration::ZERO));
     assert_eq!(
         s.solve_with_assumptions(&[vars[0].positive()]),
         SolveResult::Unknown
     );
-    s.set_budget(Budget::default().with_propagations(10_000_000));
+    s.set_budget(Budget::default().with_conflicts(1_000_000));
     assert_eq!(
         s.solve_with_assumptions(&[vars[0].positive()]),
         SolveResult::Sat
@@ -165,11 +124,11 @@ fn solver_is_reusable_after_unknown() {
     let a = s.new_var();
     let b = s.new_var();
     s.add_clause([a.positive(), b.positive()]);
-    s.set_conflict_budget(Some(0));
+    s.set_budget(Budget::default().with_conflicts(0));
     // Trivial formula may still solve without conflicts; force budget off
     // afterwards and confirm correctness either way.
     let first = s.solve();
-    s.set_conflict_budget(None);
+    s.set_budget(Budget::default());
     assert_eq!(s.solve(), SolveResult::Sat);
     assert!(matches!(first, SolveResult::Sat | SolveResult::Unknown));
 }
@@ -207,13 +166,13 @@ proptest! {
         }
     }
 
-    /// Builder composition: each `with_*` setter touches exactly its own
-    /// field, order is irrelevant, and the last write to a field wins.
+    /// Builder composition: each setter touches exactly its own field,
+    /// order is irrelevant, and the last write to a field wins.
     #[test]
     fn limit_composition_is_order_independent(
         conflicts in proptest::option::of(0u64..1_000_000),
-        propagations in proptest::option::of(0u64..1_000_000),
-        decisions in proptest::option::of(0u64..1_000_000),
+        deadline in any::<bool>(),
+        cancel in any::<bool>(),
         overwrite in proptest::option::of(0u64..1_000_000),
         order in 0usize..6,
     ) {
@@ -226,14 +185,14 @@ proptest! {
                     b
                 }
                 1 => {
-                    if let Some(n) = propagations {
-                        b = b.with_propagations(n);
+                    if deadline {
+                        b = b.deadline_in(Duration::from_secs(3600));
                     }
                     b
                 }
                 _ => {
-                    if let Some(n) = decisions {
-                        b = b.with_decisions(n);
+                    if cancel {
+                        b = b.with_cancel(CancelToken::new());
                     }
                     b
                 }
@@ -247,23 +206,18 @@ proptest! {
             b = apply(b, step);
         }
         prop_assert_eq!(b.conflicts, conflicts);
-        prop_assert_eq!(b.propagations, propagations);
-        prop_assert_eq!(b.decisions, decisions);
-        prop_assert!(b.deadline.is_none());
-        prop_assert!(b.cancel.is_none());
-        // `is_unlimited` is exactly "no field set".
-        let any_limit = conflicts.is_some() || propagations.is_some() || decisions.is_some();
-        prop_assert_eq!(b.is_unlimited(), !any_limit);
+        prop_assert_eq!(b.deadline.is_some(), deadline);
+        prop_assert_eq!(b.cancel.is_some(), cancel);
         // Re-applying a setter replaces the old limit wholesale (the
         // driver's retry escalation depends on this, not on min/max).
         if let Some(n) = overwrite {
             let b2 = b.clone().with_conflicts(n);
             prop_assert_eq!(b2.conflicts, Some(n));
-            prop_assert_eq!(b2.propagations, propagations);
-            prop_assert_eq!(b2.decisions, decisions);
+            prop_assert_eq!(b2.deadline, b.deadline);
+            prop_assert_eq!(b2.cancel.is_some(), cancel);
         }
-        // Counter limits alone never trip the soft check — counters are
-        // the solver's job; check_soft covers only cancel and deadline.
+        // The conflict limit never trips the soft check — it is the
+        // solver's job; check_soft covers only cancel and deadline.
         prop_assert_eq!(b.check_soft(), None);
     }
 

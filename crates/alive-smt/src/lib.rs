@@ -48,10 +48,7 @@ mod value;
 pub use alive_sat::{Budget, CancelToken, Exhaustion, ProofEvent, Tracer};
 pub use blast::{Blasted, Blaster};
 pub use eval::{eval, Assignment, EvalError};
-pub use qe::{
-    solve_exists_forall, solve_exists_forall_full, solve_exists_forall_with_proof, EfConfig,
-    EfOutcome, EfResult, EfStats,
-};
+pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult, EfStats};
 pub use solver::{ProofTranscript, SatResult, SmtSolver};
 pub use subst::{substitute, substitute_assignment};
 pub use term::{Op, Term, TermId, TermPool};

@@ -38,14 +38,11 @@ pub enum EfResult {
 pub struct EfConfig {
     /// Maximum CEGIS refinement iterations.
     pub max_iterations: usize,
-    /// SAT conflict budget per sub-query (None = unlimited). Subsumed by
-    /// [`EfConfig::budget`]; kept as a convenience knob — it fills
-    /// `budget.conflicts` when that is unset.
-    pub conflict_budget: Option<u64>,
     /// Resource budget governing the whole query. The deadline and
     /// cancellation token are shared across every sub-solver of the CEGIS
     /// loop (the deadline is absolute), so `deadline_in(t)` bounds the
-    /// entire exists-forall solve, not each SAT call.
+    /// entire exists-forall solve, not each SAT call; the conflict limit
+    /// applies to each SAT call.
     pub budget: Budget,
     /// Seed the candidate solver with the all-zeros instantiation of the
     /// universal variables before the first guess. Saves one round trip in
@@ -62,24 +59,10 @@ impl Default for EfConfig {
     fn default() -> EfConfig {
         EfConfig {
             max_iterations: 4096,
-            conflict_budget: None,
             budget: Budget::default(),
             seed_with_zero: true,
             tracer: Tracer::disabled(),
         }
-    }
-}
-
-impl EfConfig {
-    /// The budget actually installed in sub-solvers: [`EfConfig::budget`]
-    /// with the legacy `conflict_budget` folded in when no conflict limit
-    /// was set there.
-    fn effective_budget(&self) -> Budget {
-        let mut b = self.budget.clone();
-        if b.conflicts.is_none() {
-            b.conflicts = self.conflict_budget;
-        }
-        b
     }
 }
 
@@ -113,7 +96,7 @@ impl EfStats {
     }
 }
 
-/// Everything [`solve_exists_forall_full`] has to say about a query.
+/// Everything [`solve_exists_forall`] has to say about a query.
 #[derive(Clone, Debug)]
 pub struct EfOutcome {
     /// The verdict.
@@ -124,41 +107,6 @@ pub struct EfOutcome {
     pub stats: EfStats,
 }
 
-/// Solves `∃ exist_vars ∀ univ_vars : matrix`.
-///
-/// `matrix` must be boolean. Variables not listed in either set are
-/// treated as existential (they end up in the witness if blasted).
-pub fn solve_exists_forall(
-    pool: &mut TermPool,
-    exist_vars: &[TermId],
-    univ_vars: &[TermId],
-    matrix: TermId,
-    config: &EfConfig,
-) -> EfResult {
-    solve_exists_forall_full(pool, exist_vars, univ_vars, matrix, config, false).result
-}
-
-/// Like [`solve_exists_forall`], but on an `Unsat` answer also returns the
-/// DRAT transcript refuting the bit-blasted CNF.
-///
-/// In the quantifier-free case the transcript refutes the blasted matrix
-/// itself, so checking it re-establishes the answer end to end. In the
-/// CEGIS case the refuted CNF is the matrix seeded and refined with the
-/// universal instantiations discovered during the run (each instantiation
-/// appears as axiom clauses): the transcript certifies that the candidate
-/// space was genuinely exhausted, though the instantiations themselves are
-/// substitutions computed outside the SAT solver.
-pub fn solve_exists_forall_with_proof(
-    pool: &mut TermPool,
-    exist_vars: &[TermId],
-    univ_vars: &[TermId],
-    matrix: TermId,
-    config: &EfConfig,
-) -> (EfResult, Option<ProofTranscript>) {
-    let outcome = solve_exists_forall_full(pool, exist_vars, univ_vars, matrix, config, true);
-    (outcome.result, outcome.transcript)
-}
-
 /// Formats why a sub-solver answered `Unknown`.
 fn unknown_reason(s: &SmtSolver, what: &str) -> String {
     match s.exhaustion() {
@@ -167,15 +115,35 @@ fn unknown_reason(s: &SmtSolver, what: &str) -> String {
     }
 }
 
-/// The full-fat entry point: solves `∃ exist_vars ∀ univ_vars : matrix` and
-/// reports the verdict together with resource statistics (and, when
-/// `want_proof` is set, a DRAT transcript on `Unsat`).
+/// A fresh sub-solver under the query's budget and tracer.
+fn sub_solver(config: &EfConfig) -> SmtSolver {
+    let mut s = SmtSolver::new();
+    s.set_budget(config.budget.clone());
+    s.set_tracer(config.tracer.clone());
+    s
+}
+
+/// Solves `∃ exist_vars ∀ univ_vars : matrix` and reports the verdict
+/// together with resource statistics.
+///
+/// `matrix` must be boolean. Variables not listed in either set are
+/// treated as existential (they end up in the witness if blasted).
+///
+/// With `want_proof`, an `Unsat` answer also carries the DRAT transcript
+/// refuting the bit-blasted CNF. In the quantifier-free case the transcript
+/// refutes the blasted matrix itself, so checking it re-establishes the
+/// answer end to end. In the CEGIS case the refuted CNF is the matrix
+/// seeded and refined with the universal instantiations discovered during
+/// the run (each instantiation appears as axiom clauses): the transcript
+/// certifies that the candidate space was genuinely exhausted, though the
+/// instantiations themselves are substitutions computed outside the SAT
+/// solver.
 ///
 /// One [`Budget`] governs the whole query: its deadline and cancellation
 /// token are cloned into the candidate solver, every per-round verifier
 /// solver, and polled between CEGIS rounds, so a five-second deadline means
 /// five seconds for the query — however many SAT calls that turns out to be.
-pub fn solve_exists_forall_full(
+pub fn solve_exists_forall(
     pool: &mut TermPool,
     exist_vars: &[TermId],
     univ_vars: &[TermId],
@@ -183,134 +151,99 @@ pub fn solve_exists_forall_full(
     config: &EfConfig,
     want_proof: bool,
 ) -> EfOutcome {
-    let budget = config.effective_budget();
     let mut stats = EfStats::default();
-
-    if univ_vars.is_empty() {
-        // Quantifier-free: single query.
-        let mut s = SmtSolver::new();
-        let handle = want_proof.then(|| s.enable_proof_logging());
-        s.set_budget(budget);
-        s.set_tracer(config.tracer.clone());
-        s.assert_term(pool, matrix);
-        let check = s.check();
-        stats.absorb(&s);
-        let (result, transcript) = match check {
-            SatResult::Sat => (EfResult::Sat(s.model(pool, exist_vars)), None),
+    let mut candidates = sub_solver(config);
+    let handle = want_proof.then(|| candidates.enable_proof_logging());
+    let (result, transcript) = if univ_vars.is_empty() {
+        // Quantifier-free: the one candidate query decides.
+        candidates.assert_term(pool, matrix);
+        match candidates.check() {
+            SatResult::Sat => (EfResult::Sat(candidates.model(pool, exist_vars)), None),
             SatResult::Unsat => {
-                let transcript = handle.as_ref().map(|h| s.proof_transcript(h));
+                let transcript = handle.as_ref().map(|h| candidates.proof_transcript(h));
                 (EfResult::Unsat, transcript)
             }
-            SatResult::Unknown => (
-                EfResult::Unknown(unknown_reason(&s, "quantifier-free query")),
-                None,
-            ),
-        };
-        return EfOutcome {
-            result,
-            transcript,
-            stats,
-        };
-    }
-
-    let mut candidates = SmtSolver::new();
-    let handle = want_proof.then(|| candidates.enable_proof_logging());
-    candidates.set_budget(budget.clone());
-    candidates.set_tracer(config.tracer.clone());
-    if config.seed_with_zero {
-        // Seed with one instantiation (all universals zero) so the first
-        // candidate is already filtered.
-        let zero_env = {
-            let mut env = Assignment::new();
+            SatResult::Unknown => {
+                let reason = unknown_reason(&candidates, "quantifier-free query");
+                (EfResult::Unknown(reason), None)
+            }
+        }
+    } else {
+        if config.seed_with_zero {
+            // Seed with one instantiation (all universals zero) so the first
+            // candidate is already filtered.
+            let mut zero_env = Assignment::new();
             for &u in univ_vars {
                 match pool.sort(u) {
-                    crate::value::Sort::Bool => env.set(u, false),
-                    crate::value::Sort::BitVec(w) => env.set(u, crate::value::BvVal::zero(w)),
+                    crate::value::Sort::Bool => zero_env.set(u, false),
+                    crate::value::Sort::BitVec(w) => zero_env.set(u, crate::value::BvVal::zero(w)),
                 }
             }
-            env
-        };
-        let seeded = substitute_assignment(pool, matrix, &zero_env);
-        candidates.assert_term(pool, seeded);
-    } else {
-        let t = pool.tru();
-        candidates.assert_term(pool, t);
-    }
+            let seeded = substitute_assignment(pool, matrix, &zero_env);
+            candidates.assert_term(pool, seeded);
+        } else {
+            let t = pool.tru();
+            candidates.assert_term(pool, t);
+        }
+        let not_matrix = pool.not(matrix);
+        'cegis: {
+            for _ in 0..config.max_iterations {
+                stats.rounds += 1;
+                let _round = config
+                    .tracer
+                    .span_with("cegis.round", || stats.rounds.to_string());
+                config.tracer.counter("cegis.rounds", 1);
+                // The inter-round poll: even if every individual SAT call
+                // is cheap, a long refinement loop must still observe the
+                // shared deadline and cancellation promptly.
+                if let Some(e) = config.budget.check_soft() {
+                    let reason = format!("CEGIS round {}: {e}", stats.rounds);
+                    break 'cegis (EfResult::Unknown(reason), None);
+                }
+                match candidates.check() {
+                    SatResult::Unsat => {
+                        let transcript = handle.as_ref().map(|h| candidates.proof_transcript(h));
+                        break 'cegis (EfResult::Unsat, transcript);
+                    }
+                    SatResult::Unknown => {
+                        let reason = unknown_reason(&candidates, "candidate search");
+                        break 'cegis (EfResult::Unknown(reason), None);
+                    }
+                    SatResult::Sat => {}
+                }
+                let x_star = candidates.model(pool, exist_vars);
 
-    let not_matrix = pool.not(matrix);
-
-    let finish = |result: EfResult, transcript, stats| EfOutcome {
+                // Verify: does some u break the candidate?  ∃u: ¬matrix(x*, u)
+                let check_term = substitute_assignment(pool, not_matrix, &x_star);
+                let mut verifier = sub_solver(config);
+                verifier.assert_term(pool, check_term);
+                let verdict = verifier.check();
+                stats.absorb(&verifier);
+                match verdict {
+                    SatResult::Unsat => break 'cegis (EfResult::Sat(x_star), None),
+                    SatResult::Unknown => {
+                        let reason = unknown_reason(&verifier, "counterexample search");
+                        break 'cegis (EfResult::Unknown(reason), None);
+                    }
+                    SatResult::Sat => {
+                        let u_star = verifier.model(pool, univ_vars);
+                        let refined = substitute_assignment(pool, matrix, &u_star);
+                        candidates.assert_term(pool, refined);
+                    }
+                }
+            }
+            let reason = format!("CEGIS iteration limit of {} reached", config.max_iterations);
+            (EfResult::Unknown(reason), None)
+        }
+    };
+    // Every path ends here, so the candidate solver's counters are folded
+    // in exactly once.
+    stats.absorb(&candidates);
+    EfOutcome {
         result,
         transcript,
         stats,
-    };
-
-    for _ in 0..config.max_iterations {
-        stats.rounds += 1;
-        let _round = config
-            .tracer
-            .span_with("cegis.round", || stats.rounds.to_string());
-        config.tracer.counter("cegis.rounds", 1);
-        // The inter-round poll: even if every individual SAT call is cheap,
-        // a long refinement loop must still observe the shared deadline and
-        // cancellation promptly.
-        if let Some(e) = budget.check_soft() {
-            stats.absorb(&candidates);
-            return finish(
-                EfResult::Unknown(format!("CEGIS round {}: {e}", stats.rounds)),
-                None,
-                stats,
-            );
-        }
-        match candidates.check() {
-            SatResult::Unsat => {
-                let transcript = handle.as_ref().map(|h| candidates.proof_transcript(h));
-                stats.absorb(&candidates);
-                return finish(EfResult::Unsat, transcript, stats);
-            }
-            SatResult::Unknown => {
-                let reason = unknown_reason(&candidates, "candidate search");
-                stats.absorb(&candidates);
-                return finish(EfResult::Unknown(reason), None, stats);
-            }
-            SatResult::Sat => {}
-        }
-        let x_star = candidates.model(pool, exist_vars);
-
-        // Verify: does some u break the candidate?  ∃u: ¬matrix(x*, u)
-        let check_term = substitute_assignment(pool, not_matrix, &x_star);
-        let mut verifier = SmtSolver::new();
-        verifier.set_budget(budget.clone());
-        verifier.set_tracer(config.tracer.clone());
-        verifier.assert_term(pool, check_term);
-        let verdict = verifier.check();
-        stats.absorb(&verifier);
-        match verdict {
-            SatResult::Unsat => {
-                stats.absorb(&candidates);
-                return finish(EfResult::Sat(x_star), None, stats);
-            }
-            SatResult::Unknown => {
-                let reason = unknown_reason(&verifier, "counterexample search");
-                stats.absorb(&candidates);
-                return finish(EfResult::Unknown(reason), None, stats);
-            }
-            SatResult::Sat => {
-                let u_star = verifier.model(pool, univ_vars);
-                let refined = substitute_assignment(pool, matrix, &u_star);
-                candidates.assert_term(pool, refined);
-            }
-        }
     }
-    stats.absorb(&candidates);
-    finish(
-        EfResult::Unknown(format!(
-            "CEGIS iteration limit of {} reached",
-            config.max_iterations
-        )),
-        None,
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -318,13 +251,25 @@ mod tests {
     use super::*;
     use crate::value::{BvVal, Sort};
 
+    /// Solves with proof logging on, returning the verdict and transcript.
+    fn solve_with_proof(
+        p: &mut TermPool,
+        exist_vars: &[TermId],
+        univ_vars: &[TermId],
+        matrix: TermId,
+    ) -> (EfResult, Option<ProofTranscript>) {
+        let outcome =
+            solve_exists_forall(p, exist_vars, univ_vars, matrix, &EfConfig::default(), true);
+        (outcome.result, outcome.transcript)
+    }
+
     #[test]
     fn qf_case_delegates_to_plain_solve() {
         let mut p = TermPool::new();
         let x = p.var("x", Sort::BitVec(4));
         let seven = p.bv(4, 7);
         let eq = p.eq(x, seven);
-        match solve_exists_forall(&mut p, &[x], &[], eq, &EfConfig::default()) {
+        match solve_exists_forall(&mut p, &[x], &[], eq, &EfConfig::default(), false).result {
             EfResult::Sat(m) => assert_eq!(m.get(x).unwrap().as_bv(), BvVal::new(4, 7)),
             other => panic!("expected Sat, got {other:?}"),
         }
@@ -338,7 +283,7 @@ mod tests {
         let u = p.var("u", Sort::BitVec(4));
         let conj = p.bv_and(x, u);
         let matrix = p.eq(conj, u);
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default()) {
+        match solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default(), false).result {
             EfResult::Sat(m) => {
                 assert_eq!(m.get(x).unwrap().as_bv(), BvVal::ones(4));
             }
@@ -354,7 +299,7 @@ mod tests {
         let u = p.var("u", Sort::BitVec(4));
         let matrix = p.eq(x, u);
         assert_eq!(
-            solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default()),
+            solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default(), false).result,
             EfResult::Unsat
         );
     }
@@ -368,7 +313,7 @@ mod tests {
         let or = p.bv_or(u, nu);
         let ones = p.bv(4, 0xF);
         let matrix = p.eq(or, ones);
-        match solve_exists_forall(&mut p, &[], &[u], matrix, &EfConfig::default()) {
+        match solve_exists_forall(&mut p, &[], &[u], matrix, &EfConfig::default(), false).result {
             EfResult::Sat(_) => {}
             other => panic!("expected Sat, got {other:?}"),
         }
@@ -381,8 +326,7 @@ mod tests {
         let one = p.bv(4, 1);
         let inc = p.bv_add(x, one);
         let matrix = p.eq(inc, x); // x + 1 == x is unsat
-        let (result, proof) =
-            solve_exists_forall_with_proof(&mut p, &[x], &[], matrix, &EfConfig::default());
+        let (result, proof) = solve_with_proof(&mut p, &[x], &[], matrix);
         assert_eq!(result, EfResult::Unsat);
         let transcript = proof.expect("unsat must carry a transcript");
         assert!(transcript.num_vars > 0);
@@ -399,8 +343,7 @@ mod tests {
         let x = p.var("x", Sort::BitVec(3));
         let u = p.var("u", Sort::BitVec(3));
         let matrix = p.eq(x, u);
-        let (result, proof) =
-            solve_exists_forall_with_proof(&mut p, &[x], &[u], matrix, &EfConfig::default());
+        let (result, proof) = solve_with_proof(&mut p, &[x], &[u], matrix);
         assert_eq!(result, EfResult::Unsat);
         let transcript = proof.expect("unsat must carry a transcript");
         assert!(transcript
@@ -415,8 +358,7 @@ mod tests {
         let x = p.var("x", Sort::BitVec(4));
         let seven = p.bv(4, 7);
         let matrix = p.eq(x, seven);
-        let (result, proof) =
-            solve_exists_forall_with_proof(&mut p, &[x], &[], matrix, &EfConfig::default());
+        let (result, proof) = solve_with_proof(&mut p, &[x], &[], matrix);
         assert!(matches!(result, EfResult::Sat(_)));
         assert!(proof.is_none());
     }
@@ -426,8 +368,7 @@ mod tests {
         let mut p = TermPool::new();
         let x = p.var("x", Sort::BitVec(4));
         let matrix = p.fls();
-        let (result, proof) =
-            solve_exists_forall_with_proof(&mut p, &[x], &[], matrix, &EfConfig::default());
+        let (result, proof) = solve_with_proof(&mut p, &[x], &[], matrix);
         assert_eq!(result, EfResult::Unsat);
         let transcript = proof.expect("unsat must carry a transcript");
         assert!(transcript
@@ -448,10 +389,9 @@ mod tests {
         let matrix = p.bv_ult(xu, eight);
         let config = EfConfig {
             max_iterations: 1,
-            conflict_budget: None,
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config) {
+        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
             EfResult::Unknown(reason) => {
                 assert!(
                     reason.contains("iteration limit"),
@@ -477,7 +417,7 @@ mod tests {
             budget: alive_sat::Budget::default().deadline_in(std::time::Duration::ZERO),
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config) {
+        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
             EfResult::Unknown(reason) => {
                 assert!(
                     reason.contains("deadline"),
@@ -500,7 +440,7 @@ mod tests {
             budget: alive_sat::Budget::default().with_cancel(token),
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config) {
+        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
             EfResult::Unknown(reason) => {
                 assert!(
                     reason.contains("cancelled"),
@@ -518,25 +458,8 @@ mod tests {
         let x = p.var("x", Sort::BitVec(3));
         let u = p.var("u", Sort::BitVec(3));
         let matrix = p.eq(x, u);
-        let outcome =
-            solve_exists_forall_full(&mut p, &[x], &[u], matrix, &EfConfig::default(), false);
+        let outcome = solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default(), false);
         assert_eq!(outcome.result, EfResult::Unsat);
         assert!(outcome.stats.rounds > 0, "CEGIS must have iterated");
-    }
-
-    #[test]
-    fn legacy_conflict_budget_feeds_the_effective_budget() {
-        let config = EfConfig {
-            conflict_budget: Some(7),
-            ..EfConfig::default()
-        };
-        assert_eq!(config.effective_budget().conflicts, Some(7));
-        // An explicit budget limit wins over the legacy knob.
-        let config = EfConfig {
-            conflict_budget: Some(7),
-            budget: alive_sat::Budget::default().with_conflicts(9),
-            ..EfConfig::default()
-        };
-        assert_eq!(config.effective_budget().conflicts, Some(9));
     }
 }

@@ -99,12 +99,7 @@ impl SmtSolver {
         (self.blaster.nodes_encoded(), self.blaster.gates_total())
     }
 
-    /// Limits SAT conflicts per `check` call (None = unlimited).
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.sat.set_conflict_budget(budget);
-    }
-
-    /// Installs a full resource [`Budget`] (deadline, counter limits,
+    /// Installs a resource [`Budget`] (deadline, conflict limit,
     /// cancellation). It governs bit-blasting during `assert_term` and
     /// `check_assuming` as well as every SAT search.
     pub fn set_budget(&mut self, budget: Budget) {

@@ -12,7 +12,7 @@
 //! * **panic isolation** — a panic anywhere inside verification degrades to
 //!   an `Unknown` outcome with an `internal error:` reason instead of
 //!   aborting the run;
-//! * **escalating retries** — transforms whose counter budget ran out are
+//! * **escalating retries** — transforms whose conflict budget ran out are
 //!   re-run with the conflict limit multiplied, so a cheap first pass over
 //!   the corpus is followed by a slower second look at the stragglers only;
 //! * **structured reporting** — every transform yields a
@@ -25,9 +25,7 @@
 //! parallel driver (worker pool, watchdog, crash-safe journal) lives in
 //! [`crate::pool`] and reuses [`verify_one`] per task.
 
-use crate::verify::{
-    verify_with_certificates, verify_with_stats, PhaseTimes, Verdict, VerifyConfig, VerifyStats,
-};
+use crate::verify::{panic_message, verify_impl, PhaseTimes, Verdict, VerifyConfig, VerifyStats};
 use alive_ir::Transform;
 use alive_proof::Certificate;
 use alive_smt::{Budget, CancelToken};
@@ -311,28 +309,15 @@ impl RunReport {
 
 /// Should an `Unknown` with this reason be retried at a larger budget?
 ///
-/// Counter exhaustion (conflicts, propagations, decisions) and the CEGIS
-/// iteration limit are worth a second, bigger attempt. Deadline exhaustion
-/// is not — re-arming the same timeout would just spend it again. Neither
-/// are cancellation, injected faults, or internal errors.
+/// Conflict exhaustion and the CEGIS iteration limit are worth a second,
+/// bigger attempt. Deadline exhaustion is not — re-arming the same timeout
+/// would just spend it again. Neither are cancellation, injected faults,
+/// or internal errors. This is the one retry policy.
 fn is_retryable_reason(reason: &str) -> bool {
     (reason.contains("budget exhausted") || reason.contains("iteration limit"))
         && !reason.contains("cancelled")
         && !reason.contains("injected")
         && !reason.contains("internal error")
-}
-
-/// Builds the budget for one attempt: an absolute deadline, the (possibly
-/// escalated) conflict limit, and the given cancel token.
-fn attempt_budget(
-    deadline: Option<Instant>,
-    conflicts: Option<u64>,
-    cancel: &CancelToken,
-) -> Budget {
-    let mut b = Budget::default().with_cancel(cancel.clone());
-    b.deadline = deadline;
-    b.conflicts = conflicts;
-    b
 }
 
 /// Verifies `t` once under the given budget, with the driver-level panic
@@ -346,11 +331,7 @@ fn attempt(
     let mut vc = config.verify.clone();
     vc.ef.budget = budget;
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        if config.with_certificates {
-            verify_with_certificates(t, &vc)
-        } else {
-            verify_with_stats(t, &vc).map(|(v, s)| (v, s, Vec::new()))
-        }
+        verify_impl(t, &vc, config.with_certificates)
     }));
     match caught {
         Ok(Ok((verdict, stats, certs))) => (verdict, stats, certs),
@@ -361,22 +342,13 @@ fn attempt(
             VerifyStats::default(),
             Vec::new(),
         ),
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            (
-                Verdict::Unknown {
-                    reason: format!("internal error: {msg}"),
-                },
-                VerifyStats::default(),
-                Vec::new(),
-            )
-        }
+        Err(payload) => (
+            Verdict::Unknown {
+                reason: format!("internal error: {}", panic_message(payload.as_ref())),
+            },
+            VerifyStats::default(),
+            Vec::new(),
+        ),
     }
 }
 
@@ -410,11 +382,14 @@ pub(crate) fn verify_one(
         let attempt_start = Instant::now();
         let deadline = timeout.and_then(|d| attempt_start.checked_add(d));
         on_attempt(deadline);
-        let (verdict, stats, certificates) = attempt(
-            t,
-            config,
-            attempt_budget(deadline, budget_conflicts, cancel),
-        );
+        // The attempt's budget: an absolute deadline, the (possibly
+        // escalated) conflict limit, and the given cancel token.
+        let budget = Budget {
+            deadline,
+            conflicts: budget_conflicts,
+            cancel: Some(cancel.clone()),
+        };
+        let (verdict, stats, certificates) = attempt(t, config, budget);
         let conflicts = stats.conflicts;
         totals.conflicts += stats.conflicts;
         totals.propagations += stats.propagations;

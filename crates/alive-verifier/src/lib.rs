@@ -56,6 +56,5 @@ pub use store::{
     CompactReport, ScrubReport, StoreLock, StoreOpen, StoreRecord, VerdictStore,
 };
 pub use verify::{
-    verify, verify_with_certificates, verify_with_stats, PhaseTimes, Verdict, VerifyConfig,
-    VerifyError, VerifyStats,
+    verify, verify_with_certificates, PhaseTimes, Verdict, VerifyConfig, VerifyError, VerifyStats,
 };

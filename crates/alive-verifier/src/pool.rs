@@ -180,7 +180,10 @@ fn worker_loop(shared: &Arc<Shared>, slot_idx: usize, worker_id: u32) {
     // Spans the worker's whole lifetime; its self-time (everything outside
     // the nested pool.task spans) is the dispatch overhead — queue locking,
     // slot bookkeeping, result publication. A detached worker never closes
-    // it, same as its task span.
+    // it, same as its task span. It opens only once the supervisor lets go
+    // of the queue, after `pool.spawn` closed, so with one worker the
+    // root spans never overlap.
+    drop(shared.queue.lock().unwrap_or_else(|e| e.into_inner()));
     let _worker_span = shared
         .config
         .verify
@@ -416,6 +419,8 @@ pub fn run_supervised(
         next_worker_id: AtomicU32::new(0),
     });
 
+    // Held until `pool.spawn` closes: workers wait on it (see worker_loop).
+    let queue_gate = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     let watchdog = if remaining > 0 {
         for _ in 0..jobs {
             spawn_worker(&shared);
@@ -431,6 +436,7 @@ pub fn run_supervised(
         None
     };
     drop(spawn_span);
+    drop(queue_gate);
 
     let mut stopped_dispatch = false;
     while remaining > 0 {

@@ -17,7 +17,7 @@ use crate::counterexample::{build_counterexample, Counterexample, FailureKind};
 use alive_ir::{validate, Transform};
 use alive_proof::{Certificate, CertificateMeta, Step};
 use alive_smt::{
-    eval, solve_exists_forall_full, Assignment, BvVal, EfConfig, EfResult, EvalError, ProofEvent,
+    eval, solve_exists_forall, Assignment, BvVal, EfConfig, EfResult, EvalError, ProofEvent,
     ProofTranscript, Sort, TermId, TermPool, Value,
 };
 use alive_typeck::{enumerate_typings, TypeAssignment, TypeckConfig};
@@ -175,23 +175,10 @@ impl VerifyStats {
 /// Returns [`VerifyError`] when the transformation is ill-formed,
 /// ill-typed, or uses unsupported constructs.
 pub fn verify(t: &Transform, config: &VerifyConfig) -> Result<Verdict, VerifyError> {
-    verify_with_stats(t, config).map(|(v, _)| v)
+    verify_impl(t, config, false).map(|(v, _, _)| v)
 }
 
-/// Like [`verify`], also returning statistics.
-///
-/// # Errors
-///
-/// Returns [`VerifyError`] when the transformation is ill-formed,
-/// ill-typed, or uses unsupported constructs.
-pub fn verify_with_stats(
-    t: &Transform,
-    config: &VerifyConfig,
-) -> Result<(Verdict, VerifyStats), VerifyError> {
-    verify_impl(t, config, None)
-}
-
-/// Like [`verify_with_stats`], and additionally emits one refinement
+/// Like [`verify`], also returning statistics and one refinement
 /// [`Certificate`] per condition discharged by refutation.
 ///
 /// Certificates are produced only for conditions the SAT solver actually
@@ -210,9 +197,7 @@ pub fn verify_with_certificates(
     t: &Transform,
     config: &VerifyConfig,
 ) -> Result<(Verdict, VerifyStats, Vec<Certificate>), VerifyError> {
-    let mut certificates = Vec::new();
-    let (verdict, stats) = verify_impl(t, config, Some(&mut certificates))?;
-    Ok((verdict, stats, certificates))
+    verify_impl(t, config, true)
 }
 
 /// What checking one type assignment concluded.
@@ -224,7 +209,7 @@ enum TypingOutcome {
 }
 
 /// Renders a panic payload for an `Unknown` reason string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -234,15 +219,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn verify_impl(
+/// The one verification entry: statistics always, certificates (one per
+/// refuted condition) only when `want_certificates` is set.
+pub(crate) fn verify_impl(
     t: &Transform,
     config: &VerifyConfig,
-    mut certificates: Option<&mut Vec<Certificate>>,
-) -> Result<(Verdict, VerifyStats), VerifyError> {
+    want_certificates: bool,
+) -> Result<(Verdict, VerifyStats, Vec<Certificate>), VerifyError> {
     // The tracer travels inside the CEGIS config so one installation covers
     // the whole stack (driver phases here, blasting and SAT below).
     let tracer = config.ef.tracer.clone();
     let mut stats = VerifyStats::default();
+    let mut certificates = Vec::new();
 
     validate(t).map_err(|e| VerifyError {
         message: e.to_string(),
@@ -273,12 +261,12 @@ fn verify_impl(
                 config,
                 &transform_name,
                 &mut stats,
-                certificates.as_deref_mut(),
+                want_certificates.then_some(&mut certificates),
             )
         }));
         match caught {
             Ok(Ok(TypingOutcome::Passed)) => {}
-            Ok(Ok(TypingOutcome::Stop(v))) => return Ok((v, stats)),
+            Ok(Ok(TypingOutcome::Stop(v))) => return Ok((v, stats, certificates)),
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 return Ok((
@@ -290,6 +278,7 @@ fn verify_impl(
                         ),
                     },
                     stats,
+                    certificates,
                 ));
             }
         }
@@ -299,6 +288,7 @@ fn verify_impl(
             typings_checked: typings.len(),
         },
         stats,
+        certificates,
     ))
 }
 
@@ -358,7 +348,7 @@ fn check_one_typing(
         // is reported against the condition being discharged.
         let solve_start = Instant::now();
         let solved = catch_unwind(AssertUnwindSafe(|| {
-            solve_exists_forall_full(
+            solve_exists_forall(
                 &mut pool, &evars, &univ_vars, matrix, &config.ef, want_proof,
             )
         }));

@@ -463,9 +463,16 @@ fn trace_file_has_correctly_nesting_spans_and_consistent_phase_times() {
     }
     // Re-run sequentially: with one worker the per-phase self-times must
     // partition the traced interval — their sum accounts for (almost all
-    // of) the first-to-last-event wall span. Scheduling gaps between tasks
+    // of) the first-to-last-event wall span. Scheduling gaps between spans
     // are the only slack, so 5% is generous. (With --jobs 2 the sum is
-    // legitimately ~2x wall, so the partition check needs --jobs 1.)
+    // legitimately ~2x wall, so the partition check needs --jobs 1.) Forty
+    // solver-bound transforms make the span a few hundred ms, so one
+    // preemption of a few ms between spans stays well inside the slack.
+    let forty = dir.join("forty.opt");
+    let corpus: String = (0..40)
+        .map(|i| GOOD.replace("not-add", &format!("not-add-{i}")) + "\n")
+        .collect();
+    std::fs::write(&forty, corpus).unwrap();
     let seq = dir.join("seq-trace.jsonl");
     let (code, stdout, _) = run(&[
         "--fast",
@@ -474,7 +481,7 @@ fn trace_file_has_correctly_nesting_spans_and_consistent_phase_times() {
         "1",
         "--trace",
         seq.to_str().unwrap(),
-        f.to_str().unwrap(),
+        forty.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{stdout}");
     let stats = TraceStats::from_events(&read_trace(&seq).unwrap()).unwrap();

@@ -14,11 +14,8 @@
 
 use alive::verifier::{verify_single, DriverConfig};
 use alive::VerifyConfig;
+use bench::percentile;
 use std::time::Instant;
-
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    sorted[(sorted.len() - 1) * p / 100]
-}
 
 fn main() {
     let out_path = std::env::args()

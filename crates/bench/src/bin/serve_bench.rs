@@ -22,6 +22,7 @@
 use alive::serve::{ServeConfig, Server};
 use alive::verifier::DriverConfig;
 use alive::VerifyConfig;
+use bench::percentile;
 use std::time::Instant;
 
 /// Latency summary of one pass, in microseconds.
@@ -39,14 +40,13 @@ fn summarize(mut micros: Vec<u64>) -> Lat {
     micros.sort_unstable();
     let count = micros.len();
     let total_us: u64 = micros.iter().sum();
-    let pct = |p: usize| micros[(count - 1) * p / 100];
     Lat {
         count,
         total_us,
         mean_us: total_us / count.max(1) as u64,
-        p50_us: pct(50),
-        p90_us: pct(90),
-        p99_us: pct(99),
+        p50_us: percentile(&micros, 50),
+        p90_us: percentile(&micros, 90),
+        p99_us: percentile(&micros, 99),
         max_us: *micros.last().unwrap_or(&0),
     }
 }

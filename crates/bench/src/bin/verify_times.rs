@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin verify_times [max_width]`
 
-use alive::smt::EfConfig;
+use alive::smt::{Budget, EfConfig};
 use alive::{verify, TypeckConfig, VerifyConfig};
 use std::io::Write;
 use std::time::Instant;
@@ -55,7 +55,7 @@ fn main() {
                     ..TypeckConfig::default()
                 },
                 ef: EfConfig {
-                    conflict_budget: Some(300_000),
+                    budget: Budget::default().with_conflicts(300_000),
                     ..EfConfig::default()
                 },
             };

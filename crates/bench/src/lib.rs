@@ -40,6 +40,15 @@ pub fn pass_templates() -> Vec<(String, Transform)> {
         .collect()
 }
 
+/// The `p`-th percentile (nearest rank below) of an ascending slice, or 0
+/// for an empty one.
+pub fn percentile(sorted: &[u64], p: usize) -> u64 {
+    match sorted.len() {
+        0 => 0,
+        n => sorted[(n - 1) * p / 100],
+    }
+}
+
 /// A one-line histogram bar for terminal output (log scale).
 pub fn log_bar(count: u64, max: u64) -> String {
     if count == 0 || max == 0 {

@@ -1,6 +1,6 @@
 //! Tests for the bench-harness helpers.
 
-use bench::{log_bar, pass_templates};
+use bench::{log_bar, pass_templates, percentile};
 
 #[test]
 fn log_bar_is_monotone_and_bounded() {
@@ -29,4 +29,18 @@ fn pass_templates_excludes_memory_ops() {
             "{name} has memory ops"
         );
     }
+}
+
+#[test]
+fn percentile_of_empty_and_single_slices() {
+    assert_eq!(percentile(&[], 50), 0);
+    assert_eq!(percentile(&[], 99), 0);
+    for p in [0, 50, 90, 99, 100] {
+        assert_eq!(percentile(&[7], p), 7);
+    }
+    let sorted: Vec<u64> = (1..=100).collect();
+    assert_eq!(percentile(&sorted, 0), 1);
+    assert_eq!(percentile(&sorted, 50), 50);
+    assert_eq!(percentile(&sorted, 99), 99);
+    assert_eq!(percentile(&sorted, 100), 100);
 }
