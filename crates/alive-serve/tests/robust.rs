@@ -257,7 +257,11 @@ mod unix {
 
         let (server, _) =
             Server::open(fast_config(dir.join("store.jsonl"), ServeLimits::default())).unwrap();
-        let handle = spawn_daemon(&server, &sock); // reclaims the stale file
+        // The daemon reclaims the stale file. That file already satisfies
+        // spawn_daemon's wait, so only a successful connect shows the
+        // daemon has rebound the path.
+        let handle = spawn_daemon(&server, &sock);
+        wait_until("daemon to accept", || UnixStream::connect(&sock).is_ok());
 
         // Live daemon: a second server on the same path must refuse
         // rather than steal the socket out from under it.

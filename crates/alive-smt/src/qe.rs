@@ -337,6 +337,25 @@ mod tests {
     }
 
     #[test]
+    fn ring_folded_unsat_still_comes_with_transcript() {
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::BitVec(4));
+        let y = p.var("y", Sort::BitVec(4));
+        let one = p.bv(4, 1);
+        let xy = p.bv_mul(x, y);
+        let inc = p.bv_add(xy, one);
+        let matrix = p.eq(inc, xy); // x·y + 1 == x·y folds to false
+        assert_eq!(p.as_bool_const(matrix), Some(false));
+        let (result, proof) = solve_with_proof(&mut p, &[x, y], &[], matrix);
+        assert_eq!(result, EfResult::Unsat);
+        let transcript = proof.expect("unsat must carry a transcript");
+        assert!(transcript
+            .events
+            .iter()
+            .any(|e| matches!(e, crate::ProofEvent::Learned(c) if c.is_empty())));
+    }
+
+    #[test]
     fn cegis_unsat_comes_with_transcript() {
         // ∃x ∀u: x == u is unsat; the refutation covers the refined CNF.
         let mut p = TermPool::new();

@@ -3,8 +3,11 @@
 //! All terms live in a [`TermPool`]; a [`TermId`] is an index into it.
 //! Constructors perform light simplification (constant folding, identity and
 //! annihilator rules) so the formulas handed to the bit-blaster stay small.
-//! The simplifications are validated against the reference evaluator by
-//! property tests.
+//! Bitvector equality also compares ring normal forms — polynomials over
+//! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
+//! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
+//! the blaster. The simplifications are validated against the reference
+//! evaluator by property tests.
 
 use crate::value::{BvVal, Sort, Value};
 use std::collections::HashMap;
@@ -210,6 +213,9 @@ pub struct TermPool {
     terms: Vec<Term>,
     dedup: HashMap<Term, TermId>,
     var_names: Vec<String>,
+    /// Memoized ring normal forms; `None` marks a term past the caps.
+    ring_forms: HashMap<TermId, Option<Poly>>,
+    ring_folds: u64,
 }
 
 impl TermPool {
@@ -472,6 +478,10 @@ impl TermPool {
     }
 
     /// Equality (both operands must share a sort).
+    ///
+    /// Bitvector operands whose ring normal forms differ by a constant,
+    /// with a product of atoms on either side, fold to that verdict (see
+    /// [`TermPool::ring_folds`]).
     pub fn eq(&mut self, a: TermId, b: TermId) -> TermId {
         assert_eq!(self.sort(a), self.sort(b), "eq sort mismatch");
         if a == b {
@@ -479,6 +489,10 @@ impl TermPool {
         }
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
             return self.bool_const(x == y);
+        }
+        if let Some(d) = self.ring_difference(a, b) {
+            self.ring_folds += 1;
+            return self.bool_const(d.is_zero());
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         self.intern(Term {
@@ -919,6 +933,99 @@ impl TermPool {
         })
     }
 
+    // ---- ring normal form ----
+
+    /// How many [`TermPool::eq`] calls the ring normal form decided.
+    pub fn ring_folds(&self) -> u64 {
+        self.ring_folds
+    }
+
+    /// `Some(c)` when the bitvector terms `a - b` normalize to the
+    /// constant `c` and a side is nonlinear; `None` for booleans, linear
+    /// equalities, non-constant differences and forms past the caps.
+    fn ring_difference(&mut self, a: TermId, b: TermId) -> Option<BvVal> {
+        let w = match self.sort(a) {
+            Sort::BitVec(w) => w,
+            Sort::Bool => return None,
+        };
+        // Two distinct atoms, or an atom and a constant, never differ by a
+        // constant: skip the normalization most equalities would pay for.
+        let is_ring_op = |id: TermId| {
+            matches!(
+                self.term(id).op,
+                Op::BvAdd(..)
+                    | Op::BvSub(..)
+                    | Op::BvNeg(_)
+                    | Op::BvMul(..)
+                    | Op::BvShl(..)
+                    | Op::BvUrem(..)
+                    | Op::BvSrem(..)
+            )
+        };
+        if !is_ring_op(a) && !is_ring_op(b) {
+            return None;
+        }
+        let p = self.ring_form(a)?;
+        let q = self.ring_form(b)?;
+        // Linear equalities stay with the solver: adders blast to small
+        // circuits that CDCL decides and DRAT certifies. The fold, which
+        // no certificate covers (docs/PROOFS.md), is kept to products of
+        // atoms, where bit-level search does not scale with the width.
+        if !p.is_nonlinear() && !q.is_nonlinear() {
+            return None;
+        }
+        p.add(&q.scale(BvVal::ones(w))?)?.as_constant(w)
+    }
+
+    /// The ring normal form of a bitvector term (memoized), or `None` past
+    /// [`RING_MAX_MONOMIALS`] / [`RING_MAX_DEGREE`].
+    ///
+    /// Every rule is an identity of ℤ/2^w under SMT-LIB semantics, so a
+    /// term and its form agree on every assignment:
+    /// `shl a, b = a·(1 << b)` (both 0 once b ≥ w), and
+    /// `urem a, b = a − (a udiv b)·b`, `srem a, b = a − (a sdiv b)·b`
+    /// (also at b = 0 and INT_MIN / −1).
+    fn ring_form(&mut self, id: TermId) -> Option<Poly> {
+        if let Some(p) = self.ring_forms.get(&id) {
+            return p.clone();
+        }
+        let p = self.normalize(id);
+        self.ring_forms.insert(id, p.clone());
+        p
+    }
+
+    fn normalize(&mut self, id: TermId) -> Option<Poly> {
+        let w = self.width(id);
+        let minus_one = BvVal::ones(w);
+        match self.term(id).op {
+            Op::BvConst(v) => Some(Poly::constant(v)),
+            Op::BvAdd(a, b) => self.ring_form(a)?.add(&self.ring_form(b)?),
+            Op::BvSub(a, b) => self
+                .ring_form(a)?
+                .add(&self.ring_form(b)?.scale(minus_one)?),
+            Op::BvNeg(a) => self.ring_form(a)?.scale(minus_one),
+            Op::BvMul(a, b) => self.ring_form(a)?.mul(&self.ring_form(b)?),
+            Op::BvShl(a, b) => match self.as_bv_const(b) {
+                Some(k) => self.ring_form(a)?.scale(BvVal::one(w).shl(k)),
+                None => self.ring_form(a)?.mul(&Poly::atom(Atom::Pow2(b), w)),
+            },
+            Op::BvUdiv(a, b) => Some(Poly::atom(Atom::Udiv(a, b), w)),
+            Op::BvSdiv(a, b) => Some(Poly::atom(Atom::Sdiv(a, b), w)),
+            Op::BvUrem(a, b) => self.rem_form(a, b, Atom::Udiv(a, b)),
+            Op::BvSrem(a, b) => self.rem_form(a, b, Atom::Sdiv(a, b)),
+            _ => Some(Poly::atom(Atom::Term(id), w)),
+        }
+    }
+
+    /// `a − quotient·b`, the form of a remainder.
+    fn rem_form(&mut self, a: TermId, b: TermId, quotient: Atom) -> Option<Poly> {
+        let w = self.width(a);
+        let p = self.ring_form(a)?;
+        let q = self.ring_form(b)?;
+        let neg_quotient = Poly::atom(quotient, w).scale(BvVal::ones(w))?;
+        p.add(&neg_quotient.mul(&q)?)
+    }
+
     fn check_same_bv(&self, a: TermId, b: TermId) {
         let (sa, sb) = (self.sort(a), self.sort(b));
         assert!(
@@ -1029,6 +1136,101 @@ enum CmpKind {
     Ule,
     Slt,
     Sle,
+}
+
+/// Most monomials a ring normal form may hold. A larger form counts as
+/// unnormalizable: a missed fold, never a wrong one.
+const RING_MAX_MONOMIALS: usize = 64;
+
+/// Highest monomial degree a ring normal form may hold (same contract; it
+/// stops repeated squaring from growing a monomial without bound).
+const RING_MAX_DEGREE: usize = 16;
+
+/// An opaque factor of a ring normal form. Quotients and powers of two are
+/// keyed by their operands, so the normal form never adds terms to the
+/// pool: `urem a, b` and an existing `udiv a, b` share one atom either way.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Atom {
+    /// Any term the ring rules do not look inside.
+    Term(TermId),
+    /// `bvshl 1, b` for a symbolic shift amount `b`.
+    Pow2(TermId),
+    /// `bvudiv a, b`.
+    Udiv(TermId, TermId),
+    /// `bvsdiv a, b`.
+    Sdiv(TermId, TermId),
+}
+
+/// A polynomial over [`Atom`]s with coefficients mod 2^w: `(monomial,
+/// coefficient)` pairs sorted by monomial, with no zero coefficient. A
+/// monomial is a sorted multiset of atoms; the constant term's is empty.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Poly(Vec<(Vec<Atom>, BvVal)>);
+
+impl Poly {
+    fn constant(c: BvVal) -> Poly {
+        Poly(if c.is_zero() {
+            vec![]
+        } else {
+            vec![(vec![], c)]
+        })
+    }
+
+    fn atom(a: Atom, w: u32) -> Poly {
+        Poly(vec![(vec![a], BvVal::one(w))])
+    }
+
+    /// Sums `(monomial, coefficient)` pairs into normal form, or `None`
+    /// past the caps.
+    fn collect(mut items: Vec<(Vec<Atom>, BvVal)>) -> Option<Poly> {
+        items.sort_by(|x, y| x.0.cmp(&y.0));
+        let mut out: Vec<(Vec<Atom>, BvVal)> = Vec::with_capacity(items.len());
+        for (m, c) in items {
+            match out.last_mut() {
+                Some((last, sum)) if *last == m => *sum = sum.add(c),
+                _ => out.push((m, c)),
+            }
+        }
+        out.retain(|(_, c)| !c.is_zero());
+        (out.len() <= RING_MAX_MONOMIALS).then_some(Poly(out))
+    }
+
+    fn add(&self, other: &Poly) -> Option<Poly> {
+        Poly::collect(self.0.iter().chain(&other.0).cloned().collect())
+    }
+
+    fn scale(&self, k: BvVal) -> Option<Poly> {
+        Poly::collect(self.0.iter().map(|(m, c)| (m.clone(), c.mul(k))).collect())
+    }
+
+    fn mul(&self, other: &Poly) -> Option<Poly> {
+        let mut items = Vec::with_capacity(self.0.len() * other.0.len());
+        for (m, c) in &self.0 {
+            for (n, d) in &other.0 {
+                if m.len() + n.len() > RING_MAX_DEGREE {
+                    return None;
+                }
+                let mut mn = [m.as_slice(), n.as_slice()].concat();
+                mn.sort_unstable();
+                items.push((mn, c.mul(*d)));
+            }
+        }
+        Poly::collect(items)
+    }
+
+    /// Does a monomial multiply two or more atoms?
+    fn is_nonlinear(&self) -> bool {
+        self.0.iter().any(|(m, _)| m.len() >= 2)
+    }
+
+    /// The value of a constant polynomial at width `w`.
+    fn as_constant(&self, w: u32) -> Option<BvVal> {
+        match self.0.as_slice() {
+            [] => Some(BvVal::zero(w)),
+            [(m, c)] if m.is_empty() => Some(*c),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1150,6 +1352,203 @@ mod tests {
         let d = p.display(s);
         assert!(d.contains("bvadd"), "{d}");
         assert!(d.contains('x'), "{d}");
+    }
+
+    /// The nine corpus ring identities, each as (source value, target
+    /// value) built the way the encoder builds them, over `x`, `y` and the
+    /// symbolic constants `c1`, `c2`.
+    fn ring_identities(p: &mut TermPool, w: u32) -> Vec<(&'static str, TermId, TermId)> {
+        let [x, y, c1, c2] = ["x", "y", "C1", "C2"].map(|n| p.var(n, Sort::BitVec(w)));
+        let zero = p.bv(w, 0);
+        let one = p.bv(w, 1);
+        let mut out = Vec::new();
+        let xc1 = p.bv_mul(x, c1);
+        let src = p.bv_mul(xc1, c2);
+        let c1c2 = p.bv_mul(c1, c2);
+        let tgt = p.bv_mul(x, c1c2);
+        out.push(("MulConstChain", src, tgt));
+        out.push(("NuwMulConstChain", src, tgt));
+        let nx = p.bv_sub(zero, x);
+        let ny = p.bv_sub(zero, y);
+        let src = p.bv_mul(nx, ny);
+        let tgt = p.bv_mul(x, y);
+        out.push(("MulNegNeg", src, tgt));
+        let src = p.bv_mul(nx, c1);
+        let nc1 = p.bv_neg(c1);
+        let tgt = p.bv_mul(x, nc1);
+        out.push(("MulNegConst", src, tgt));
+        let shx = p.bv_shl(x, c1);
+        let src = p.bv_mul(shx, c2);
+        let c2c1 = p.bv_shl(c2, c1);
+        let tgt = p.bv_mul(x, c2c1);
+        out.push(("MulShlConst", src, tgt));
+        let src = p.bv_shl(xc1, c2);
+        let c1c2 = p.bv_shl(c1, c2);
+        let tgt = p.bv_mul(x, c1c2);
+        out.push(("MulThenShl", src, tgt));
+        let src = p.bv_add(xc1, x);
+        let c1p1 = p.bv_add(c1, one);
+        let tgt = p.bv_mul(x, c1p1);
+        out.push(("MulPlusSelf", src, tgt));
+        let q = p.bv_udiv(x, y);
+        let m = p.bv_mul(q, y);
+        let src = p.bv_sub(x, m);
+        let tgt = p.bv_urem(x, y);
+        out.push(("UdivMulSubToUrem", src, tgt));
+        let q = p.bv_sdiv(x, y);
+        let m = p.bv_mul(q, y);
+        let src = p.bv_sub(x, m);
+        let tgt = p.bv_srem(x, y);
+        out.push(("SdivMulSubToSrem", src, tgt));
+        out
+    }
+
+    #[test]
+    fn ring_identities_fold_to_true_at_every_width() {
+        for w in [3, 8, 16, 32, 64] {
+            let mut p = TermPool::new();
+            for (name, src, tgt) in ring_identities(&mut p, w) {
+                let folds = p.ring_folds();
+                let e = p.eq(src, tgt);
+                assert_eq!(p.as_bool_const(e), Some(true), "{name} at i{w}");
+                assert_eq!(p.ring_folds(), folds + 1, "{name} at i{w}");
+                let ne = p.ne(src, tgt);
+                assert_eq!(p.as_bool_const(ne), Some(false), "{name} at i{w}");
+            }
+        }
+    }
+
+    #[test]
+    fn constant_ring_difference_folds_to_false() {
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::BitVec(8));
+        let y = p.var("y", Sort::BitVec(8));
+        let one = p.bv(8, 1);
+        let xy = p.bv_mul(x, y);
+        let inc = p.bv_add(xy, one);
+        let e = p.eq(inc, xy);
+        assert_eq!(p.as_bool_const(e), Some(false), "x·y + 1 == x·y");
+        assert_eq!(p.ring_folds(), 1);
+        // Not a constant difference: left to the solver.
+        let e = p.eq(inc, x);
+        assert!(matches!(p.term(e).op, Op::Eq(..)));
+        // Linear: left to the solver, which certifies it.
+        let x1 = p.bv_add(x, one);
+        let e = p.eq(x1, x);
+        assert!(matches!(p.term(e).op, Op::Eq(..)), "x + 1 == x");
+        assert_eq!(p.ring_folds(), 1);
+    }
+
+    #[test]
+    fn rem_rewrite_holds_at_zero_divisor_and_int_min_over_minus_one() {
+        let w = 8;
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::BitVec(w));
+        let y = p.var("y", Sort::BitVec(w));
+        let pairs = [
+            (p.bv_urem(x, y), {
+                let q = p.bv_udiv(x, y);
+                let m = p.bv_mul(q, y);
+                p.bv_sub(x, m)
+            }),
+            (p.bv_srem(x, y), {
+                let q = p.bv_sdiv(x, y);
+                let m = p.bv_mul(q, y);
+                p.bv_sub(x, m)
+            }),
+        ];
+        let points = [
+            (BvVal::new(w, 5), BvVal::zero(w)),
+            (BvVal::int_min(w), BvVal::zero(w)),
+            (BvVal::int_min(w), BvVal::ones(w)),
+            (BvVal::new(w, 0xF3), BvVal::new(w, 7)),
+        ];
+        for (rem, rewritten) in pairs {
+            let e = p.eq(rem, rewritten);
+            assert_eq!(p.as_bool_const(e), Some(true));
+            for (a, b) in points {
+                let mut env = crate::Assignment::new();
+                env.set(x, a);
+                env.set(y, b);
+                let lhs = crate::eval(&p, rem, &env).unwrap();
+                let rhs = crate::eval(&p, rewritten, &env).unwrap();
+                assert_eq!(lhs, rhs, "{} at {a:?}, {b:?}", p.display(rem));
+            }
+        }
+    }
+
+    #[test]
+    fn constant_shifts_scale_by_a_power_of_two_or_zero() {
+        for w in [8, 64] {
+            let mut p = TermPool::new();
+            let x = p.var("x", Sort::BitVec(w));
+            let y = p.var("y", Sort::BitVec(w));
+            let xy = p.bv_mul(x, y);
+            let three = p.bv(w, 3);
+            let eight = p.bv(w, 8);
+            let shifted = p.bv_shl(xy, three);
+            let scaled = p.bv_mul(eight, xy);
+            let e = p.eq(shifted, scaled);
+            assert_eq!(p.as_bool_const(e), Some(true), "i{w}: xy << 3 == 8·xy");
+            for k in [w, w + 1] {
+                // Shifting by the width or more gives 0, never a wrapped
+                // power of two.
+                let k = p.bv(w, k as u128);
+                let gone = p.bv_shl(xy, k);
+                let e = p.eq(gone, xy);
+                assert!(matches!(p.term(e).op, Op::Eq(..)), "i{w}: xy << {k:?}");
+                let plus = p.bv_add(gone, xy);
+                let e = p.eq(plus, xy);
+                assert_eq!(p.as_bool_const(e), Some(true), "i{w}: (xy << {k:?}) + xy");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_functions_with_distinct_forms_stay_an_eq() {
+        // 2^(w-1)·x² = 2^(w-1)·x holds (x² and x share parity), but the
+        // normal forms differ: the fold must leave it to the solver and
+        // never answer false.
+        for w in [3, 8, 64] {
+            let mut p = TermPool::new();
+            let x = p.var("x", Sort::BitVec(w));
+            let half = p.bv_const(BvVal::int_min(w));
+            let xx = p.bv_mul(x, x);
+            let lhs = p.bv_mul(half, xx);
+            let rhs = p.bv_mul(half, x);
+            let e = p.eq(lhs, rhs);
+            assert!(matches!(p.term(e).op, Op::Eq(..)), "i{w}");
+            assert_eq!(p.ring_folds(), 0);
+        }
+    }
+
+    #[test]
+    fn forms_past_the_caps_stay_an_eq() {
+        let mut p = TermPool::new();
+        let xs: Vec<TermId> = (0..12)
+            .map(|i| p.var(format!("x{i}"), Sort::BitVec(8)))
+            .collect();
+        // (x0 + ... + x11)² has 78 monomials, past the cap; the two sums
+        // associate differently so they are distinct terms.
+        let left = xs[1..].iter().fold(xs[0], |acc, &x| p.bv_add(acc, x));
+        let right = xs[..11]
+            .iter()
+            .rev()
+            .fold(xs[11], |acc, &x| p.bv_add(x, acc));
+        assert_ne!(left, right);
+        let l2 = p.bv_mul(left, left);
+        let r2 = p.bv_mul(right, right);
+        let e = p.eq(l2, r2);
+        assert!(matches!(p.term(e).op, Op::Eq(..)));
+        // So does a monomial past the degree cap: x^32 by squaring against
+        // x^32 by repeated multiplication.
+        let x = xs[0];
+        let squared = (0..5).fold(x, |a, _| p.bv_mul(a, a));
+        let chained = (1..32).fold(x, |b, _| p.bv_mul(b, x));
+        assert_ne!(squared, chained);
+        let e = p.eq(squared, chained);
+        assert!(matches!(p.term(e).op, Op::Eq(..)));
+        assert_eq!(p.ring_folds(), 0);
     }
 
     #[test]

@@ -189,18 +189,57 @@ proptest! {
     }
 }
 
-/// Exhaustive check of every binop at width 3: 8×8 inputs × 13 ops.
+/// The remainder rewrites the ring normal form relies on,
+/// `a rem b = a − (a div b)·b`, as circuits checked against `bvurem` and
+/// `bvsrem`.
+fn rem_rewrites() -> Vec<BinOp> {
+    vec![
+        (
+            "urem-as-udiv",
+            |p, x, y| {
+                let q = p.bv_udiv(x, y);
+                let m = p.bv_mul(q, y);
+                p.bv_sub(x, m)
+            },
+            BvVal::urem,
+        ),
+        (
+            "srem-as-sdiv",
+            |p, x, y| {
+                let q = p.bv_sdiv(x, y);
+                let m = p.bv_mul(q, y);
+                p.bv_sub(x, m)
+            },
+            BvVal::srem,
+        ),
+    ]
+}
+
+/// Exhaustive check at width 3 of every binop and of the remainder
+/// rewrites: 8×8 inputs × 15 ops. Each rewrite must also fold against the
+/// remainder it replaces.
 #[test]
 fn exhaustive_width3() {
     for a in 0..8u128 {
         for b in 0..8u128 {
-            for op in binops() {
-                check_binop(&op, 3, a, b);
+            for op in binops().iter().chain(&rem_rewrites()) {
+                check_binop(op, 3, a, b);
             }
             for op in cmpops() {
                 check_cmpop(&op, 3, a, b);
             }
         }
+    }
+    let mut p = TermPool::new();
+    let x = p.var("x", Sort::BitVec(3));
+    let y = p.var("y", Sort::BitVec(3));
+    let rems: [fn(&mut TermPool, TermId, TermId) -> TermId; 2] =
+        [TermPool::bv_urem, TermPool::bv_srem];
+    for ((name, rewritten, _), rem) in rem_rewrites().into_iter().zip(rems) {
+        let r = rem(&mut p, x, y);
+        let rw = rewritten(&mut p, x, y);
+        let eq = p.eq(r, rw);
+        assert_eq!(p.as_bool_const(eq), Some(true), "{name}");
     }
 }
 

@@ -342,70 +342,76 @@ fn check_one_typing(
     stats.phases.encode += encode_start.elapsed();
 
     let want_proof = certificates.is_some();
-    for (kind, matrix, evars) in checks {
-        stats.queries += 1;
-        // Panic isolation (inner boundary): a panic inside the solver stack
-        // is reported against the condition being discharged.
-        let solve_start = Instant::now();
-        let solved = catch_unwind(AssertUnwindSafe(|| {
-            solve_exists_forall(
-                &mut pool, &evars, &univ_vars, matrix, &config.ef, want_proof,
-            )
-        }));
-        stats.phases.solve += solve_start.elapsed();
-        let outcome = match solved {
-            Ok(o) => o,
-            Err(payload) => {
-                return Ok(TypingOutcome::Stop(Verdict::Unknown {
-                    reason: format!(
-                        "internal error: panic during {kind} check: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                }));
-            }
-        };
-        stats.absorb_ef(&outcome.stats);
-        match outcome.result {
-            EfResult::Unsat => {
-                if let (Some(certs), Some(transcript)) =
-                    (certificates.as_deref_mut(), outcome.transcript)
-                {
-                    certs.push(certificate_from_transcript(
-                        transform_name,
-                        &typing.summary(),
-                        kind,
-                        transcript,
-                    ));
-                }
-            }
-            EfResult::Sat(model) => {
-                // Dual-check: a counterexample is only reported after the
-                // reference evaluator concretely reproduces the failure,
-                // so a SAT-solver or bit-blaster bug cannot manufacture
-                // a bogus Invalid verdict.
-                let check_start = Instant::now();
-                let _span = tracer.span("check-model");
-                if !revalidate_model(&pool, matrix, &model, &univ_vars) {
-                    stats.phases.check += check_start.elapsed();
+    let outcome = (|| {
+        for (kind, matrix, evars) in checks {
+            stats.queries += 1;
+            // Panic isolation (inner boundary): a panic inside the solver stack
+            // is reported against the condition being discharged.
+            let solve_start = Instant::now();
+            let solved = catch_unwind(AssertUnwindSafe(|| {
+                solve_exists_forall(
+                    &mut pool, &evars, &univ_vars, matrix, &config.ef, want_proof,
+                )
+            }));
+            stats.phases.solve += solve_start.elapsed();
+            let outcome = match solved {
+                Ok(o) => o,
+                Err(payload) => {
                     return Ok(TypingOutcome::Stop(Verdict::Unknown {
                         reason: format!(
-                            "{kind} counterexample failed concrete re-validation \
-                             (possible solver defect)"
+                            "internal error: panic during {kind} check: {}",
+                            panic_message(payload.as_ref())
                         ),
                     }));
                 }
-                let cex = build_counterexample(&pool, t, &enc, &model, kind, typing.summary());
-                stats.phases.check += check_start.elapsed();
-                return Ok(TypingOutcome::Stop(Verdict::Invalid(Box::new(cex))));
-            }
-            EfResult::Unknown(reason) => {
-                return Ok(TypingOutcome::Stop(Verdict::Unknown {
-                    reason: format!("{kind} check: {reason}"),
-                }));
+            };
+            stats.absorb_ef(&outcome.stats);
+            match outcome.result {
+                EfResult::Unsat => {
+                    if let (Some(certs), Some(transcript)) =
+                        (certificates.as_deref_mut(), outcome.transcript)
+                    {
+                        certs.push(certificate_from_transcript(
+                            transform_name,
+                            &typing.summary(),
+                            kind,
+                            transcript,
+                        ));
+                    }
+                }
+                EfResult::Sat(model) => {
+                    // Dual-check: a counterexample is only reported after the
+                    // reference evaluator concretely reproduces the failure,
+                    // so a SAT-solver or bit-blaster bug cannot manufacture
+                    // a bogus Invalid verdict.
+                    let check_start = Instant::now();
+                    let _span = tracer.span("check-model");
+                    if !revalidate_model(&pool, matrix, &model, &univ_vars) {
+                        stats.phases.check += check_start.elapsed();
+                        return Ok(TypingOutcome::Stop(Verdict::Unknown {
+                            reason: format!(
+                                "{kind} counterexample failed concrete re-validation \
+                             (possible solver defect)"
+                            ),
+                        }));
+                    }
+                    let cex = build_counterexample(&pool, t, &enc, &model, kind, typing.summary());
+                    stats.phases.check += check_start.elapsed();
+                    return Ok(TypingOutcome::Stop(Verdict::Invalid(Box::new(cex))));
+                }
+                EfResult::Unknown(reason) => {
+                    return Ok(TypingOutcome::Stop(Verdict::Unknown {
+                        reason: format!("{kind} check: {reason}"),
+                    }));
+                }
             }
         }
-    }
-    Ok(TypingOutcome::Passed)
+        Ok(TypingOutcome::Passed)
+    })();
+    // Equalities the ring normal form decided while encoding or solving:
+    // what explains a condition refuted without SAT search.
+    tracer.counter("smt.ring_folds", pool.ring_folds());
+    outcome
 }
 
 /// Converts an SMT-layer DRAT transcript into a metadata-carrying

@@ -19,6 +19,7 @@ use alive_verifier::{verify_single, DriverConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -105,27 +106,25 @@ impl Drop for Daemon {
 }
 
 /// Runs `entries` through a fleet of 3 retrying clients while the main
-/// thread SIGKILLs and restarts the daemon every `kill_every`, up to
-/// `kills` times (bounded: kills that outpace the slowest verification
-/// would livelock — the store snapshots progress, but only between
-/// kills), then cross-checks every collected verdict in-process. Panics
-/// on any wrong verdict; a hang fails via the clients' bounded retries.
-fn run_chaos(
-    name: &str,
-    entries: Vec<SuiteEntry>,
-    fault: Option<&str>,
-    kill_every: Duration,
-    kills: usize,
-) {
+/// thread SIGKILLs and restarts the daemon `kills` times, spread evenly
+/// over the fleet's progress: a kill lands each time another
+/// `1/(kills + 1)` of the verdicts is in, so the chaos lands mid-fleet
+/// however fast verification is, and kills never outpace it (which would
+/// livelock — the store snapshots progress, but only between kills).
+/// Then cross-checks every collected verdict in-process. Panics on any
+/// wrong verdict; a hang fails via the clients' bounded retries.
+fn run_chaos(name: &str, entries: Vec<SuiteEntry>, fault: Option<&str>, kills: usize) {
     let dir = temp_dir(name);
     let sock = dir.join("serve.sock");
     let store = dir.join("store.jsonl");
     let mut daemon = Daemon::spawn(&sock, &store, fault);
 
+    let done = AtomicUsize::new(0);
     let verdicts: Vec<(String, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
             .map(|member| {
                 let entries = &entries;
+                let done = &done;
                 let sock = sock.clone();
                 scope.spawn(move || {
                     let mut client = Client::new(ClientConfig {
@@ -143,6 +142,7 @@ fn run_chaos(
                             .unwrap_or_else(|err| panic!("client {member} on {}: {err}", e.name));
                         assert_eq!(v.name, e.name, "daemon echoed the wrong transform");
                         out.push((e.name.clone(), v.verdict));
+                        done.fetch_add(1, Ordering::Relaxed);
                     }
                     out
                 })
@@ -151,14 +151,13 @@ fn run_chaos(
 
         // Chaos, from the main thread: kill -9 and restart while the
         // fleet works through its share.
-        let mut next_kill = Instant::now() + kill_every;
         let mut killed = 0usize;
         while handles.iter().any(|h| !h.is_finished()) {
-            std::thread::sleep(Duration::from_millis(10));
-            if killed < kills && Instant::now() >= next_kill {
+            std::thread::sleep(Duration::from_millis(1));
+            let due = (killed + 1) * entries.len() / (kills + 1);
+            if killed < kills && done.load(Ordering::Relaxed) >= due {
                 daemon.respawn();
                 killed += 1;
-                next_kill = Instant::now() + kill_every;
             }
         }
         assert_eq!(
@@ -215,7 +214,7 @@ fn client_fleet_survives_daemon_kills_on_a_corpus_slice() {
         .cloned()
         .collect();
     entries.extend(all.iter().filter(|e| e.expected_bug).take(2).cloned());
-    run_chaos("smoke", entries, None, Duration::from_millis(150), 2);
+    run_chaos("smoke", entries, None, 2);
 }
 
 /// The full 224-entry corpus with serve/store faults injected into every
@@ -232,7 +231,7 @@ fn full_corpus_with_faults_and_kills_yields_zero_wrong_verdicts() {
     } else {
         None
     };
-    run_chaos("full", full_corpus(), fault, Duration::from_secs(2), 5);
+    run_chaos("full", full_corpus(), fault, 5);
 }
 
 /// Scrub round-trip against the real binaries: a daemon fills a store, a

@@ -7,7 +7,9 @@
 //! around by limiting operand bitwidths. This binary measures verification
 //! time for representative optimizations per category at growing widths;
 //! the expected shape is that mul/div verification cost grows much faster
-//! with width than bitwise/add/shift verification.
+//! with width than bitwise/add/shift verification. The ring row is the
+//! exception: a mul identity the word-level ring normal form decides
+//! before bit-blasting, so its cost stays flat at every width.
 //!
 //! Run with: `cargo run --release -p bench --bin verify_times [max_width]`
 
@@ -34,6 +36,7 @@ fn main() {
         ("mul (PR21242-fixed)", "PR21242-fixed"),
         ("div (MulDivRem:SDivSelf)", "MulDivRem:SDivSelf"),
         ("div-chain (PR21245-fixed)", "PR21245-fixed"),
+        ("ring (MulConstChain)", "MulDivRem:MulConstChain"),
     ];
 
     print!("{:34}", "optimization \\ width");

@@ -1,7 +1,10 @@
 //! Checks of specific claims and worked examples from the paper text,
 //! beyond the numbered tables and figures.
 
-use alive::{parse_transform, verify, Verdict, VerifyConfig};
+use alive::smt::{Budget, EfConfig};
+use alive::{
+    parse_transform, verify, verify_with_certificates, TypeckConfig, Verdict, VerifyConfig,
+};
 
 /// §1: the introductory InstCombine example, both abstract (constant C)
 /// and with the concrete constant 3333 the paper shows in LLVM IR.
@@ -146,4 +149,36 @@ fn table1_definedness_end_to_end() {
     assert!(verify(&t, &VerifyConfig::fast()).unwrap().is_valid());
     let t = parse_transform("%r = srem %X, -C\n=>\n%r = srem %X, C").unwrap();
     assert!(verify(&t, &VerifyConfig::fast()).unwrap().is_invalid());
+}
+
+/// §6.1: the paper limits widths because mul/div queries "can take several
+/// hours or longer" at larger widths. Ring identities need no such limit:
+/// the word-level ring normal form decides them before bit-blasting, so
+/// they verify with no SAT search at i16, i32 and i64 under a 50-conflict
+/// budget with no retries.
+#[test]
+fn section61_ring_identities_verify_at_every_width_without_search() {
+    for name in [
+        "MulDivRem:MulConstChain",
+        "MulDivRem:MulThenShl",
+        "MulDivRem:UdivMulSubToUrem",
+        "MulDivRem:SdivMulSubToSrem",
+    ] {
+        let entry = alive::suite::by_name(name).expect("corpus entry");
+        for w in [16, 32, 64] {
+            let config = VerifyConfig {
+                typeck: TypeckConfig {
+                    widths: vec![w],
+                    ..TypeckConfig::default()
+                },
+                ef: EfConfig {
+                    budget: Budget::default().with_conflicts(50),
+                    ..EfConfig::default()
+                },
+            };
+            let (verdict, stats, _) = verify_with_certificates(&entry.transform, &config).unwrap();
+            assert!(verdict.is_valid(), "{name} at i{w}: {verdict}");
+            assert_eq!(stats.conflicts, 0, "{name} at i{w}");
+        }
+    }
 }
