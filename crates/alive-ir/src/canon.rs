@@ -28,7 +28,12 @@
 //!
 //! Renaming and operand sorting feed each other (sorting changes the
 //! order of first appearance, renaming changes the sort keys), so the two
-//! are iterated to a fixed point (bounded; in practice 2–3 rounds).
+//! are iterated to a fixed point (bounded; in practice 2–3 rounds), and
+//! the canonical form is the minimal text over the operand orders of the
+//! commutative sites. Only *live* sites — those whose swap can renumber a
+//! register or an abstract constant — are enumerated; every other site
+//! is sorted once, with the same result as enumerating it (the argument
+//! is on [`canonicalize`]).
 //!
 //! [`canonical_hash`] is the FNV-1a 64 hash of the canonical printed
 //! text. It identifies the *optimization*, not the source bytes, and is
@@ -37,6 +42,7 @@
 //! the [`canonical_text`] itself on lookup — the hash only buckets.
 
 use crate::ast::*;
+use std::collections::HashSet;
 
 /// FNV-1a 64-bit hash of arbitrary bytes (the same non-cryptographic hash
 /// the verification journal uses: it guards against accidents, not
@@ -50,16 +56,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Commutative sites enumerated above this count fall back to the greedy
-/// single-candidate canonicalization (2^8 = 256 candidates is the most
-/// the orbit search will print-and-compare; real corpus transforms have
-/// a handful of commutative instructions at most).
+/// Transforms with more commutative sites than this fall back to the
+/// greedy single-candidate canonicalization. The count is over *all*
+/// sites, live or inert, so the cut-off — and the canonical text of a
+/// transform beyond it — does not depend on which sites the orbit search
+/// enumerates. At most 2^8 = 256 candidates are print-and-compared; real
+/// corpus transforms have a handful of commutative instructions at most,
+/// and fewer live ones.
 const MAX_ORBIT_BITS: usize = 8;
 
 /// Returns the canonical form of a transform: alpha-renamed, with
 /// commutative operands in a fixed order and the precondition in normal
-/// form. The result is semantically equivalent to the input and is a
-/// fixed point of [`canonicalize`] itself.
+/// form. The result is semantically equivalent to the input. It is
+/// usually a fixed point of [`canonicalize`] itself, but not always:
+/// commutative operators *inside* constant expressions (`C1 * C2`) are
+/// ordered by printed form, not enumerated, so when such an expression
+/// pairs two abstract constants the renumbering of a second pass can
+/// reorder it.
 ///
 /// Operand order and value naming feed each other: registers are
 /// numbered by first appearance, and first appearance depends on which
@@ -68,24 +81,46 @@ const MAX_ORBIT_BITS: usize = 8;
 /// `add %y, %x` can land on *different* fixed points when `%x` and `%y`
 /// play asymmetric roles elsewhere. The canonical form is instead the
 /// lexicographically **minimal printed text over the commutation orbit**:
-/// every choice of operand order at every commutative site is tried (up
-/// to [`MAX_ORBIT_BITS`] sites), each candidate is alpha-renamed and
-/// structurally normalized, and the smallest text wins. The orbit of a
-/// transform and of any commuted variant are the same candidate set, so
-/// the minimum — and hence the hash — agrees.
+/// each choice of operand order over the commutative sites (up to
+/// [`MAX_ORBIT_BITS`] sites) is alpha-renamed and structurally
+/// normalized, and the smallest text wins. The orbit of a transform and
+/// of any commuted variant are the same candidate set, so the minimum —
+/// and hence the hash — agrees.
+///
+/// Only the **live** sites are enumerated; inert sites keep their input
+/// orientation. Walking the statements in `alpha_rename`'s scan order
+/// (source, then target; operands before the defined name), a site is
+/// live iff both of its operands mention a register not yet seen, or
+/// both mention an abstract constant not yet seen (registers inside
+/// constant expressions such as `width(%x)` count). Enumerating only
+/// those gives the same text as enumerating every site:
+///
+/// - Registers and constants are numbered by separate counters, so
+///   swapping an inert site leaves the first `alpha_rename` unchanged;
+///   the two candidates then differ only in that site's orientation.
+/// - `canon_inst` orders every site by `operand_key`, so the two are
+///   equal after the first `normalize_structure` (operands whose keys
+///   tie print identically, so the text agrees either way).
+/// - `alpha_rename` is idempotent, so if one candidate reaches its fixed
+///   point one round before the other, both still return the same
+///   transform.
+///
+/// Each candidate's text is thus shared by its whole class of inert
+/// orientations, and the minimum over the live masks is the minimum over
+/// the full orbit.
 pub fn canonicalize(t: &Transform) -> Transform {
     let mut base = t.clone();
     base.name = None;
-    let sites = commutative_sites(&base);
-    if sites.len() > MAX_ORBIT_BITS {
+    let (count, live) = commutative_sites(&base);
+    if count > MAX_ORBIT_BITS {
         // Too many sites to enumerate: the greedy form is still
         // deterministic and semantics-preserving, it just may miss some
         // commuted duplicates (a cache miss, never a wrong hit).
         return greedy_canon(&base);
     }
     let mut best: Option<(String, Transform)> = None;
-    for mask in 0..(1u32 << sites.len()) {
-        let candidate = apply_commutation_mask(&base, &sites, mask);
+    for mask in 0..(1u32 << live.len()) {
+        let candidate = apply_commutation_mask(&base, &live, mask);
         let canon = greedy_canon(&candidate);
         let text = canon.to_string();
         if best.as_ref().is_none_or(|(min, _)| text < *min) {
@@ -111,24 +146,63 @@ fn greedy_canon(t: &Transform) -> Transform {
     cur
 }
 
-/// Statement positions (false = source, true = target; then statement
-/// index) whose instruction has a commutation choice: commutative binops
-/// and `icmp eq`/`ne`.
-fn commutative_sites(t: &Transform) -> Vec<(bool, usize)> {
-    let mut out = Vec::new();
+/// Counts the commutative sites (commutative binops and `icmp eq`/`ne`
+/// with two distinct operands) and lists the positions of the **live**
+/// ones (false = source, true = target; then statement index).
+///
+/// A site is live when swapping its operands can change the numbering
+/// [`alpha_rename`] assigns: scanning in its order (source, then target;
+/// operands before the defined name), both operands mention a register
+/// not yet seen, or both mention an abstract constant not yet seen.
+/// Registers and constants are numbered by separate counters, so when at
+/// most one operand brings new names of each kind, either order numbers
+/// them identically. The names seen before a statement are the same in
+/// every orbit candidate (only their order differs), so liveness does not
+/// depend on how the other sites are oriented.
+fn commutative_sites(t: &Transform) -> (usize, Vec<(bool, usize)>) {
+    let mut count = 0;
+    let mut live = Vec::new();
+    let mut seen = HashSet::new();
+    // Does the operand mention a register, and an abstract constant, not
+    // in `seen`?
+    let unseen = |seen: &HashSet<Name>, op| {
+        let (mut reg, mut sym) = (false, false);
+        operand_names(op, &mut |n| match n {
+            Name::Reg(_) => reg |= !seen.contains(&n),
+            Name::Sym(_) => sym |= !seen.contains(&n),
+        });
+        (reg, sym)
+    };
     for (in_target, stmts) in [(false, &t.source), (true, &t.target)] {
         for (i, s) in stmts.iter().enumerate() {
-            let free = match &s.inst {
-                Inst::BinOp { op, a, b, .. } => binop_commutes(*op) && a != b,
-                Inst::ICmp { pred, a, b } => matches!(pred, ICmpPred::Eq | ICmpPred::Ne) && a != b,
-                _ => false,
+            let pair = match &s.inst {
+                Inst::BinOp { op, a, b, .. } if binop_commutes(*op) => Some((a, b)),
+                Inst::ICmp {
+                    pred: ICmpPred::Eq | ICmpPred::Ne,
+                    a,
+                    b,
+                } => Some((a, b)),
+                _ => None,
             };
-            if free {
-                out.push((in_target, i));
+            if let Some((a, b)) = pair.filter(|(a, b)| a != b) {
+                count += 1;
+                let (reg_a, sym_a) = unseen(&seen, a);
+                let (reg_b, sym_b) = unseen(&seen, b);
+                if (reg_a && reg_b) || (sym_a && sym_b) {
+                    live.push((in_target, i));
+                }
+            }
+            for op in s.inst.operands() {
+                operand_names(op, &mut |n| {
+                    seen.insert(n);
+                });
+            }
+            if let Some(n) = &s.name {
+                seen.insert(Name::Reg(n));
             }
         }
     }
-    out
+    (count, live)
 }
 
 /// Applies one orbit candidate: swaps the operands of site `k` whenever
@@ -168,6 +242,43 @@ pub fn canonical_hash(t: &Transform) -> u64 {
 // ---------------------------------------------------------------------------
 // Alpha-renaming
 // ---------------------------------------------------------------------------
+
+/// A register or abstract-constant name mentioned by an operand.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Name<'a> {
+    Reg(&'a str),
+    Sym(&'a str),
+}
+
+/// Visits the names a constant expression mentions, left to right.
+fn cexpr_names<'a>(e: &'a CExpr, f: &mut dyn FnMut(Name<'a>)) {
+    match e {
+        CExpr::Lit(_) => {}
+        CExpr::Sym(s) => f(Name::Sym(s)),
+        CExpr::Unop(_, a) => cexpr_names(a, f),
+        CExpr::Binop(_, a, b) => {
+            cexpr_names(a, f);
+            cexpr_names(b, f);
+        }
+        CExpr::Fun(_, args) => {
+            for a in args {
+                match a {
+                    CExprArg::Expr(e) => cexpr_names(e, f),
+                    CExprArg::Reg(r) => f(Name::Reg(r)),
+                }
+            }
+        }
+    }
+}
+
+/// Visits the names an operand mentions, left to right.
+fn operand_names<'a>(op: &'a Operand, f: &mut dyn FnMut(Name<'a>)) {
+    match op {
+        Operand::Reg(n, _) => f(Name::Reg(n)),
+        Operand::Const(e, _) => cexpr_names(e, f),
+        Operand::Undef(_) => {}
+    }
+}
 
 /// An injective rename of registers and abstract constants, built in
 /// order of first appearance.
@@ -209,32 +320,19 @@ impl Renamer {
             .unwrap_or_else(|| name.to_string())
     }
 
-    fn see_cexpr(&mut self, e: &CExpr) {
-        match e {
-            CExpr::Lit(_) => {}
-            CExpr::Sym(s) => self.see_sym(s),
-            CExpr::Unop(_, a) => self.see_cexpr(a),
-            CExpr::Binop(_, a, b) => {
-                self.see_cexpr(a);
-                self.see_cexpr(b);
-            }
-            CExpr::Fun(_, args) => {
-                for a in args {
-                    match a {
-                        CExprArg::Expr(e) => self.see_cexpr(e),
-                        CExprArg::Reg(r) => self.see_reg(r),
-                    }
-                }
-            }
+    fn see(&mut self, name: Name<'_>) {
+        match name {
+            Name::Reg(r) => self.see_reg(r),
+            Name::Sym(s) => self.see_sym(s),
         }
     }
 
+    fn see_cexpr(&mut self, e: &CExpr) {
+        cexpr_names(e, &mut |n| self.see(n));
+    }
+
     fn see_operand(&mut self, op: &Operand) {
-        match op {
-            Operand::Reg(n, _) => self.see_reg(n),
-            Operand::Const(e, _) => self.see_cexpr(e),
-            Operand::Undef(_) => {}
-        }
+        operand_names(op, &mut |n| self.see(n));
     }
 
     fn see_pred(&mut self, p: &Pred) {
@@ -715,6 +813,38 @@ mod tests {
             );
             assert_eq!(canonical_hash(&t), canonical_hash(&reparsed));
         }
+    }
+
+    fn sites(src: &str) -> (usize, Vec<(bool, usize)>) {
+        commutative_sites(&parse_transform(src).unwrap())
+    }
+
+    #[test]
+    fn two_fresh_registers_make_a_site_live() {
+        assert_eq!(sites("%r = add %x, %y\n=>\n%r = %x"), (1, vec![(false, 0)]));
+    }
+
+    #[test]
+    fn a_fresh_register_against_a_constant_is_inert() {
+        assert_eq!(sites("%r = add %x, C\n=>\n%r = %x"), (1, vec![]));
+    }
+
+    #[test]
+    fn registers_inside_constant_expressions_count() {
+        assert_eq!(
+            sites("%r = add %y, width(%x)\n=>\n%r = %y"),
+            (1, vec![(false, 0)])
+        );
+    }
+
+    #[test]
+    fn sites_over_seen_names_are_inert() {
+        // The second source site and the target site only reuse names
+        // the scan has already numbered; two fresh constants are live.
+        assert_eq!(
+            sites("%a = and %x, %y\n%r = or %a, %x\n=>\n%r = xor C1, C2"),
+            (3, vec![(false, 0), (true, 0)])
+        );
     }
 
     #[test]

@@ -90,6 +90,144 @@ fn transform_strategy() -> impl Strategy<Value = Transform> {
     })
 }
 
+/// One operand draw: `(kind, pick)`; see [`draw_operand`].
+type OperandDraw = (u8, u8);
+/// One statement draw: `(opcode, a, b)`; see [`draw_stmt`].
+type StmtDraw = (u8, OperandDraw, OperandDraw);
+
+/// Builds an operand. Kinds: 0–2 a fresh input register (in the target,
+/// an existing one), 3 an existing register, 4 the abstract constant
+/// `C<pick>`, 5 a product of two different constants, 6 a literal, 7
+/// `width(%r)` of a fresh input register (in the target, an existing one).
+/// Fresh registers are weighted up so that sites with two fresh operands,
+/// the ones the orbit search must enumerate, are common.
+fn draw_operand(regs: &mut Vec<String>, (kind, pick): OperandDraw, in_target: bool) -> Operand {
+    let sym = |k: u8| CExpr::Sym(format!("C{}", k % 4 + 1));
+    let mut reg = |fresh: bool| {
+        if fresh || regs.is_empty() {
+            regs.push(format!("x{}", regs.len()));
+            regs.last().unwrap().clone()
+        } else {
+            regs[usize::from(pick) % regs.len()].clone()
+        }
+    };
+    match kind {
+        0..=2 => Operand::Reg(reg(!in_target), None),
+        3 => Operand::Reg(reg(false), None),
+        4 => Operand::Const(sym(pick), None),
+        5 => Operand::Const(
+            CExpr::Binop(CBinop::Mul, Box::new(sym(pick)), Box::new(sym(pick + 1))),
+            None,
+        ),
+        6 => Operand::Const(CExpr::Lit(i128::from(pick) - 2), None),
+        _ => Operand::Const(
+            CExpr::Fun("width".to_string(), vec![CExprArg::Reg(reg(!in_target))]),
+            None,
+        ),
+    }
+}
+
+/// Builds a statement: opcodes 0–4 are commutative binops, 5 is `sub`,
+/// 6 and 7 are `icmp eq` and `icmp ne`.
+fn draw_stmt(regs: &mut Vec<String>, (op, a, b): StmtDraw, in_target: bool) -> Inst {
+    let a = draw_operand(regs, a, in_target);
+    let b = draw_operand(regs, b, in_target);
+    match op {
+        0..=5 => Inst::BinOp {
+            op: [
+                BinOp::Add,
+                BinOp::Mul,
+                BinOp::And,
+                BinOp::Or,
+                BinOp::Xor,
+                BinOp::Sub,
+            ][usize::from(op)],
+            flags: vec![],
+            a,
+            b,
+        },
+        6 => Inst::ICmp {
+            pred: ICmpPred::Eq,
+            a,
+            b,
+        },
+        _ => Inst::ICmp {
+            pred: ICmpPred::Ne,
+            a,
+            b,
+        },
+    }
+}
+
+/// A transform whose commutative sites are often *live* (their swap
+/// renumbers a register or a constant): statements whose two operands
+/// are both fresh inputs, constant operands carrying two different
+/// symbols, `width(%x)` of a fresh input, `icmp eq`/`ne` sites, and
+/// target-side sites over constants the source never mentions.
+fn live_site_strategy() -> impl Strategy<Value = Transform> {
+    let operand = (0u8..8, 0u8..8);
+    let stmt = (0u8..8, operand.clone(), operand);
+    (
+        proptest::collection::vec(stmt.clone(), 1..6),
+        proptest::collection::vec(stmt, 1..4),
+    )
+        .prop_map(|(src, tgt)| {
+            let mut regs = Vec::new();
+            let mut source = Vec::new();
+            for (i, d) in src.into_iter().enumerate() {
+                let inst = draw_stmt(&mut regs, d, false);
+                regs.push(format!("t{i}"));
+                source.push(Stmt {
+                    name: regs.last().cloned(),
+                    inst,
+                });
+            }
+            let root = regs.last().cloned();
+            let n = tgt.len();
+            let mut target = Vec::new();
+            for (i, d) in tgt.into_iter().enumerate() {
+                let inst = draw_stmt(&mut regs, d, true);
+                let name = if i + 1 == n {
+                    root.clone()
+                } else {
+                    Some(format!("u{i}"))
+                };
+                regs.push(name.clone().unwrap());
+                target.push(Stmt { name, inst });
+            }
+            Transform {
+                name: None,
+                pre: Pred::True,
+                source,
+                target,
+            }
+        })
+}
+
+/// Swaps the operands of the commutative sites (commutative binops and
+/// `icmp eq`/`ne`, counted over source then target) whose bit is set in
+/// `mask`.
+fn commute_subset(t: &Transform, mask: u64) -> Transform {
+    let mut out = t.clone();
+    let mut k = 0;
+    for s in out.source.iter_mut().chain(out.target.iter_mut()) {
+        let (a, b) = match &mut s.inst {
+            Inst::BinOp { op, a, b, .. } if is_commutative(*op) => (a, b),
+            Inst::ICmp {
+                pred: ICmpPred::Eq | ICmpPred::Ne,
+                a,
+                b,
+            } => (a, b),
+            _ => continue,
+        };
+        if mask >> (k % 64) & 1 == 1 {
+            std::mem::swap(a, b);
+        }
+        k += 1;
+    }
+    out
+}
+
 /// Renames every register `r` to `q_<r>` and every `C` symbol to `K9`,
 /// producing an alpha-variant with entirely different names.
 fn alpha_variant(t: &Transform) -> Transform {
@@ -203,6 +341,22 @@ proptest! {
             canonical_text(&t),
             canonical_text(&v),
         );
+    }
+
+    #[test]
+    fn partially_commuted_variants_keep_their_text(
+        t in live_site_strategy(),
+        mask in any::<u64>(),
+    ) {
+        let v = commute_subset(&t, mask);
+        prop_assert_eq!(
+            canonical_text(&t),
+            canonical_text(&v),
+            "commuting a subset of sites changed the text of\n{}\nvs\n{}",
+            t,
+            v,
+        );
+        prop_assert_eq!(canonical_hash(&t), canonical_hash(&v));
     }
 
     #[test]

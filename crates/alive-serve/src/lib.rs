@@ -516,8 +516,12 @@ impl Server {
     ) -> Result<Answer, Busy> {
         let start = Instant::now();
         let inner = &self.inner;
-        let canon = canonical_text(t);
-        let hash = format!("{:016x}", fnv1a64(canon.as_bytes()));
+        let (canon, hash) = {
+            let _canon_span = inner.tracer.span(metric::CANON);
+            let canon = canonical_text(t);
+            let hash = format!("{:016x}", fnv1a64(canon.as_bytes()));
+            (canon, hash)
+        };
         let canon_us = start.elapsed().as_micros() as u64;
         inner.tracer.sample(metric::CANON_US, canon_us);
         inner

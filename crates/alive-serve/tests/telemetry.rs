@@ -201,6 +201,10 @@ fn request_id_threads_through_the_trace() {
         stats.phases.contains_key("serve.lookup"),
         "phases: {phases:?}"
     );
+    assert!(
+        stats.phases.contains_key("serve.canon"),
+        "phases: {phases:?}"
+    );
     // The verification ran on the connection thread, nested under the
     // request span — solver-level spans belong to this request.
     assert!(

@@ -71,6 +71,10 @@ pub const REQUEST: &str = "serve.request";
 /// probe + full-text compare).
 pub const LOOKUP: &str = "serve.lookup";
 
+/// Span: canonicalizing one request's transform and hashing the
+/// canonical text (the cache key every lookup needs).
+pub const CANON: &str = "serve.canon";
+
 /// Span: the wait a coalesced request spends joined to another
 /// client's in-flight verification.
 pub const COALESCE: &str = "serve.coalesce";
@@ -110,6 +114,7 @@ mod tests {
             super::IDLE_CLOSE,
             super::REQUEST,
             super::LOOKUP,
+            super::CANON,
             super::COALESCE,
             super::JOIN_US,
             super::QUEUE_WAIT_US,

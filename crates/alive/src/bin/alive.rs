@@ -132,6 +132,7 @@ use alive_verifier::{
     RunReport, StoreOpen, TaskSpec, TransformOutcome,
 };
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::ops::RangeBounds;
 use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
@@ -752,8 +753,21 @@ fn run_hash(c: &mut Cursor) -> Result<ExitCode, String> {
         return Err("no input files".into());
     }
     let (transforms, failures) = read_transforms(&files, &Tracer::disabled());
-    for (name, t) in &transforms {
-        println!("{:016x}  {name}", canonical_hash(t));
+    let mut out = std::io::stdout().lock();
+    let written = transforms
+        .iter()
+        .try_for_each(|(name, t)| writeln!(out, "{:016x}  {name}", canonical_hash(t)))
+        .and_then(|()| out.flush());
+    match written {
+        // A reader that stops early (`alive hash ... | head`) is done, not
+        // failed. SIGPIPE stays ignored process-wide so that `alive serve`
+        // survives a client that disconnects.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("error: writing hashes: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+        Ok(()) => {}
     }
     Ok(if failures > 0 {
         ExitCode::FAILURE

@@ -736,6 +736,25 @@ fn hash_collapses_alpha_and_commuted_variants() {
     assert_eq!(code, 1, "{stderr}");
 }
 
+#[test]
+fn hash_ends_quietly_when_the_reader_closes_the_pipe() {
+    let dir = temp_dir("hash-pipe");
+    let f = dir.join("easy.opt");
+    std::fs::write(&f, EASY).unwrap();
+    // The read end is closed before the child starts, so its first write
+    // hits a broken pipe.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = alive_bin()
+        .args(["hash", f.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("spawn alive");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(stderr.is_empty(), "stderr:\n{stderr}");
+}
+
 /// Starts `alive serve --stdio`, feeds it `requests`, returns stdout.
 fn serve_stdio(store: &std::path::Path, requests: &str) -> String {
     use std::io::Write as _;

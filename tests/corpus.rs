@@ -4,6 +4,7 @@
 //! sweep (every entry at the fast profile, ~4 minutes) runs with
 //! `cargo test -p integration --test corpus -- --ignored`.
 
+use alive::fuzz::GenConfig;
 use alive::verifier::{verify_single, DriverConfig, OutcomeKind};
 use alive::{generate_cpp, VerifyConfig};
 use std::collections::BTreeMap;
@@ -169,4 +170,91 @@ fn suite_names_resolve() {
     for e in alive::suite::full_corpus() {
         assert!(alive::suite::by_name(&e.name).is_some(), "{}", e.name);
     }
+}
+
+/// FNV-1a over the NUL-separated canonical texts of the first `n`
+/// transforms of one generator stream.
+fn canonical_digest(stream: u64, n: u64, cfg: &GenConfig) -> u64 {
+    let mut bytes = Vec::new();
+    for i in 0..n {
+        let t = alive::fuzz::gen_case(stream, i, cfg);
+        bytes.extend_from_slice(alive::ir::canonical_text(&t).as_bytes());
+        bytes.push(0);
+    }
+    alive::ir::canon::fnv1a64(&bytes)
+}
+
+/// The canonical-text pin: store keys, verdict-store records and every
+/// cached hash are derived from `canonical_text`, so a change to it
+/// silently turns every stored verdict into a miss. The corpus hashes
+/// must match `tests/golden/canonical_hashes.txt` (the output of
+/// `alive hash crates/alive-suite/opts/*.opt`), and three fixed generated
+/// sets must reproduce their recorded digests.
+#[test]
+fn canonical_hashes_match_golden() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/canonical_hashes.txt"
+    );
+    let golden = std::fs::read_to_string(path).expect("read golden file");
+    let expected: BTreeMap<&str, &str> = golden
+        .lines()
+        .map(|l| {
+            let (hash, name) = l
+                .split_once("  ")
+                .unwrap_or_else(|| panic!("malformed golden row: {l:?}"));
+            (name, hash)
+        })
+        .collect();
+    let all = alive::suite::full_corpus();
+    assert_eq!(all.len(), expected.len(), "corpus size vs golden rows");
+    for e in &all {
+        let actual = format!("{:016x}", alive::ir::canonical_hash(&e.transform));
+        assert_eq!(
+            Some(&actual.as_str()),
+            expected.get(e.name.as_str()),
+            "{}: canonical hash drifted",
+            e.name
+        );
+    }
+
+    let sets = [
+        (
+            "serve",
+            0x5345_5256,
+            GenConfig::default(),
+            0x76da_5ee4_7595_ac6a,
+        ),
+        (
+            "gen-undef",
+            0x4745_4e55,
+            GenConfig {
+                undef_prob: 0.3,
+                ..GenConfig::default()
+            },
+            0x6880_be6d_8f0c_bd0b,
+        ),
+        (
+            "multi-site",
+            0x4d55_4c54,
+            GenConfig {
+                max_insts: 10,
+                pre_prob: 0.8,
+                ..GenConfig::default()
+            },
+            0xb43a_c36f_9a17_73c0,
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (name, stream, cfg, want) in &sets {
+        let got = canonical_digest(*stream, 2_000, cfg);
+        if got != *want {
+            drift.push(format!("{name}: {got:#018x}, golden {want:#018x}"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "canonical digests drifted:\n{}",
+        drift.join("\n")
+    );
 }
