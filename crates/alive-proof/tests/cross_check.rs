@@ -59,6 +59,22 @@ fn pigeonhole_transcripts_check() {
     }
 }
 
+#[test]
+fn transcript_across_clause_db_reductions_checks() {
+    // PHP(8, 7) takes thousands of conflicts, enough for several
+    // learned-clause reductions and arena compactions: the transcript's
+    // deletions must name exactly the clauses the solver dropped.
+    let (mut solver, handle) = logging_solver();
+    pigeonhole(&mut solver, 8, 7);
+    assert_eq!(solver.solve(), SolveResult::Unsat);
+    assert!(solver.stats().deleted_clauses > 0, "no clause was deleted");
+    let steps = to_steps(&handle.snapshot());
+    assert!(steps.iter().any(|s| matches!(s, Step::Delete(_))));
+    let report = check_refutation(solver.num_vars(), &steps)
+        .unwrap_or_else(|e| panic!("php(8, 7) transcript rejected: {e}"));
+    assert!(report.learned_checked >= 1000);
+}
+
 /// A deterministic xorshift generator, so the random-CNF sweep needs no
 /// external crates and reproduces exactly.
 struct XorShift(u64);

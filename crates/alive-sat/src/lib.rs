@@ -7,6 +7,9 @@
 //! provides the propositional core: a MiniSat-lineage conflict-driven
 //! clause-learning solver with
 //!
+//! * clauses stored inline in one flat `u32` arena (header word, then the
+//!   literals; activity and LBD in side vectors), compacted once deleted
+//!   learnt clauses outweigh live ones,
 //! * two-watched-literal unit propagation,
 //! * first-UIP conflict analysis with recursive clause minimization,
 //! * VSIDS branching with phase saving,
@@ -51,7 +54,6 @@ mod proof;
 mod solver;
 
 pub use budget::{Budget, CancelToken, Exhaustion};
-pub use clause::{Clause, ClauseDb, ClauseRef};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{DratRecorder, ProofEvent, ProofLogger, SharedDratRecorder};
 pub use solver::{SolveResult, Solver, SolverStats};

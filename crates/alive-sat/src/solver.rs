@@ -105,6 +105,8 @@ pub struct Solver {
     // scratch buffers for conflict analysis
     seen: Vec<bool>,
     analyze_toclear: Vec<Lit>,
+    /// Scratch buffer in which `add_clause` sorts and simplifies.
+    add_buf: Vec<Lit>,
 
     /// Final conflict clause (in terms of assumptions) after Unsat-under-assumptions.
     conflict: Vec<Lit>,
@@ -140,7 +142,7 @@ impl Solver {
     /// Creates a solver with no variables or clauses.
     pub fn new() -> Solver {
         Solver {
-            db: ClauseDb::new(),
+            db: ClauseDb::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
@@ -159,6 +161,7 @@ impl Solver {
             next_soft_poll: 0,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
+            add_buf: Vec::new(),
             conflict: Vec::new(),
             model: Vec::new(),
             max_learnts: 1000.0,
@@ -271,29 +274,34 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut c: Vec<Lit> = lits.into_iter().collect();
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend(lits);
         c.sort_unstable();
         c.dedup();
         // Record the clause *before* level-0 simplification: the transcript
         // describes the formula as given, and the simplifications below are
         // all RUP consequences of previously recorded clauses.
         self.proof_log(ProofEvent::Original, &c);
-        // Drop tautologies and false literals; detect satisfied clauses.
-        let mut out = Vec::with_capacity(c.len());
-        let mut i = 0;
-        while i < c.len() {
-            let l = c[i];
-            if i + 1 < c.len() && c[i + 1] == !l {
+        self.add_buf = c;
+        // Drop tautologies and false literals in place; detect satisfied
+        // clauses.
+        let mut kept = 0;
+        for i in 0..self.add_buf.len() {
+            let l = self.add_buf[i];
+            if self.add_buf.get(i + 1) == Some(&!l) {
                 return true; // tautology: contains l and !l (adjacent after sort)
             }
-            match self.lit_value(l) {
+            match value_of(&self.assigns, l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
+                LBool::Undef => {
+                    self.add_buf[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
-        match out.len() {
+        match kept {
             0 => {
                 // Every literal is false at level 0: the empty clause follows
                 // by unit propagation over the recorded formula.
@@ -302,7 +310,7 @@ impl Solver {
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], ClauseRef::UNDEF);
+                self.unchecked_enqueue(self.add_buf[0], ClauseRef::UNDEF);
                 self.ok = self.propagate().is_none();
                 if !self.ok {
                     self.proof_log(ProofEvent::Learned, &[]);
@@ -310,7 +318,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(out, false);
+                let cref = self.db.alloc(&self.add_buf[..kept], false);
                 self.attach_clause(cref);
                 true
             }
@@ -318,10 +326,7 @@ impl Solver {
     }
 
     fn attach_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits()[0], c.lits()[1])
-        };
+        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
@@ -334,12 +339,7 @@ impl Solver {
     /// The current value of a literal.
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        value_of(&self.assigns, l)
     }
 
     /// Model value of a literal after `Sat` (defaulting unassigned to false).
@@ -386,11 +386,12 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = (!p).0;
 
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0;
             let mut conflict = None;
-            'outer: while i < ws.len() {
+            while i < ws.len() {
                 let w = ws[i];
                 // Fast path: blocker satisfied.
                 if self.lit_value(w.blocker) == LBool::True {
@@ -398,48 +399,33 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.deleted {
-                        ws.swap_remove(i);
-                        continue;
-                    }
-                    // Normalize: ensure the false literal (!p) is at slot 1.
-                    let lits = c.lits_mut();
-                    if lits[0] == !p {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], !p);
+                debug_assert!(!self.db.is_deleted(cref), "watch on a deleted clause");
+                let lits = self.db.lits_mut(cref);
+                // Normalize: ensure the false literal (!p) is at slot 1.
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.get(cref).lits()[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[i] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                debug_assert_eq!(lits[1], false_lit);
+                let first = Lit(lits[0]);
+                ws[i].blocker = first;
+                if first != w.blocker && value_of(&self.assigns, first) == LBool::True {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits()[k];
-                    if self.lit_value(lk) != LBool::False {
-                        let c = self.db.get_mut(cref);
-                        c.lits_mut().swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
-                        ws.swap_remove(i);
-                        continue 'outer;
-                    }
+                let assigns = &self.assigns;
+                if let Some(k) =
+                    (2..lits.len()).find(|&k| value_of(assigns, Lit(lits[k])) != LBool::False)
+                {
+                    lits.swap(1, k);
+                    self.watches[(!Lit(lits[1])).code()].push(Watcher {
+                        cref,
+                        blocker: first,
+                    });
+                    ws.swap_remove(i);
+                    continue;
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[i] = Watcher {
-                    cref,
-                    blocker: first,
-                };
                 i += 1;
                 if self.lit_value(first) == LBool::False {
                     conflict = Some(cref);
@@ -488,15 +474,9 @@ impl Solver {
     }
 
     fn cla_bump(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
+        if self.db.bump(cref, self.cla_inc) > RESCALE_LIMIT {
             self.cla_inc *= 1e-20;
-            // rescale lazily during reduce; good enough to rescale now:
-            for i in 0..self.db.arena_len() {
-                let cl = self.db.get_mut(ClauseRef(i as u32));
-                cl.activity *= 1e-20;
-            }
+            self.db.scale_activities(1e-20);
         }
     }
 
@@ -511,10 +491,10 @@ impl Solver {
         loop {
             debug_assert_ne!(confl, ClauseRef::UNDEF);
             self.cla_bump(confl);
-            let clen = self.db.get(confl).len();
+            let clen = self.db.len(confl);
             let start = if p.is_some() { 1 } else { 0 };
             for k in start..clen {
-                let q = self.db.get(confl).lits()[k];
+                let q = self.db.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level(v) > 0 {
                     self.seen[v.index()] = true;
@@ -595,9 +575,9 @@ impl Solver {
                 }
                 return false;
             }
-            let clen = self.db.get(r).len();
+            let clen = self.db.len(r);
             for k in 1..clen {
-                let p = self.db.get(r).lits()[k];
+                let p = self.db.lit(r, k);
                 let v = p.var();
                 if !self.seen[v.index()] && self.level(v) > 0 {
                     if self.reason(v) == ClauseRef::UNDEF {
@@ -633,18 +613,18 @@ impl Solver {
         let mut deleted_this_pass = 0u64;
         let mut learnts = self.db.learnt_refs();
         // Sort ascending by activity: delete the least active half, keeping
-        // binary/glue clauses.
+        // binary/glue clauses. The sort is stable, so ties keep allocation
+        // order.
         learnts.sort_by(|&a, &b| {
             self.db
-                .get(a)
-                .activity
-                .partial_cmp(&self.db.get(b).activity)
+                .activity(a)
+                .partial_cmp(&self.db.activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let locked: Vec<bool> = learnts
             .iter()
             .map(|&cref| {
-                let first = self.db.get(cref).lits()[0];
+                let first = self.db.lit(cref, 0);
                 self.lit_value(first) == LBool::True && self.reason(first.var()) == cref
             })
             .collect();
@@ -653,12 +633,11 @@ impl Solver {
             if i >= half {
                 break;
             }
-            let c = self.db.get(cref);
-            if c.len() <= 2 || c.lbd <= 3 || locked[i] {
+            if self.db.len(cref) <= 2 || self.db.lbd(cref) <= 3 || locked[i] {
                 continue;
             }
             if self.proof.is_some() {
-                let lits: Vec<Lit> = self.db.get(cref).lits().to_vec();
+                let lits = self.db.lits(cref);
                 self.proof_log(ProofEvent::Deleted, &lits);
             }
             self.db.free(cref);
@@ -667,10 +646,31 @@ impl Solver {
         }
         self.tracer
             .mark("sat.reduce", String::new, deleted_this_pass);
-        // Purge watches of deleted clauses lazily during propagation; also
-        // sweep now to keep lists tight.
         for list in &mut self.watches {
-            list.retain(|w| !self.db.get(w.cref).deleted);
+            list.retain(|w| !self.db.is_deleted(w.cref));
+        }
+        if self.db.needs_compaction() {
+            self.compact_db();
+        }
+    }
+
+    /// Compacts the clause arena and rewrites every reference into it: the
+    /// watchers and the reasons of assigned variables. Reasons of
+    /// unassigned variables are stale and never read, so they stay as they
+    /// are. Only unlocked learnt clauses are ever deleted, so every
+    /// reference rewritten here names a live clause.
+    fn compact_db(&mut self) {
+        let reloc = self.db.compact();
+        for list in &mut self.watches {
+            for w in list {
+                w.cref = reloc.get(w.cref);
+            }
+        }
+        for l in &self.trail {
+            let data = &mut self.vardata[l.var().index()];
+            if data.reason != ClauseRef::UNDEF {
+                data.reason = reloc.get(data.reason);
+            }
         }
     }
 
@@ -873,8 +873,8 @@ impl Solver {
                     }
                 } else {
                     let first = learnt[0];
-                    let cref = self.db.alloc(learnt, true);
-                    self.db.get_mut(cref).lbd = lbd;
+                    let cref = self.db.alloc(&learnt, true);
+                    self.db.set_lbd(cref, lbd);
                     self.attach_clause(cref);
                     self.cla_bump(cref);
                     self.unchecked_enqueue(first, cref);
@@ -940,13 +940,10 @@ impl Solver {
     fn analyze_final(&mut self, confl: ClauseRef) -> Vec<Lit> {
         let mut out = Vec::new();
         let mut seen = vec![false; self.num_vars()];
-        let clen = self.db.get(confl).len();
-        let mut queue: Vec<Var> = Vec::new();
-        for k in 0..clen {
-            let v = self.db.get(confl).lits()[k].var();
+        for k in 0..self.db.len(confl) {
+            let v = self.db.lit(confl, k).var();
             if self.level(v) > 0 {
                 seen[v.index()] = true;
-                queue.push(v);
             }
         }
         for idx in (0..self.trail.len()).rev() {
@@ -959,9 +956,8 @@ impl Solver {
             if r == ClauseRef::UNDEF {
                 out.push(!l); // decision/assumption literal
             } else {
-                let clen = self.db.get(r).len();
-                for k in 1..clen {
-                    let w = self.db.get(r).lits()[k].var();
+                for k in 1..self.db.len(r) {
+                    let w = self.db.lit(r, k).var();
                     if self.level(w) > 0 {
                         seen[w.index()] = true;
                     }
@@ -989,9 +985,8 @@ impl Solver {
                     out.push(!l);
                 }
             } else {
-                let clen = self.db.get(r).len();
-                for k in 1..clen {
-                    let w = self.db.get(r).lits()[k].var();
+                for k in 1..self.db.len(r) {
+                    let w = self.db.lit(r, k).var();
                     if self.level(w) > 0 {
                         seen[w.index()] = true;
                     }
@@ -1000,6 +995,17 @@ impl Solver {
             seen[v.index()] = false;
         }
         out
+    }
+}
+
+/// The value of `l` under `assigns`.
+#[inline]
+fn value_of(assigns: &[LBool], l: Lit) -> LBool {
+    let v = assigns[l.var().index()];
+    if l.is_positive() {
+        v
+    } else {
+        v.negate()
     }
 }
 
@@ -1291,5 +1297,89 @@ mod tests {
         assert_eq!(s.value(b), Some(true));
         s.add_clause([b.negative()]);
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    /// Counts `sat.reduce` marks, i.e. learned-clause reductions.
+    #[derive(Debug, Default)]
+    struct Reductions(std::sync::atomic::AtomicU64);
+
+    impl alive_trace::TraceSink for Reductions {
+        fn record(&self, event: &alive_trace::Event) {
+            if event.name == "sat.reduce" {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Solves with a reduction-counting tracer; returns the answer and the
+    /// number of reductions.
+    fn solve_counting_reductions(s: &mut Solver) -> (SolveResult, u64) {
+        let sink = std::sync::Arc::new(Reductions::default());
+        s.set_tracer(Tracer::new(Box::new(sink.clone())));
+        let r = s.solve();
+        (r, sink.0.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// The arena after a run that reduced the clause database: compaction
+    /// ran (without it every deleted clause, at least 5 words, would still
+    /// be there) and left at most as many dead words as live ones.
+    fn assert_compacted(s: &Solver) {
+        let (arena, live) = (s.db.arena_words(), s.db.live_words());
+        assert!(arena <= 2 * live, "arena {arena} words, {live} live");
+        let deleted = s.stats.deleted_clauses as usize;
+        assert!(arena < live + 5 * deleted, "no compaction ran");
+    }
+
+    #[test]
+    fn reductions_compact_the_arena_on_pigeonhole() {
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..8)
+            .map(|_| (0..7).map(|_| s.new_var()).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(row.iter().map(|v| v.positive()));
+        }
+        for i in 0..8 {
+            for k in (i + 1)..8 {
+                for (a, b) in p[i].iter().zip(&p[k]) {
+                    s.add_clause([a.negative(), b.negative()]);
+                }
+            }
+        }
+        let (r, reductions) = solve_counting_reductions(&mut s);
+        assert_eq!(r, SolveResult::Unsat);
+        assert!(reductions >= 3, "only {reductions} reductions");
+        assert_compacted(&s);
+    }
+
+    #[test]
+    fn reductions_compact_the_arena_on_random_3sat() {
+        // A seeded random 3-SAT instance just under the threshold ratio
+        // (200 variables, 848 clauses) that is satisfiable after thousands
+        // of conflicts. Brute force is out of reach at this size; the
+        // model itself is the certificate, checked against every clause.
+        let mut state = 3u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let n = 200;
+        let cnf: Vec<[(usize, bool); 3]> = (0..n * 424 / 100)
+            .map(|_| [(); 3].map(|_| (next(n as u64) as usize, next(2) == 0)))
+            .collect();
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+        for c in &cnf {
+            s.add_clause(c.iter().map(|&(v, sign)| vars[v].lit(sign)));
+        }
+        let (r, reductions) = solve_counting_reductions(&mut s);
+        assert_eq!(r, SolveResult::Sat);
+        assert!(reductions >= 3, "only {reductions} reductions");
+        assert_compacted(&s);
+        for c in &cnf {
+            assert!(c.iter().any(|&(v, sign)| s.value(vars[v]) == Some(sign)));
+        }
     }
 }
