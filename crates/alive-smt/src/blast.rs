@@ -5,7 +5,10 @@
 //! ripple-carry adders, barrel shifters, shift-add multipliers and a
 //! restoring divider. The translation is cached per term, so shared
 //! subterms are encoded once (the term pool is hash-consed, making sharing
-//! pervasive).
+//! pervasive). Below the terms, every and/xor/mux gate is structurally
+//! hashed on its normalized inputs, so a gate is built once per blaster
+//! even when two different terms need it (`udiv` and `urem` of the same
+//! operands share one divider).
 
 use crate::term::{Op, TermId, TermPool};
 use crate::value::{BvVal, Sort};
@@ -50,6 +53,21 @@ pub struct Blaster {
     lit_true: Option<Lit>,
     nodes_encoded: u64,
     gates_by_op: HashMap<&'static str, u64>,
+    /// Structural hashing: the output literal of every gate built so far,
+    /// keyed by its normalized inputs.
+    gates: HashMap<Gate, Lit>,
+    gate_hits: u64,
+}
+
+/// The normalized inputs of a gate: an `And` has its inputs sorted, an
+/// `Xor` has two sorted positive inputs (the caller negates the output
+/// when exactly one input was negative), and a `Mux` has a positive
+/// selector (a negative one swaps the branches).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Gate {
+    And(Lit, Lit),
+    Xor(Lit, Lit),
+    Mux(Lit, Lit, Lit),
 }
 
 impl Blaster {
@@ -70,6 +88,13 @@ impl Blaster {
     pub fn gates_total(&self) -> u64 {
         self.gates_by_op.values().sum()
     }
+
+    /// Gates found already built by structural hashing (each one a gate
+    /// that created no variable and no clause).
+    pub fn gate_hits(&self) -> u64 {
+        self.gate_hits
+    }
+
     /// Creates an empty blaster.
     pub fn new() -> Blaster {
         Blaster::default()
@@ -434,10 +459,15 @@ impl Blaster {
         if b == t || a == b {
             return a;
         }
+        let (a, b) = (a.min(b), a.max(b));
+        if let Some(g) = self.shared(Gate::And(a, b)) {
+            return g;
+        }
         let g = sat.new_var().positive();
         sat.add_clause([!g, a]);
         sat.add_clause([!g, b]);
         sat.add_clause([g, !a, !b]);
+        self.gates.insert(Gate::And(a, b), g);
         g
     }
 
@@ -469,12 +499,27 @@ impl Blaster {
         if a == !b {
             return t;
         }
-        let g = sat.new_var().positive();
-        sat.add_clause([!g, a, b]);
-        sat.add_clause([!g, !a, !b]);
-        sat.add_clause([g, !a, b]);
-        sat.add_clause([g, a, !b]);
-        g
+        // a ^ b == (|a| ^ |b|), negated when exactly one input is negative.
+        let flip = a.is_positive() != b.is_positive();
+        let (pa, pb) = (a.var().positive(), b.var().positive());
+        let (a, b) = (pa.min(pb), pa.max(pb));
+        let g = match self.shared(Gate::Xor(a, b)) {
+            Some(g) => g,
+            None => {
+                let g = sat.new_var().positive();
+                sat.add_clause([!g, a, b]);
+                sat.add_clause([!g, !a, !b]);
+                sat.add_clause([g, !a, b]);
+                sat.add_clause([g, a, !b]);
+                self.gates.insert(Gate::Xor(a, b), g);
+                g
+            }
+        };
+        if flip {
+            !g
+        } else {
+            g
+        }
     }
 
     /// `g <-> (s ? t : e)`.
@@ -496,6 +541,14 @@ impl Blaster {
         if t == f && e == tt {
             return !s;
         }
+        let (s, t, e) = if s.is_positive() {
+            (s, t, e)
+        } else {
+            (!s, e, t)
+        };
+        if let Some(g) = self.shared(Gate::Mux(s, t, e)) {
+            return g;
+        }
         let g = sat.new_var().positive();
         sat.add_clause([!g, !s, t]);
         sat.add_clause([g, !s, !t]);
@@ -504,6 +557,14 @@ impl Blaster {
         // Redundant but propagation-friendly clauses.
         sat.add_clause([!g, t, e]);
         sat.add_clause([g, !t, !e]);
+        self.gates.insert(Gate::Mux(s, t, e), g);
+        g
+    }
+
+    /// The output of an already built gate, counting the hit.
+    fn shared(&mut self, gate: Gate) -> Option<Lit> {
+        let g = self.gates.get(&gate).copied();
+        self.gate_hits += u64::from(g.is_some());
         g
     }
 
@@ -749,5 +810,75 @@ fn fill_for(dir: ShiftDir, fill: Lit, false_lit: Lit) -> Lit {
     match dir {
         ShiftDir::Left => false_lit,
         ShiftDir::Right => fill,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A blaster and solver with the constant literal already built, plus
+    /// three fresh input literals.
+    fn setup() -> (Blaster, Solver, [Lit; 3]) {
+        let mut sat = Solver::new();
+        let mut blaster = Blaster::new();
+        blaster.lit_true(&mut sat);
+        let lits = [(); 3].map(|_| sat.new_var().positive());
+        (blaster, sat, lits)
+    }
+
+    #[test]
+    fn division_and_remainder_share_one_divider() {
+        type Build = fn(&mut TermPool, TermId, TermId) -> TermId;
+        let pairs: [(Build, Build); 2] = [
+            (TermPool::bv_udiv, TermPool::bv_urem),
+            (TermPool::bv_sdiv, TermPool::bv_srem),
+        ];
+        for (div, rem) in pairs {
+            let mut pool = TermPool::new();
+            let a = pool.var("a", Sort::BitVec(8));
+            let b = pool.var("b", Sort::BitVec(8));
+            let q = div(&mut pool, a, b);
+            let r = rem(&mut pool, a, b);
+            let (mut blaster, mut sat) = (Blaster::new(), Solver::new());
+            blaster.blast(&pool, &mut sat, q);
+            let (vars, hits) = (sat.num_vars(), blaster.gate_hits());
+            blaster.blast(&pool, &mut sat, r);
+            assert_eq!(sat.num_vars(), vars, "{}", pool.display(r));
+            assert!(blaster.gate_hits() > hits);
+        }
+    }
+
+    #[test]
+    fn xor_shares_across_input_signs() {
+        let (mut blaster, mut sat, [a, b, _]) = setup();
+        let g = blaster.mk_xor(&mut sat, a, b);
+        let vars = sat.num_vars();
+        assert_eq!(blaster.mk_xor(&mut sat, !a, b), !g);
+        assert_eq!(blaster.mk_xor(&mut sat, a, !b), !g);
+        assert_eq!(blaster.mk_xor(&mut sat, !b, !a), g);
+        assert_eq!(sat.num_vars(), vars);
+        assert_eq!(blaster.gate_hits(), 3);
+    }
+
+    #[test]
+    fn mux_shares_across_selector_sign() {
+        let (mut blaster, mut sat, [s, t, e]) = setup();
+        let g = blaster.mk_mux(&mut sat, s, e, t);
+        let vars = sat.num_vars();
+        assert_eq!(blaster.mk_mux(&mut sat, !s, t, e), g);
+        assert_eq!(sat.num_vars(), vars);
+        // A different gate over the same inputs is not shared.
+        assert_ne!(blaster.mk_mux(&mut sat, s, t, e), g);
+    }
+
+    #[test]
+    fn and_shares_across_input_order() {
+        let (mut blaster, mut sat, [a, b, _]) = setup();
+        let g = blaster.mk_and(&mut sat, a, b);
+        let vars = sat.num_vars();
+        assert_eq!(blaster.mk_and(&mut sat, b, a), g);
+        assert_eq!(blaster.mk_or(&mut sat, !a, !b), !g);
+        assert_eq!(sat.num_vars(), vars);
     }
 }

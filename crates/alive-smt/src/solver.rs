@@ -86,7 +86,8 @@ impl SmtSolver {
     /// Installs a structured-trace handle on this solver and its
     /// underlying SAT solver. While enabled, `assert_term` wraps
     /// bit-blasting in a `blast` span and emits `blast.nodes` /
-    /// `blast.gates` (total and per op kind) counter deltas; the SAT
+    /// `blast.gates` (total and per op kind) / `blast.gate_hits` counter
+    /// deltas; the SAT
     /// layer adds `sat.solve` spans and CDCL counters.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.sat.set_tracer(tracer.clone());
@@ -209,6 +210,7 @@ impl SmtSolver {
         let _span = tracer.span("blast");
         let nodes_before = self.blaster.nodes_encoded();
         let gates_before = self.blaster.gates_by_op().clone();
+        let hits_before = self.blaster.gate_hits();
         match self.blaster.try_blast_bool(pool, &mut self.sat, t) {
             Ok(l) => {
                 self.sat.add_clause([l]);
@@ -223,6 +225,7 @@ impl SmtSolver {
             tracer.counter_with("blast.gates", || kind.to_string(), delta);
         }
         tracer.counter("blast.gates", total);
+        tracer.counter("blast.gate_hits", self.blaster.gate_hits() - hits_before);
     }
 
     /// Checks satisfiability of the asserted formula.

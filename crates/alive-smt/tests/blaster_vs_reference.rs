@@ -243,6 +243,55 @@ fn exhaustive_width3() {
     }
 }
 
+/// `udiv`, `urem`, `sdiv` and `srem` of the same operands in one formula,
+/// where structural hashing makes them share their dividers: every
+/// quotient and remainder must still match the reference, exhaustively at
+/// width 3.
+#[test]
+fn shared_dividers_exhaustive_width3() {
+    let ops = [
+        (
+            TermPool::bv_udiv as fn(&mut TermPool, TermId, TermId) -> TermId,
+            BvVal::udiv as fn(BvVal, BvVal) -> BvVal,
+        ),
+        (TermPool::bv_urem, BvVal::urem),
+        (TermPool::bv_sdiv, BvVal::sdiv),
+        (TermPool::bv_srem, BvVal::srem),
+    ];
+    for a in 0..8u128 {
+        for b in 0..8u128 {
+            let (va, vb) = (BvVal::new(3, a), BvVal::new(3, b));
+            let mut p = TermPool::new();
+            let x = p.var("x", Sort::BitVec(3));
+            let y = p.var("y", Sort::BitVec(3));
+            let ca = p.bv_const(va);
+            let cb = p.bv_const(vb);
+            let bind_x = p.eq(x, ca);
+            let bind_y = p.eq(y, cb);
+            let agree: Vec<TermId> = ops
+                .iter()
+                .map(|(build, reference)| {
+                    let r = build(&mut p, x, y);
+                    let want = p.bv_const(reference(va, vb));
+                    p.eq(r, want)
+                })
+                .collect();
+            let all = p.and(agree.iter().copied());
+            let mut s = SmtSolver::new();
+            s.assert_term(&p, bind_x);
+            s.assert_term(&p, bind_y);
+            s.assert_term(&p, all);
+            assert_eq!(s.check(), SatResult::Sat, "div/rem of ({a}, {b}) at i3");
+            let some_differ = p.not(all);
+            let mut s2 = SmtSolver::new();
+            s2.assert_term(&p, bind_x);
+            s2.assert_term(&p, bind_y);
+            s2.assert_term(&p, some_differ);
+            assert_eq!(s2.check(), SatResult::Unsat, "div/rem of ({a}, {b}) at i3");
+        }
+    }
+}
+
 /// The divider must implement SMT-LIB division-by-zero semantics so that
 /// the circuit and the evaluator can never disagree.
 #[test]
