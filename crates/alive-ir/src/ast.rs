@@ -565,11 +565,6 @@ impl Inst {
             .collect()
     }
 
-    /// Does the instruction produce a value (false for store/unreachable)?
-    pub fn has_result(&self) -> bool {
-        !matches!(self, Inst::Store { .. } | Inst::Unreachable)
-    }
-
     /// Does the instruction access memory (sequence point; paper §3.3.1)?
     pub fn is_memory_op(&self) -> bool {
         matches!(

@@ -215,12 +215,6 @@ fn bin_semantics(op: BinOp, flags: &[Flag], x: BvVal, y: BvVal) -> Result<Exec, 
     Ok(Exec::Val(v))
 }
 
-/// Total abstract cost of running `f` on `args` (the sum of executed
-/// instruction costs; straight-line code executes live instructions once).
-pub fn run_cost(f: &Function) -> u64 {
-    f.static_cost()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,6 +44,19 @@ pub struct SolverStats {
     pub sat_calls: u64,
 }
 
+impl std::ops::AddAssign for SolverStats {
+    /// Folds another solver's (or attempt's) counters into these totals.
+    fn add_assign(&mut self, o: SolverStats) {
+        self.conflicts += o.conflicts;
+        self.decisions += o.decisions;
+        self.propagations += o.propagations;
+        self.restarts += o.restarts;
+        self.deleted_clauses += o.deleted_clauses;
+        self.learned_literals += o.learned_literals;
+        self.sat_calls += o.sat_calls;
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     cref: ClauseRef,

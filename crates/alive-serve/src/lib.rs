@@ -209,6 +209,37 @@ pub struct Answer {
     pub timing: RequestTiming,
 }
 
+impl Answer {
+    /// The wire verdict line for this answer; `start` is when the
+    /// request began, for its end-to-end `wall_us`.
+    fn into_line(
+        self,
+        id: String,
+        index: usize,
+        name: String,
+        rid: String,
+        start: Instant,
+    ) -> VerdictLine {
+        VerdictLine {
+            id,
+            index,
+            name,
+            hash: self.hash,
+            verdict: self.verdict.as_str().to_string(),
+            cached: self.cached,
+            coalesced: self.coalesced,
+            reason: self.reason,
+            wall_us: start.elapsed().as_micros() as u64,
+            cert: self.cert,
+            rid,
+            canon_us: self.timing.canon_us,
+            lookup_us: self.timing.lookup_us,
+            queue_us: self.timing.queue_us,
+            verify_us: self.timing.verify_us,
+        }
+    }
+}
+
 /// Counter snapshot ([`Server::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -267,9 +298,6 @@ struct ServerInner {
     /// What the automatic open-time compaction did, if it ran (for the
     /// startup banner; `None` when the store was below threshold).
     compaction: Option<CompactReport>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    joins: AtomicU64,
     errors: AtomicU64,
     busy: AtomicU64,
     shed: AtomicU64,
@@ -366,9 +394,6 @@ impl Server {
                     next_rid: AtomicU64::new(0),
                     slowlog,
                     compaction,
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    joins: AtomicU64::new(0),
                     errors: AtomicU64::new(0),
                     busy: AtomicU64::new(0),
                     shed: AtomicU64::new(0),
@@ -415,10 +440,12 @@ impl Server {
             let waiters = map.values().map(|e| e.waiters.load(Ordering::SeqCst)).sum();
             (map.len(), waiters)
         };
+        // Hits, misses and joins are the lifetime counts of their
+        // telemetry series, which record exactly one sample per outcome.
         ServeStats {
-            hits: inner.hits.load(Ordering::Relaxed),
-            misses: inner.misses.load(Ordering::Relaxed),
-            joins: inner.joins.load(Ordering::Relaxed),
+            hits: inner.telemetry.hit.count(),
+            misses: inner.telemetry.miss.count(),
+            joins: inner.telemetry.join.count(),
             errors: inner.errors.load(Ordering::Relaxed),
             busy: inner.busy.load(Ordering::Relaxed),
             shed: inner.shed.load(Ordering::Relaxed),
@@ -534,31 +561,9 @@ impl Server {
         };
         loop {
             // Fast path: the store already knows.
-            {
-                let lookup_start = Instant::now();
-                let _lookup_span = inner.tracer.span(metric::LOOKUP);
-                let store = inner.store.lock().unwrap_or_else(|e| e.into_inner());
-                let found = store.lookup(&canon).map(|rec| Answer {
-                    hash: hash.clone(),
-                    verdict: rec.verdict,
-                    reason: rec.reason.clone(),
-                    wall_ms: rec.wall_ms,
-                    cert: rec.cert.clone(),
-                    cached: true,
-                    coalesced: false,
-                    timing: RequestTiming::default(),
-                });
-                drop(store);
-                timing.lookup_us += lookup_start.elapsed().as_micros() as u64;
-                if let Some(mut answer) = found {
-                    let us = start.elapsed().as_micros() as u64;
-                    inner.hits.fetch_add(1, Ordering::Relaxed);
-                    inner.tracer.counter(metric::HIT, 1);
-                    inner.tracer.sample(metric::HIT_US, us);
-                    inner.telemetry.hit.record_at(us, inner.telemetry.now_ms());
-                    answer.timing = timing;
-                    return Ok(answer);
-                }
+            if let Some(answer) = self.lookup(&canon, &hash, &mut timing) {
+                self.count_hit(start);
+                return Ok(Answer { timing, ..answer });
             }
             // Not cached: become the leader for this canonical form, or
             // join whoever already is.
@@ -570,14 +575,9 @@ impl Server {
                         let depth = inner.limits.queue_depth;
                         if admit && depth != 0 && inflight.len() >= depth {
                             // Taking the work would start verification
-                            // number depth+1; refuse with a hint scaled
-                            // to the queue we would have joined.
+                            // number depth+1.
                             drop(inflight);
-                            inner.busy.fetch_add(1, Ordering::Relaxed);
-                            inner.tracer.counter(metric::BUSY, 1);
-                            return Err(Busy {
-                                retry_after_ms: (depth as u64 * 250).clamp(100, 5_000),
-                            });
+                            return Err(self.refuse(depth));
                         }
                         let e = Arc::new(Inflight::default());
                         inflight.insert(canon.clone(), Arc::clone(&e));
@@ -592,22 +592,7 @@ impl Server {
                 // have finished (verdict persisted, entry removed). Verify
                 // again and the race test's "exactly one verification"
                 // guarantee is gone.
-                let lookup_start = Instant::now();
-                let cached = {
-                    let _lookup_span = inner.tracer.span(metric::LOOKUP);
-                    let store = inner.store.lock().unwrap_or_else(|e| e.into_inner());
-                    store.lookup(&canon).map(|rec| Answer {
-                        hash: hash.clone(),
-                        verdict: rec.verdict,
-                        reason: rec.reason.clone(),
-                        wall_ms: rec.wall_ms,
-                        cert: rec.cert.clone(),
-                        cached: true,
-                        coalesced: false,
-                        timing: RequestTiming::default(),
-                    })
-                };
-                timing.lookup_us += lookup_start.elapsed().as_micros() as u64;
+                let cached = self.lookup(&canon, &hash, &mut timing);
                 // Everything before the verification starts is queue time
                 // from this request's point of view.
                 let queue_us = start.elapsed().as_micros() as u64;
@@ -635,14 +620,10 @@ impl Server {
                 inflight.remove(&canon);
                 inner.tracer.gauge(metric::INFLIGHT, inflight.len() as u64);
                 drop(inflight);
-                let us = start.elapsed().as_micros() as u64;
                 if was_hit {
-                    inner.hits.fetch_add(1, Ordering::Relaxed);
-                    inner.tracer.counter(metric::HIT, 1);
-                    inner.tracer.sample(metric::HIT_US, us);
-                    inner.telemetry.hit.record_at(us, inner.telemetry.now_ms());
+                    self.count_hit(start);
                 } else {
-                    inner.misses.fetch_add(1, Ordering::Relaxed);
+                    let us = start.elapsed().as_micros() as u64;
                     inner.tracer.counter(metric::MISS, 1);
                     inner.tracer.sample(metric::MISS_US, us);
                     inner.telemetry.miss.record_at(us, inner.telemetry.now_ms());
@@ -662,7 +643,6 @@ impl Server {
                     let queue_us = coalesce_start.elapsed().as_micros() as u64;
                     timing.queue_us += queue_us;
                     let us = start.elapsed().as_micros() as u64;
-                    inner.joins.fetch_add(1, Ordering::Relaxed);
                     inner.tracer.counter(metric::JOIN, 1);
                     inner.tracer.sample(metric::HIT_US, us);
                     inner.tracer.sample(metric::JOIN_US, us);
@@ -693,6 +673,54 @@ impl Server {
                 }
             }
         }
+    }
+
+    /// Probes the verdict store under a `serve.lookup` span, adding the
+    /// probe's time to `timing.lookup_us`.
+    fn lookup(&self, canon: &str, hash: &str, timing: &mut RequestTiming) -> Option<Answer> {
+        let inner = &self.inner;
+        let lookup_start = Instant::now();
+        let found = {
+            let _lookup_span = inner.tracer.span(metric::LOOKUP);
+            let store = inner.store.lock().unwrap_or_else(|e| e.into_inner());
+            store.lookup(canon).map(|rec| Answer {
+                hash: hash.to_string(),
+                verdict: rec.verdict,
+                reason: rec.reason.clone(),
+                wall_ms: rec.wall_ms,
+                cert: rec.cert.clone(),
+                cached: true,
+                coalesced: false,
+                timing: RequestTiming::default(),
+            })
+        };
+        timing.lookup_us += lookup_start.elapsed().as_micros() as u64;
+        found
+    }
+
+    /// Counts one store hit for a request that started at `start`.
+    fn count_hit(&self, start: Instant) {
+        let inner = &self.inner;
+        let us = start.elapsed().as_micros() as u64;
+        inner.tracer.counter(metric::HIT, 1);
+        inner.tracer.sample(metric::HIT_US, us);
+        inner.telemetry.hit.record_at(us, inner.telemetry.now_ms());
+    }
+
+    /// Counts one request refused at a verification queue of `depth`,
+    /// with a retry hint scaled to that queue.
+    fn refuse(&self, depth: usize) -> Busy {
+        self.inner.busy.fetch_add(1, Ordering::Relaxed);
+        self.inner.tracer.counter(metric::BUSY, 1);
+        Busy {
+            retry_after_ms: (depth as u64 * 250).clamp(100, 5_000),
+        }
+    }
+
+    /// Counts one request rejected before verification.
+    fn count_error(&self) {
+        self.inner.errors.fetch_add(1, Ordering::Relaxed);
+        self.inner.tracer.counter(metric::ERROR, 1);
     }
 
     /// The miss path: verify, persist certificates, persist the verdict.
@@ -747,8 +775,7 @@ impl Server {
                 .insert(canon, outcome.kind, &outcome.detail, wall_ms, &cert)
                 .is_err()
             {
-                inner.errors.fetch_add(1, Ordering::Relaxed);
-                inner.tracer.counter(metric::ERROR, 1);
+                self.count_error();
             }
             drop(store);
             let append_us = append_start.elapsed().as_micros() as u64;
@@ -779,8 +806,7 @@ impl Server {
                 // A slowlog write failure is observability loss, not a
                 // verification failure; count it and move on.
                 if log.append(&record).is_err() {
-                    inner.errors.fetch_add(1, Ordering::Relaxed);
-                    inner.tracer.counter(metric::ERROR, 1);
+                    self.count_error();
                 }
             }
         }
@@ -828,23 +854,8 @@ impl Server {
                     let start = Instant::now();
                     let answer = self.check_rid(name, t, &item_rid);
                     drop(span);
-                    let line = VerdictLine {
-                        id: id.to_string(),
-                        index: *index,
-                        name: name.clone(),
-                        hash: answer.hash,
-                        verdict: answer.verdict.as_str().to_string(),
-                        cached: answer.cached,
-                        coalesced: answer.coalesced,
-                        reason: answer.reason,
-                        wall_us: start.elapsed().as_micros() as u64,
-                        cert: answer.cert,
-                        rid: item_rid,
-                        canon_us: answer.timing.canon_us,
-                        lookup_us: answer.timing.lookup_us,
-                        queue_us: answer.timing.queue_us,
-                        verify_us: answer.timing.verify_us,
-                    };
+                    let line =
+                        answer.into_line(id.to_string(), *index, name.clone(), item_rid, start);
                     results.lock().unwrap_or_else(|e| e.into_inner())[k] = Some(line);
                 });
             }
@@ -873,11 +884,7 @@ impl Server {
         if len < depth {
             return None;
         }
-        inner.busy.fetch_add(1, Ordering::Relaxed);
-        inner.tracer.counter(metric::BUSY, 1);
-        Some(Busy {
-            retry_after_ms: (depth as u64 * 250).clamp(100, 5_000),
-        })
+        Some(self.refuse(depth))
     }
 
     /// Fires the `serve` fault site for one verify/batch request: a
@@ -916,8 +923,7 @@ impl Server {
         let request = match Request::parse(line) {
             Ok(r) => r,
             Err(e) => {
-                self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                self.inner.tracer.counter(metric::ERROR, 1);
+                self.count_error();
                 writeln!(out, "{}", render_error("", &e))?;
                 return Ok(true);
             }
@@ -954,30 +960,13 @@ impl Server {
                                 return Ok(true);
                             }
                         };
-                        let lineout = VerdictLine {
-                            id,
-                            index: 0,
-                            name,
-                            hash: answer.hash,
-                            verdict: answer.verdict.as_str().to_string(),
-                            cached: answer.cached,
-                            coalesced: answer.coalesced,
-                            reason: answer.reason,
-                            wall_us: start.elapsed().as_micros() as u64,
-                            cert: answer.cert,
-                            rid,
-                            canon_us: answer.timing.canon_us,
-                            lookup_us: answer.timing.lookup_us,
-                            queue_us: answer.timing.queue_us,
-                            verify_us: answer.timing.verify_us,
-                        };
+                        let lineout = answer.into_line(id, 0, name, rid, start);
                         drop(span);
                         writeln!(out, "{}", lineout.render())?;
                     }
                     Err(e) => {
                         drop(span);
-                        self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                        self.inner.tracer.counter(metric::ERROR, 1);
+                        self.count_error();
                         writeln!(out, "{}", render_error(&id, &e))?;
                     }
                 }
@@ -1003,8 +992,7 @@ impl Server {
                         writeln!(out, "{}", render_done(&id, lines.len(), hits, misses))?;
                     }
                     Err(e) => {
-                        self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                        self.inner.tracer.counter(metric::ERROR, 1);
+                        self.count_error();
                         writeln!(out, "{}", render_error(&id, &e))?;
                     }
                 }

@@ -9,7 +9,7 @@
 use alive_ir::parse_transform;
 use alive_sat::fault::{self, FailurePlan};
 use alive_serve::{ServeConfig, ServeLimits, Server};
-use alive_trace::{serve as metric, MetricsSink, Tracer};
+use alive_trace::{serve as metric, StatsSink, Tracer};
 use alive_verifier::store::StoreOpen;
 use alive_verifier::{DriverConfig, OutcomeKind, VerifyConfig};
 use std::path::PathBuf;
@@ -37,7 +37,7 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn metered_config(store_path: PathBuf, sink: &Arc<MetricsSink>) -> ServeConfig {
+fn metered_config(store_path: PathBuf, sink: &Arc<StatsSink>) -> ServeConfig {
     ServeConfig {
         driver: DriverConfig {
             verify: VerifyConfig::fast(),
@@ -61,7 +61,7 @@ fn failed_store_append_still_serves_the_verdict() {
     let _g = serial();
     let dir = temp_dir("disk-full");
     let store = dir.join("store.jsonl");
-    let sink = Arc::new(MetricsSink::new());
+    let sink = Arc::new(StatsSink::new());
     {
         let (server, _) = Server::open(metered_config(store.clone(), &sink)).unwrap();
         let t = parse_transform(GOOD).unwrap();
@@ -70,7 +70,11 @@ fn failed_store_append_still_serves_the_verdict() {
         let s = server.stats();
         assert_eq!(s.errors, 1, "the lost append is counted");
         assert_eq!(s.stored, 0, "nothing landed in the store");
-        assert_eq!(sink.counter(metric::ERROR), 1, "serve.error incremented");
+        assert_eq!(
+            sink.snapshot().unwrap().counters[metric::ERROR],
+            1,
+            "serve.error incremented"
+        );
     }
     // Restart: the verdict was never persisted, so it is re-verified —
     // not silently missing, not corrupt.
@@ -95,7 +99,7 @@ fn torn_store_append_is_rolled_back_and_later_appends_land() {
     let _g = serial();
     let dir = temp_dir("torn");
     let store = dir.join("store.jsonl");
-    let sink = Arc::new(MetricsSink::new());
+    let sink = Arc::new(StatsSink::new());
     {
         let (server, _) = Server::open(metered_config(store.clone(), &sink)).unwrap();
         let torn = with_plan("store:torn@1", || {
@@ -131,7 +135,7 @@ fn torn_store_append_is_rolled_back_and_later_appends_land() {
 fn injected_request_hang_is_bounded_by_stop() {
     let _g = serial();
     let dir = temp_dir("hang");
-    let sink = Arc::new(MetricsSink::new());
+    let sink = Arc::new(StatsSink::new());
     let (server, _) = Server::open(metered_config(dir.join("store.jsonl"), &sink)).unwrap();
     // Cut the stall short: the hang polls `stopping` every 10ms.
     let stopper = {
@@ -169,7 +173,7 @@ fn injected_request_hang_is_bounded_by_stop() {
 fn torn_response_kills_the_connection_not_the_daemon() {
     let _g = serial();
     let dir = temp_dir("torn-response");
-    let sink = Arc::new(MetricsSink::new());
+    let sink = Arc::new(StatsSink::new());
     let (server, _) = Server::open(metered_config(dir.join("store.jsonl"), &sink)).unwrap();
     let request = "{\"op\":\"verify\",\"id\":\"t1\",\"text\":\"%r = add %x, 0\\n=>\\n%r = %x\"}";
 

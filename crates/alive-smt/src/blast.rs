@@ -84,11 +84,6 @@ impl Blaster {
         &self.gates_by_op
     }
 
-    /// Total auxiliary SAT variables introduced across all op kinds.
-    pub fn gates_total(&self) -> u64 {
-        self.gates_by_op.values().sum()
-    }
-
     /// Gates found already built by structural hashing (each one a gate
     /// that created no variable and no clause).
     pub fn gate_hits(&self) -> u64 {
@@ -152,11 +147,6 @@ impl Blaster {
     ) -> Result<Lit, Exhaustion> {
         debug_assert_eq!(pool.sort(id), Sort::Bool);
         Ok(self.try_blast(pool, sat, id)?.as_bool())
-    }
-
-    /// Blasts a bitvector term to its bit literals.
-    pub fn blast_bv(&mut self, pool: &TermPool, sat: &mut Solver, id: TermId) -> Vec<Lit> {
-        self.blast(pool, sat, id).as_bv().to_vec()
     }
 
     /// Blasts any term, memoized, ignoring any installed budget.

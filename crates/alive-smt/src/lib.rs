@@ -45,10 +45,10 @@ mod subst;
 mod term;
 mod value;
 
-pub use alive_sat::{Budget, CancelToken, Exhaustion, ProofEvent, Tracer};
+pub use alive_sat::{Budget, CancelToken, Exhaustion, ProofEvent, SolverStats, Tracer};
 pub use blast::{Blasted, Blaster};
 pub use eval::{eval, Assignment, EvalError};
-pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult, EfStats};
+pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult};
 pub use solver::{ProofTranscript, SatResult, SmtSolver};
 pub use subst::{substitute, substitute_assignment};
 pub use term::{Op, Term, TermId, TermPool};

@@ -18,7 +18,7 @@ use crate::eval::Assignment;
 use crate::solver::{ProofTranscript, SatResult, SmtSolver};
 use crate::subst::substitute_assignment;
 use crate::term::{TermId, TermPool};
-use alive_sat::{Budget, Tracer};
+use alive_sat::{Budget, SolverStats, Tracer};
 
 /// Result of an exists-forall query.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,36 +66,6 @@ impl Default for EfConfig {
     }
 }
 
-/// Counters describing one exists-forall solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EfStats {
-    /// Total SAT conflicts across every sub-solver.
-    pub conflicts: u64,
-    /// CEGIS refinement rounds run (0 for the quantifier-free path).
-    pub rounds: usize,
-    /// Total literals propagated across every sub-solver.
-    pub propagations: u64,
-    /// Total decisions taken across every sub-solver.
-    pub decisions: u64,
-    /// Total restarts performed across every sub-solver.
-    pub restarts: u64,
-    /// Number of SAT `solve` calls issued across every sub-solver.
-    pub sat_calls: u64,
-}
-
-impl EfStats {
-    /// Folds a sub-solver's cumulative SAT statistics into these totals.
-    /// Call exactly once per solver (the stats are lifetime counters).
-    fn absorb(&mut self, s: &SmtSolver) {
-        let ss = s.sat_stats();
-        self.conflicts += ss.conflicts;
-        self.propagations += ss.propagations;
-        self.decisions += ss.decisions;
-        self.restarts += ss.restarts;
-        self.sat_calls += ss.sat_calls;
-    }
-}
-
 /// Everything [`solve_exists_forall`] has to say about a query.
 #[derive(Clone, Debug)]
 pub struct EfOutcome {
@@ -103,8 +73,10 @@ pub struct EfOutcome {
     pub result: EfResult,
     /// DRAT transcript on `Unsat` when proof logging was requested.
     pub transcript: Option<ProofTranscript>,
-    /// Resource counters for reporting.
-    pub stats: EfStats,
+    /// SAT counters summed over every sub-solver.
+    pub sat: SolverStats,
+    /// CEGIS refinement rounds run (0 for the quantifier-free path).
+    pub rounds: usize,
 }
 
 /// Formats why a sub-solver answered `Unknown`.
@@ -151,7 +123,9 @@ pub fn solve_exists_forall(
     config: &EfConfig,
     want_proof: bool,
 ) -> EfOutcome {
-    let mut stats = EfStats::default();
+    // Each sub-solver's lifetime counters are folded in exactly once.
+    let mut sat = SolverStats::default();
+    let mut rounds = 0;
     let mut candidates = sub_solver(config);
     let handle = want_proof.then(|| candidates.enable_proof_logging());
     let (result, transcript) = if univ_vars.is_empty() {
@@ -188,16 +162,16 @@ pub fn solve_exists_forall(
         let not_matrix = pool.not(matrix);
         'cegis: {
             for _ in 0..config.max_iterations {
-                stats.rounds += 1;
+                rounds += 1;
                 let _round = config
                     .tracer
-                    .span_with("cegis.round", || stats.rounds.to_string());
+                    .span_with("cegis.round", || rounds.to_string());
                 config.tracer.counter("cegis.rounds", 1);
                 // The inter-round poll: even if every individual SAT call
                 // is cheap, a long refinement loop must still observe the
                 // shared deadline and cancellation promptly.
                 if let Some(e) = config.budget.check_soft() {
-                    let reason = format!("CEGIS round {}: {e}", stats.rounds);
+                    let reason = format!("CEGIS round {rounds}: {e}");
                     break 'cegis (EfResult::Unknown(reason), None);
                 }
                 match candidates.check() {
@@ -218,7 +192,7 @@ pub fn solve_exists_forall(
                 let mut verifier = sub_solver(config);
                 verifier.assert_term(pool, check_term);
                 let verdict = verifier.check();
-                stats.absorb(&verifier);
+                sat += verifier.sat_stats();
                 match verdict {
                     SatResult::Unsat => break 'cegis (EfResult::Sat(x_star), None),
                     SatResult::Unknown => {
@@ -238,11 +212,12 @@ pub fn solve_exists_forall(
     };
     // Every path ends here, so the candidate solver's counters are folded
     // in exactly once.
-    stats.absorb(&candidates);
+    sat += candidates.sat_stats();
     EfOutcome {
         result,
         transcript,
-        stats,
+        sat,
+        rounds,
     }
 }
 
@@ -479,6 +454,6 @@ mod tests {
         let matrix = p.eq(x, u);
         let outcome = solve_exists_forall(&mut p, &[x], &[u], matrix, &EfConfig::default(), false);
         assert_eq!(outcome.result, EfResult::Unsat);
-        assert!(outcome.stats.rounds > 0, "CEGIS must have iterated");
+        assert!(outcome.rounds > 0, "CEGIS must have iterated");
     }
 }

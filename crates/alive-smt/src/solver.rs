@@ -63,7 +63,6 @@ pub struct SmtSolver {
     sat: Solver,
     blaster: Blaster,
     trivially_false: bool,
-    num_asserts: usize,
     /// Set when bit-blasting itself was aborted by the budget. The CNF is
     /// then missing an assertion, so every later `check` must answer
     /// `Unknown` rather than reason about the truncated formula.
@@ -92,12 +91,6 @@ impl SmtSolver {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.sat.set_tracer(tracer.clone());
         self.tracer = tracer;
-    }
-
-    /// The bit-blasting statistics accumulated so far (encoded nodes and
-    /// auxiliary variables per op kind), regardless of tracing.
-    pub fn blast_stats(&self) -> (u64, u64) {
-        (self.blaster.nodes_encoded(), self.blaster.gates_total())
     }
 
     /// Installs a resource [`Budget`] (deadline, conflict limit,
@@ -129,11 +122,6 @@ impl SmtSolver {
             .or_else(|| self.sat.exhaustion())
     }
 
-    /// Number of top-level assertions made.
-    pub fn num_assertions(&self) -> usize {
-        self.num_asserts
-    }
-
     /// Turns on DRAT-style proof logging in the underlying SAT solver and
     /// returns a handle to the transcript.
     ///
@@ -145,17 +133,6 @@ impl SmtSolver {
         let handle = SharedDratRecorder::new();
         self.sat.set_proof_logger(Some(Box::new(handle.clone())));
         handle
-    }
-
-    /// `true` if a constant-false assertion short-circuited the solver (the
-    /// SAT layer never sees such assertions).
-    pub fn is_trivially_false(&self) -> bool {
-        self.trivially_false
-    }
-
-    /// Number of variables in the bit-blasted SAT formula.
-    pub fn num_sat_vars(&self) -> usize {
-        self.sat.num_vars()
     }
 
     /// Extracts the proof transcript recorded by `handle` after a `check`
@@ -190,7 +167,6 @@ impl SmtSolver {
     /// Panics if the term is not boolean.
     pub fn assert_term(&mut self, pool: &TermPool, t: TermId) {
         assert_eq!(pool.sort(t), Sort::Bool, "assertion must be boolean");
-        self.num_asserts += 1;
         if let Some(b) = pool.as_bool_const(t) {
             if !b {
                 self.trivially_false = true;

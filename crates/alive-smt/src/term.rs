@@ -261,11 +261,6 @@ impl TermPool {
         }
     }
 
-    /// Is the term a variable?
-    pub fn is_var(&self, id: TermId) -> bool {
-        matches!(self.term(id).op, Op::Var(_))
-    }
-
     /// The constant value of a term if it is a constant.
     pub fn as_const(&self, id: TermId) -> Option<Value> {
         match self.term(id).op {

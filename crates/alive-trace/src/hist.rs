@@ -1,7 +1,7 @@
 //! Log2-bucketed histograms for metric samples.
 //!
 //! Samples (learned-clause lengths, queue wait times, ...) span many
-//! orders of magnitude, so the metrics aggregator buckets them by the
+//! orders of magnitude, so the stats aggregator buckets them by the
 //! power of two they fall in: bucket 0 holds exactly `0`, bucket `i`
 //! (1 ≤ i ≤ 64) holds `2^(i-1) ..= 2^i - 1` (bucket 64's upper bound
 //! saturates at `u64::MAX`). Bucketing round-trips: every sample lies
@@ -12,7 +12,7 @@
 pub const NUM_BUCKETS: usize = 65;
 
 /// A fixed-size log2 histogram of `u64` samples.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; NUM_BUCKETS],
     count: u64,

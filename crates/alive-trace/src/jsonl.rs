@@ -179,6 +179,22 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
+impl From<&Event> for TraceEvent {
+    /// The owned form of a live event.
+    fn from(ev: &Event) -> TraceEvent {
+        TraceEvent {
+            kind: ev.kind,
+            id: ev.id,
+            parent: ev.parent,
+            tid: ev.tid,
+            us: ev.us,
+            name: ev.name.to_string(),
+            arg: ev.arg.clone(),
+            value: ev.value,
+        }
+    }
+}
+
 /// Why a trace file failed to load.
 #[derive(Debug)]
 pub enum TraceReadError {

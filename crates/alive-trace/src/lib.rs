@@ -43,8 +43,8 @@
 //!
 //! * [`JsonlSink`] — streams CRC-sealed JSONL (`alive-trace/v1`, the same
 //!   FNV-1a seal as the verification journal) for `--trace <file>`;
-//! * [`MetricsSink`] — in-memory aggregation for the `--metrics` summary
-//!   table;
+//! * [`StatsSink`] — live aggregation for the `--metrics` table, the
+//!   same fold (and table) as `alive stats` on the run's trace file;
 //! * [`MemorySink`] — event capture for tests;
 //! * [`TeeSink`] — fan-out to several sinks.
 //!
@@ -57,7 +57,6 @@
 
 pub mod hist;
 pub mod jsonl;
-pub mod metrics;
 pub mod sealed;
 pub mod serve;
 pub mod stats;
@@ -68,8 +67,7 @@ pub use jsonl::{
     read_trace, read_trace_lenient, JsonlSink, LenientTrace, TraceEvent, TraceReadError,
     TRACE_SCHEMA,
 };
-pub use metrics::MetricsSink;
-pub use stats::TraceStats;
+pub use stats::{StatsSink, TraceStats};
 pub use telemetry::{SeriesSnapshot, Telemetry, TelemetrySnapshot, Windowed};
 
 use std::cell::{Cell, RefCell};
@@ -457,7 +455,7 @@ impl TraceSink for MemorySink {
 }
 
 /// Fans every event out to several sinks (e.g. a trace file *and* the
-/// metrics aggregator).
+/// live stats aggregator).
 #[derive(Debug)]
 pub struct TeeSink {
     sinks: Vec<Box<dyn TraceSink>>,

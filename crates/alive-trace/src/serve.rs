@@ -9,13 +9,13 @@
 //! so their names are pinned here once and imported everywhere.
 //!
 //! ```
-//! use alive_trace::{serve, MetricsSink, Tracer};
+//! use alive_trace::{serve, StatsSink, Tracer};
 //! use std::sync::Arc;
 //!
-//! let sink = Arc::new(MetricsSink::new());
+//! let sink = Arc::new(StatsSink::new());
 //! let tracer = Tracer::new(Box::new(Arc::clone(&sink)));
 //! tracer.counter(serve::HIT, 1);
-//! assert_eq!(sink.counter(serve::HIT), 1);
+//! assert_eq!(sink.snapshot().unwrap().counters[serve::HIT], 1);
 //! ```
 
 /// Counter: requests answered from the verdict store.

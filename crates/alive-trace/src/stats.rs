@@ -1,6 +1,7 @@
-//! Offline trace analysis: the engine behind `alive stats`.
+//! Trace aggregation: the engine behind `alive stats` and `--metrics`.
 //!
-//! [`TraceStats::from_events`] replays a parsed trace per thread,
+//! [`TraceStats::from_events`] replays a parsed trace per thread (and
+//! [`StatsSink`] folds live events through the same step),
 //! validating span nesting (every `end` must match the innermost open
 //! span on its thread; spans still open at end-of-trace are legal — a
 //! detached worker never gets to close its `pool.task`), and aggregates:
@@ -15,12 +16,13 @@
 
 use crate::hist::Histogram;
 use crate::jsonl::TraceEvent;
-use crate::EventKind;
+use crate::{Event, EventKind, TraceSink};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Aggregate for one span name.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseAgg {
     /// Completed spans with this name.
     pub count: u64,
@@ -32,7 +34,7 @@ pub struct PhaseAgg {
 }
 
 /// A nesting violation found while replaying a trace.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NestingError {
     /// Index of the offending event (0-based, in file order).
     pub event: usize,
@@ -48,6 +50,10 @@ impl std::fmt::Display for NestingError {
 
 impl std::error::Error for NestingError {}
 
+/// How many slowest tasks `alive stats` lists by default, and all that
+/// a [`StatsSink`] keeps.
+pub const TOP: usize = 10;
+
 /// One open span during replay.
 #[derive(Debug)]
 struct Open {
@@ -59,8 +65,8 @@ struct Open {
 }
 
 /// The aggregated view of one trace, produced by
-/// [`TraceStats::from_events`].
-#[derive(Debug, Default)]
+/// [`TraceStats::from_events`] or a live [`StatsSink`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Per-span-name aggregates, keyed by name.
     pub phases: BTreeMap<String, PhaseAgg>,
@@ -75,113 +81,152 @@ pub struct TraceStats {
     pub samples: BTreeMap<String, Histogram>,
     /// Spans never closed (detached workers, torn runs).
     pub open_spans: usize,
-    /// Span of event timestamps (first to last, µs).
+    /// Span of event timestamps (earliest to latest, µs).
     pub wall_us: u64,
+}
+
+/// Slowest first, ties by name, so any event order lists tasks alike.
+fn sort_tasks(tasks: &mut [(String, u64)]) {
+    tasks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+}
+
+/// Replay state between events: each thread's open spans and the
+/// timestamp range seen so far. [`Fold::step`] folds one event into a
+/// [`TraceStats`]; [`Fold::finish`] fills in what only the whole stream
+/// knows.
+#[derive(Debug, Default)]
+struct Fold {
+    stacks: HashMap<u32, Vec<Open>>,
+    first_us: Option<u64>,
+    last_us: u64,
+    /// Events folded so far (the next event's index).
+    seen: usize,
+    /// Keep only this many slowest tasks (`None` keeps every one).
+    top: Option<usize>,
+}
+
+impl Fold {
+    fn step(&mut self, stats: &mut TraceStats, ev: &TraceEvent) -> Result<(), NestingError> {
+        let i = self.seen;
+        self.seen += 1;
+        self.first_us = Some(self.first_us.map_or(ev.us, |f| f.min(ev.us)));
+        self.last_us = self.last_us.max(ev.us);
+        match ev.kind {
+            EventKind::Start => {
+                let stack = self.stacks.entry(ev.tid).or_default();
+                let top_id = stack.last().map(|o| o.id).unwrap_or(0);
+                if ev.parent != top_id {
+                    return Err(NestingError {
+                        event: i,
+                        detail: format!(
+                            "span {} '{}' opened under parent {} but the innermost \
+                             open span on tid {} is {}",
+                            ev.id, ev.name, ev.parent, ev.tid, top_id
+                        ),
+                    });
+                }
+                let path = match stack.last() {
+                    Some(parent) => format!("{};{}", parent.path, ev.name),
+                    None => ev.name.clone(),
+                };
+                stack.push(Open {
+                    id: ev.id,
+                    name: ev.name.clone(),
+                    arg: ev.arg.clone(),
+                    child_us: 0,
+                    path,
+                });
+            }
+            EventKind::End => {
+                let stack = self.stacks.get_mut(&ev.tid);
+                let Some(top) = stack.and_then(|s| s.pop()) else {
+                    return Err(NestingError {
+                        event: i,
+                        detail: format!(
+                            "end of span {} '{}' on tid {} with no span open",
+                            ev.id, ev.name, ev.tid
+                        ),
+                    });
+                };
+                if top.id != ev.id || top.name != ev.name {
+                    return Err(NestingError {
+                        event: i,
+                        detail: format!(
+                            "end of span {} '{}' does not match innermost open \
+                             span {} '{}' on tid {}",
+                            ev.id, ev.name, top.id, top.name, ev.tid
+                        ),
+                    });
+                }
+                let dur = ev.value;
+                let self_us = dur.saturating_sub(top.child_us);
+                let agg = stats.phases.entry(top.name.clone()).or_default();
+                agg.count += 1;
+                agg.total_us += dur;
+                agg.self_us += self_us;
+                *stats.folded.entry(top.path).or_insert(0) += self_us;
+                // Work units for the slowest-list: a pool task (arg =
+                // transform name) or a serve request (arg = request
+                // id). Without this, serve-side spans would only show
+                // up as anonymous phase rows.
+                if top.name == "pool.task" || top.name == "serve.request" {
+                    let label = if top.arg.is_empty() {
+                        format!("task-{}", top.id)
+                    } else {
+                        top.arg
+                    };
+                    stats.tasks.push((label, dur));
+                    if let Some(k) = self.top {
+                        sort_tasks(&mut stats.tasks);
+                        stats.tasks.truncate(k);
+                    }
+                }
+                // A thread with nothing open drops its entry, so a daemon
+                // spawning a thread per connection keeps no dead stacks.
+                match self.stacks.get_mut(&ev.tid).and_then(|s| s.last_mut()) {
+                    Some(parent) => parent.child_us += dur,
+                    None => {
+                        self.stacks.remove(&ev.tid);
+                    }
+                }
+            }
+            EventKind::Counter => {
+                let key = if ev.arg.is_empty() {
+                    ev.name.clone()
+                } else {
+                    format!("{}.{}", ev.name, ev.arg)
+                };
+                *stats.counters.entry(key).or_insert(0) += ev.value;
+            }
+            EventKind::Gauge | EventKind::Mark => {}
+            EventKind::Sample => {
+                stats
+                    .samples
+                    .entry(ev.name.clone())
+                    .or_default()
+                    .record(ev.value);
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&self, mut stats: TraceStats) -> TraceStats {
+        stats.open_spans = self.stacks.values().map(Vec::len).sum();
+        stats.wall_us = self.last_us - self.first_us.unwrap_or(0);
+        sort_tasks(&mut stats.tasks);
+        stats
+    }
 }
 
 impl TraceStats {
     /// Replays `events`, checking nesting per thread and aggregating.
     pub fn from_events(events: &[TraceEvent]) -> Result<TraceStats, NestingError> {
+        let mut fold = Fold::default();
         let mut stats = TraceStats::default();
-        let mut stacks: HashMap<u32, Vec<Open>> = HashMap::new();
-        let mut first_us = None;
-        let mut last_us = 0u64;
-        for (i, ev) in events.iter().enumerate() {
-            first_us.get_or_insert(ev.us);
-            last_us = last_us.max(ev.us);
-            let stack = stacks.entry(ev.tid).or_default();
-            match ev.kind {
-                EventKind::Start => {
-                    let top_id = stack.last().map(|o| o.id).unwrap_or(0);
-                    if ev.parent != top_id {
-                        return Err(NestingError {
-                            event: i,
-                            detail: format!(
-                                "span {} '{}' opened under parent {} but the innermost \
-                                 open span on tid {} is {}",
-                                ev.id, ev.name, ev.parent, ev.tid, top_id
-                            ),
-                        });
-                    }
-                    let path = match stack.last() {
-                        Some(parent) => format!("{};{}", parent.path, ev.name),
-                        None => ev.name.clone(),
-                    };
-                    stack.push(Open {
-                        id: ev.id,
-                        name: ev.name.clone(),
-                        arg: ev.arg.clone(),
-                        child_us: 0,
-                        path,
-                    });
-                }
-                EventKind::End => {
-                    let Some(top) = stack.pop() else {
-                        return Err(NestingError {
-                            event: i,
-                            detail: format!(
-                                "end of span {} '{}' on tid {} with no span open",
-                                ev.id, ev.name, ev.tid
-                            ),
-                        });
-                    };
-                    if top.id != ev.id || top.name != ev.name {
-                        return Err(NestingError {
-                            event: i,
-                            detail: format!(
-                                "end of span {} '{}' does not match innermost open \
-                                 span {} '{}' on tid {}",
-                                ev.id, ev.name, top.id, top.name, ev.tid
-                            ),
-                        });
-                    }
-                    let dur = ev.value;
-                    let self_us = dur.saturating_sub(top.child_us);
-                    let agg = stats.phases.entry(top.name.clone()).or_default();
-                    agg.count += 1;
-                    agg.total_us += dur;
-                    agg.self_us += self_us;
-                    *stats.folded.entry(top.path.clone()).or_insert(0) += self_us;
-                    // Work units for the slowest-list: a pool task (arg =
-                    // transform name) or a serve request (arg = request
-                    // id). Without this, serve-side spans would only show
-                    // up as anonymous phase rows.
-                    if top.name == "pool.task" || top.name == "serve.request" {
-                        let label = if top.arg.is_empty() {
-                            format!("task-{}", top.id)
-                        } else {
-                            top.arg
-                        };
-                        stats.tasks.push((label, dur));
-                    }
-                    if let Some(parent) = stack.last_mut() {
-                        parent.child_us += dur;
-                    }
-                }
-                EventKind::Counter => {
-                    let key = if ev.arg.is_empty() {
-                        ev.name.clone()
-                    } else {
-                        format!("{}.{}", ev.name, ev.arg)
-                    };
-                    *stats.counters.entry(key).or_insert(0) += ev.value;
-                }
-                EventKind::Gauge | EventKind::Mark => {}
-                EventKind::Sample => {
-                    stats
-                        .samples
-                        .entry(ev.name.clone())
-                        .or_default()
-                        .record(ev.value);
-                }
-            }
+        for ev in events {
+            fold.step(&mut stats, ev)?;
         }
-        stats.open_spans = stacks.values().map(|s| s.len()).sum();
-        stats.wall_us = last_us.saturating_sub(first_us.unwrap_or(0));
-        stats
-            .tasks
-            .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(stats)
+        Ok(fold.finish(stats))
     }
 
     /// Aggregates only the events belonging to one request: the
@@ -318,6 +363,57 @@ impl TraceStats {
     }
 }
 
+/// A [`TraceSink`] folding live events through the same step as
+/// [`TraceStats::from_events`]: the sink behind `--metrics`, whose table
+/// is therefore exactly what `alive stats` prints for the run's trace.
+/// It keeps only the [`TOP`] slowest tasks, so a long-running daemon's
+/// memory stays flat.
+#[derive(Debug)]
+pub struct StatsSink {
+    /// The fold so far, or the first nesting error (which ends it).
+    state: Mutex<Result<(Fold, TraceStats), NestingError>>,
+}
+
+impl Default for StatsSink {
+    fn default() -> StatsSink {
+        let fold = Fold {
+            top: Some(TOP),
+            ..Fold::default()
+        };
+        StatsSink {
+            state: Mutex::new(Ok((fold, TraceStats::default()))),
+        }
+    }
+}
+
+impl StatsSink {
+    /// Creates an empty aggregator.
+    pub fn new() -> StatsSink {
+        StatsSink::default()
+    }
+
+    /// The aggregate of every event recorded so far, or the nesting
+    /// violation that stopped the fold.
+    pub fn snapshot(&self) -> Result<TraceStats, NestingError> {
+        match &*self.state.lock().unwrap_or_else(|e| e.into_inner()) {
+            Ok((fold, stats)) => Ok(fold.finish(stats.clone())),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+impl TraceSink for StatsSink {
+    fn record(&self, event: &Event) {
+        let ev = TraceEvent::from(event);
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if let Ok((fold, stats)) = &mut *state {
+            if let Err(e) = fold.step(stats, &ev) {
+                *state = Err(e);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,5 +537,132 @@ mod tests {
         let stats = TraceStats::from_events(&events).unwrap();
         assert_eq!(stats.counters["sat.conflicts"], 10);
         assert_eq!(stats.samples["sat.learned_len"].count(), 1);
+    }
+
+    #[test]
+    fn wall_span_runs_from_earliest_to_latest_event() {
+        // A thread that read the clock first can reach the sink second.
+        let events = vec![
+            ev(EventKind::Counter, 0, 0, 0, 10, "sat.conflicts", 1),
+            ev(EventKind::Counter, 0, 0, 1, 5, "sat.conflicts", 1),
+            ev(EventKind::Counter, 0, 0, 0, 20, "sat.conflicts", 1),
+        ];
+        assert_eq!(TraceStats::from_events(&events).unwrap().wall_us, 15);
+    }
+
+    /// One thread's events, in emission order: a task holding a solve
+    /// with a tagged counter and a sample, then a task left open.
+    fn thread_events(tid: u32, base: u64, task: &str) -> Vec<Event> {
+        let id = u64::from(tid) * 10;
+        let e = |kind, id, parent, us, name, arg: &str, value| Event {
+            kind,
+            id,
+            parent,
+            tid,
+            us: base + us,
+            name,
+            arg: arg.to_string(),
+            value,
+        };
+        vec![
+            e(EventKind::Start, id + 1, 0, 0, "pool.task", task, 0),
+            e(EventKind::Start, id + 2, id + 1, 2, "sat.solve", "", 0),
+            e(EventKind::Counter, 0, id + 2, 3, "blast.gates", "bvmul", 4),
+            e(EventKind::Counter, 0, id + 2, 4, "sat.conflicts", "", 7),
+            e(EventKind::Sample, 0, id + 2, 5, "sat.learned_len", "", 9),
+            e(EventKind::Gauge, 0, id + 2, 5, "pool.queue_depth", "", 3),
+            e(EventKind::End, id + 2, 0, 8, "sat.solve", "", 6),
+            e(EventKind::End, id + 1, 0, 10, "pool.task", "", 10),
+            e(EventKind::Start, id + 3, 0, 11, "pool.task", "open", 0),
+        ]
+    }
+
+    #[test]
+    fn live_sink_and_replay_agree_under_any_interleaving() {
+        // Thread 1 started earlier but its events arrive second.
+        let a = thread_events(0, 100, "first");
+        let b = thread_events(1, 50, "second");
+        let serial: Vec<Event> = a.iter().chain(&b).cloned().collect();
+        let mut alternating = Vec::new();
+        for (x, y) in b.iter().zip(&a) {
+            alternating.push(x.clone());
+            alternating.push(y.clone());
+        }
+        for (live_order, file_order) in [(&serial, &alternating), (&alternating, &serial)] {
+            let sink = StatsSink::new();
+            for ev in live_order {
+                sink.record(ev);
+            }
+            let live = sink.snapshot().unwrap();
+            let file: Vec<TraceEvent> = file_order.iter().map(TraceEvent::from).collect();
+            let replay = TraceStats::from_events(&file).unwrap();
+            assert_eq!(live, replay);
+            assert_eq!(live.render(TOP), replay.render(TOP));
+            assert_eq!(live.counters["blast.gates.bvmul"], 8);
+            assert_eq!(live.counters["sat.conflicts"], 14);
+            assert_eq!(live.samples["sat.learned_len"].count(), 2);
+            assert_eq!(live.folded["pool.task;sat.solve"], 12);
+            assert_eq!(live.open_spans, 2);
+            assert_eq!(live.wall_us, 111 - 50);
+        }
+    }
+
+    #[test]
+    fn live_sink_keeps_only_the_slowest_tasks() {
+        let request = |kind, k: u64, arg: String| Event {
+            kind,
+            id: k + 1,
+            parent: 0,
+            tid: 0,
+            us: k,
+            name: "serve.request",
+            arg,
+            value: if kind == EventKind::End { k } else { 0 },
+        };
+        let sink = StatsSink::new();
+        let mut file = Vec::new();
+        for k in 0..3 * TOP as u64 {
+            for ev in [
+                request(EventKind::Start, k, format!("rq-{k}")),
+                request(EventKind::End, k, String::new()),
+            ] {
+                sink.record(&ev);
+                file.push(TraceEvent::from(&ev));
+            }
+        }
+        let live = sink.snapshot().unwrap();
+        let replay = TraceStats::from_events(&file).unwrap();
+        assert_eq!(live.tasks.len(), TOP);
+        assert_eq!(replay.tasks.len(), 3 * TOP);
+        assert_eq!(live.tasks[..], replay.tasks[..TOP]);
+        assert_eq!(live.render(TOP), replay.render(TOP));
+    }
+
+    #[test]
+    fn live_sink_reports_the_first_nesting_error() {
+        let sink = StatsSink::new();
+        sink.record(&Event {
+            kind: EventKind::End,
+            id: 1,
+            parent: 0,
+            tid: 0,
+            us: 0,
+            name: "typeck",
+            arg: String::new(),
+            value: 0,
+        });
+        sink.record(&Event {
+            kind: EventKind::Counter,
+            id: 0,
+            parent: 0,
+            tid: 0,
+            us: 1,
+            name: "sat.conflicts",
+            arg: String::new(),
+            value: 1,
+        });
+        let err = sink.snapshot().unwrap_err();
+        assert_eq!(err.event, 0);
+        assert!(err.detail.contains("no span open"));
     }
 }

@@ -123,6 +123,11 @@ impl Windowed {
         slot.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Lifetime sample count (exact, unlike the windowed counts).
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
     /// Summarizes the series as of `now_ms`.
     pub fn snapshot_at(&self, now_ms: u64) -> SeriesSnapshot {
         let mut buckets = [0u64; NUM_BUCKETS];

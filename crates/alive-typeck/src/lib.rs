@@ -76,11 +76,6 @@ impl ConcreteType {
         matches!(self, ConcreteType::Int(_))
     }
 
-    /// Is this a pointer type?
-    pub fn is_ptr(&self) -> bool {
-        matches!(self, ConcreteType::Ptr(_))
-    }
-
     /// Allocation size in bits: the width rounded up to a byte boundary
     /// (paper §3.3.1; e.g. i5 allocates 8 bits).
     pub fn alloc_size_bits(&self, ptr_width: u32) -> u64 {

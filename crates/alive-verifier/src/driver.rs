@@ -390,16 +390,7 @@ pub(crate) fn verify_one(
             cancel: Some(cancel.clone()),
         };
         let (verdict, stats, certificates) = attempt(t, config, budget);
-        let conflicts = stats.conflicts;
-        totals.conflicts += stats.conflicts;
-        totals.propagations += stats.propagations;
-        totals.decisions += stats.decisions;
-        totals.restarts += stats.restarts;
-        totals.sat_calls += stats.sat_calls;
-        totals.ef_rounds += stats.ef_rounds;
-        totals.queries += stats.queries;
-        totals.typings = stats.typings;
-        totals.phases.absorb(&stats.phases);
+        totals.add_attempt(&stats);
         let (kind, detail) = match &verdict {
             Verdict::Valid { .. } => (OutcomeKind::Valid, verdict.to_string()),
             Verdict::Invalid(_) => (OutcomeKind::Invalid, verdict.to_string()),
@@ -413,7 +404,7 @@ pub(crate) fn verify_one(
         };
         attempts.push(Attempt {
             wall: attempt_start.elapsed(),
-            conflicts,
+            conflicts: stats.sat.conflicts,
             outcome: match kind {
                 OutcomeKind::Unknown => format!("unknown: {detail}"),
                 k => k.as_str().to_string(),
@@ -436,10 +427,10 @@ pub(crate) fn verify_one(
             detail,
             certificates,
             wall: start.elapsed(),
-            conflicts: totals.conflicts,
-            propagations: totals.propagations,
-            decisions: totals.decisions,
-            restarts: totals.restarts,
+            conflicts: totals.sat.conflicts,
+            propagations: totals.sat.propagations,
+            decisions: totals.sat.decisions,
+            restarts: totals.sat.restarts,
             ef_rounds: totals.ef_rounds,
             phases: totals.phases,
             queries: totals.queries,

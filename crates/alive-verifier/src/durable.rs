@@ -121,12 +121,6 @@ pub mod crash {
         *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = plan;
     }
 
-    /// Durable operations counted since the last [`install`] (or process
-    /// start). Only counted while a plan is armed.
-    pub fn ops_seen() -> u64 {
-        OPS.load(Ordering::SeqCst)
-    }
-
     /// Counts one durable operation and returns the scheduled crash for
     /// that ordinal, if any. A malformed `ALIVE_CRASH_AT` spec is ignored
     /// here — binaries validate it at startup where they can exit 64.

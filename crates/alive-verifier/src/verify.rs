@@ -18,7 +18,7 @@ use alive_ir::{validate, Transform};
 use alive_proof::{Certificate, CertificateMeta, Step};
 use alive_smt::{
     eval, solve_exists_forall, Assignment, BvVal, EfConfig, EfResult, EvalError, ProofEvent,
-    ProofTranscript, Sort, TermId, TermPool, Value,
+    ProofTranscript, SolverStats, Sort, TermId, TermPool, Value,
 };
 use alive_typeck::{enumerate_typings, TypeAssignment, TypeckConfig};
 use alive_vcgen::{encode_transform, TransformEnc};
@@ -139,16 +139,8 @@ pub struct VerifyStats {
     /// Total SMT/SAT queries issued (at least; CEGIS rounds count once per
     /// candidate/verify pair).
     pub queries: usize,
-    /// Total SAT conflicts spent across every query.
-    pub conflicts: u64,
-    /// Total literals propagated across every query.
-    pub propagations: u64,
-    /// Total decisions taken across every query.
-    pub decisions: u64,
-    /// Total solver restarts across every query.
-    pub restarts: u64,
-    /// SAT `solve` calls issued across every query.
-    pub sat_calls: u64,
+    /// SAT counters summed across every query.
+    pub sat: SolverStats,
     /// CEGIS refinement rounds across every query (0 when every source was
     /// `undef`-free).
     pub ef_rounds: u64,
@@ -157,14 +149,15 @@ pub struct VerifyStats {
 }
 
 impl VerifyStats {
-    /// Folds one solver outcome's counters into the running totals.
-    fn absorb_ef(&mut self, s: &alive_smt::EfStats) {
-        self.conflicts += s.conflicts;
-        self.propagations += s.propagations;
-        self.decisions += s.decisions;
-        self.restarts += s.restarts;
-        self.sat_calls += s.sat_calls;
-        self.ef_rounds += s.rounds as u64;
+    /// Folds one attempt of a retried verification into these totals:
+    /// counters and phase times add up, while `typings` is the last
+    /// attempt's (every attempt enumerates the same typings).
+    pub(crate) fn add_attempt(&mut self, a: &VerifyStats) {
+        self.typings = a.typings;
+        self.queries += a.queries;
+        self.sat += a.sat;
+        self.ef_rounds += a.ef_rounds;
+        self.phases.absorb(&a.phases);
     }
 }
 
@@ -365,7 +358,8 @@ fn check_one_typing(
                     }));
                 }
             };
-            stats.absorb_ef(&outcome.stats);
+            stats.sat += outcome.sat;
+            stats.ef_rounds += outcome.rounds as u64;
             match outcome.result {
                 EfResult::Unsat => {
                     if let (Some(certs), Some(transcript)) =

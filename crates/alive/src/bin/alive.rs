@@ -44,7 +44,7 @@
 //!   --trace <file>    stream structured trace events (spans, counters,
 //!                     histogram samples) to <file> as CRC-sealed JSONL
 //!                     (schema alive-trace/v1)
-//!   --metrics         print an end-of-run metrics summary table
+//!   --metrics         print the end-of-run `alive stats` table for the run
 //!   --paranoid        re-check every verdict with the differential
 //!                     oracle: certificates re-verified independently,
 //!                     small-width verdicts brute-forced through the
@@ -121,7 +121,7 @@ use alive::fuzz::{paranoid_audit, replay_corpus, run_fuzz, FuzzConfig, OracleCon
 use alive::ir::{canonical_hash, canonical_text};
 use alive::serve::{serve_stdio, ServeConfig, ServeLimits, Server};
 use alive::trace::{
-    read_trace_lenient, JsonlSink, MetricsSink, TeeSink, TraceSink, TraceStats, Tracer,
+    read_trace_lenient, stats::TOP, JsonlSink, StatsSink, TeeSink, TraceSink, TraceStats, Tracer,
 };
 use alive::{
     generate_cpp, infer_attributes, parse_transforms, Certificate, Transform, VerifyConfig,
@@ -398,13 +398,13 @@ impl VerifierFlags {
     }
 }
 
-/// The tracer a command runs under: a JSONL stream (`--trace`), an
-/// in-process metrics aggregator (`--metrics`), both behind one tee, or
+/// The tracer a command runs under: a JSONL stream (`--trace`), the
+/// live `alive stats` aggregator (`--metrics`), both behind one tee, or
 /// the disabled tracer whose per-site cost is a single branch.
 struct Tracing {
     tracer: Tracer,
     jsonl: Option<(String, Arc<JsonlSink>)>,
-    metrics: Option<Arc<MetricsSink>>,
+    stats: Option<Arc<StatsSink>>,
 }
 
 impl Tracing {
@@ -425,8 +425,8 @@ impl Tracing {
             },
             None => None,
         };
-        let metrics = metrics.then(|| Arc::new(MetricsSink::new()));
-        if let Some(s) = &metrics {
+        let stats = metrics.then(|| Arc::new(StatsSink::new()));
+        if let Some(s) = &stats {
             sinks.push(Box::new(Arc::clone(s)));
         }
         let tracer = match sinks.len() {
@@ -437,24 +437,34 @@ impl Tracing {
         Some(Tracing {
             tracer,
             jsonl,
-            metrics,
+            stats,
         })
     }
 
     /// Flushes explicitly — a worker the watchdog detached still holds a
     /// clone of the sink, so the Drop-based flush may never run in this
-    /// process. Returns the rendered `--metrics` table, if any, and
-    /// whether every trace write landed (warning on stderr if not).
+    /// process. Returns the `--metrics` table (what `alive stats` prints
+    /// for the run's trace), if any, and whether every trace write landed
+    /// and every span nested (warning on stderr if not).
     fn finish(&self) -> (Option<String>, bool) {
         self.tracer.flush();
-        let intact = match &self.jsonl {
+        let mut intact = match &self.jsonl {
             Some((path, sink)) if sink.had_error() => {
                 eprintln!("warning: trace writes failed; {path} is incomplete");
                 false
             }
             _ => true,
         };
-        (self.metrics.as_ref().map(|m| m.render()), intact)
+        let table = match self.stats.as_ref().map(|s| s.snapshot()) {
+            Some(Ok(stats)) => Some(stats.render(TOP)),
+            Some(Err(e)) => {
+                eprintln!("warning: --metrics: {e}");
+                intact = false;
+                None
+            }
+            None => None,
+        };
+        (table, intact)
     }
 }
 
@@ -588,7 +598,7 @@ const RESUME_ESCALATION: u32 = 8;
 /// schema validation keeps using the strict reader.
 fn run_stats(c: &mut Cursor) -> Result<ExitCode, String> {
     let mut files = Vec::new();
-    let mut top = 10usize;
+    let mut top = TOP;
     let mut folded = false;
     let mut request: Option<String> = None;
     while let Some(arg) = c.next() {

@@ -538,6 +538,32 @@ fn stats_subcommand_renders_breakdown_and_folded_stacks() {
     assert_eq!(code, 64);
 }
 
+/// `--metrics` and `alive stats` share one aggregator: the table a run
+/// prints after its summary is byte-for-byte what `alive stats` prints
+/// for that run's trace, even with two workers interleaving events.
+#[test]
+fn metrics_table_is_the_stats_table_of_the_same_run() {
+    let dir = temp_dir("metrics-stats");
+    let trace = dir.join("t.jsonl");
+    let opts = concat!(env!("CARGO_MANIFEST_DIR"), "/../alive-suite/opts/");
+    let (code, stdout, stderr) = run(&[
+        "--fast",
+        "--jobs",
+        "2",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--metrics",
+        &format!("{opts}addsub.opt"),
+        &format!("{opts}shifts.opt"),
+        &format!("{opts}select.opt"),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let table = &stdout[stdout.find("\nphase ").expect("a --metrics table") + 1..];
+    let (code, stats, stderr) = run(&["stats", trace.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(table, stats);
+}
+
 #[cfg(unix)]
 #[test]
 fn sigint_cancels_cooperatively_and_still_writes_the_report() {

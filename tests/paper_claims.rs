@@ -178,7 +178,7 @@ fn section61_ring_identities_verify_at_every_width_without_search() {
             };
             let (verdict, stats, _) = verify_with_certificates(&entry.transform, &config).unwrap();
             assert!(verdict.is_valid(), "{name} at i{w}: {verdict}");
-            assert_eq!(stats.conflicts, 0, "{name} at i{w}");
+            assert_eq!(stats.sat.conflicts, 0, "{name} at i{w}");
         }
     }
 }
