@@ -44,6 +44,7 @@
 //! assert!(check_refutation(2, &steps).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

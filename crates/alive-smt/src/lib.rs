@@ -34,6 +34,7 @@
 //! assert_eq!(solver.check(), SatResult::Unsat); // no counterexample
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
