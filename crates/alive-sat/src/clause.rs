@@ -16,6 +16,18 @@ pub(crate) struct ClauseRef(u32);
 impl ClauseRef {
     /// A sentinel that never names a real clause (used for "no reason").
     pub(crate) const UNDEF: ClauseRef = ClauseRef(u32::MAX);
+
+    /// This reference with `tag` in the top bit, which no arena offset uses.
+    #[inline]
+    pub(crate) fn with_tag(self, tag: bool) -> u32 {
+        self.0 | (u32::from(tag) << 31)
+    }
+
+    /// Splits a word made by [`ClauseRef::with_tag`].
+    #[inline]
+    pub(crate) fn untag(word: u32) -> (ClauseRef, bool) {
+        (ClauseRef(word & !(1 << 31)), word >> 31 != 0)
+    }
 }
 
 /// Header flag: the clause was learned (eligible for deletion).
@@ -41,10 +53,10 @@ impl ClauseDb {
     /// Appends a clause and returns its reference.
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
-        // Offsets are u32 below ClauseRef::UNDEF; lengths fit in 30 bits.
+        // Offsets stay below 2^31, leaving the top bit free for a tag (see
+        // ClauseRef::with_tag); lengths fit in 30 bits.
         assert!(
-            lits.len() < 1 << 30
-                && self.words.len() + HEADER_WORDS + lits.len() < u32::MAX as usize,
+            lits.len() < 1 << 30 && self.words.len() + HEADER_WORDS + lits.len() < 1 << 31,
             "clause arena full"
         );
         let cref = ClauseRef(self.words.len() as u32);
@@ -246,6 +258,16 @@ mod tests {
         assert_eq!(db.learnt_refs().len(), 0);
         assert_eq!(db.live_words(), HEADER_WORDS + 3);
         assert_eq!(db.arena_words(), 2 * HEADER_WORDS + 5);
+    }
+
+    #[test]
+    fn tag_round_trips_through_the_top_bit() {
+        let mut db = ClauseDb::default();
+        let _ = db.alloc(&lits(3), false);
+        let c = db.alloc(&lits(2), false);
+        for tag in [false, true] {
+            assert_eq!(ClauseRef::untag(c.with_tag(tag)), (c, tag));
+        }
     }
 
     #[test]
