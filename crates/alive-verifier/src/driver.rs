@@ -15,6 +15,8 @@
 //! * **escalating retries** — transforms whose conflict budget ran out are
 //!   re-run with the conflict limit multiplied, so a cheap first pass over
 //!   the corpus is followed by a slower second look at the stragglers only;
+//!   a retry resumes at the condition that ran out, since every condition
+//!   before it is already refuted;
 //! * **structured reporting** — every transform yields a
 //!   [`TransformOutcome`] with verdict, wall time, per-attempt records,
 //!   solver counters, and per-phase timings, and the whole run serializes
@@ -25,7 +27,9 @@
 //! parallel driver (worker pool, watchdog, crash-safe journal) lives in
 //! [`crate::pool`] and reuses [`verify_one`] per task.
 
-use crate::verify::{panic_message, verify_impl, PhaseTimes, Verdict, VerifyConfig, VerifyStats};
+use crate::verify::{
+    panic_message, verify_impl, CheckPoint, PhaseTimes, Verdict, VerifyConfig, VerifyStats,
+};
 use alive_ir::Transform;
 use alive_proof::Certificate;
 use alive_smt::{Budget, CancelToken};
@@ -137,7 +141,8 @@ pub struct TransformOutcome {
     /// Human-readable detail: the verdict display, counterexample, or the
     /// reason no conclusion was reached.
     pub detail: String,
-    /// Certificates for refuted conditions (when requested).
+    /// Certificates for refuted conditions (when requested), every
+    /// attempt's in check order.
     pub certificates: Vec<Certificate>,
     /// Wall time across all attempts.
     pub wall: Duration,
@@ -155,7 +160,7 @@ pub struct TransformOutcome {
     pub phases: PhaseTimes,
     /// SMT queries issued across all attempts.
     pub queries: usize,
-    /// Type assignments examined (last attempt).
+    /// Type assignments examined.
     pub typings: usize,
     /// How many retries were consumed.
     pub retries: u32,
@@ -320,18 +325,19 @@ fn is_retryable_reason(reason: &str) -> bool {
         && !reason.contains("internal error")
 }
 
-/// Verifies `t` once under the given budget, with the driver-level panic
-/// boundary (covering validation and type enumeration, which sit outside
-/// the verifier's own per-typing isolation).
+/// Verifies `t` once under the given budget, starting at `at`, with the
+/// driver-level panic boundary (covering validation and type enumeration,
+/// which sit outside the verifier's own per-typing isolation).
 fn attempt(
     t: &Transform,
     config: &DriverConfig,
     budget: Budget,
+    at: &mut CheckPoint,
 ) -> (Verdict, VerifyStats, Vec<Certificate>) {
     let mut vc = config.verify.clone();
     vc.ef.budget = budget;
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        verify_impl(t, &vc, config.with_certificates)
+        verify_impl(t, &vc, config.with_certificates, at)
     }));
     match caught {
         Ok(Ok((verdict, stats, certs))) => (verdict, stats, certs),
@@ -352,7 +358,8 @@ fn attempt(
     }
 }
 
-/// Verifies one transform end to end: escalating-retry loop, per-attempt
+/// Verifies one transform end to end: escalating-retry loop (each retry
+/// resuming at the condition the previous attempt ran out on), per-attempt
 /// budgets, attempt history. `cancel` is the token the attempt budgets
 /// poll — the driver's own token in sequential runs, a per-task token in
 /// supervised runs (so the watchdog can cut down one task without
@@ -378,6 +385,8 @@ pub(crate) fn verify_one(
         .conflict_budget
         .map(|c| c.saturating_mul(u64::from(scale.max(1))));
     let mut attempts: Vec<Attempt> = Vec::new();
+    let mut certificates = Vec::new();
+    let mut at = CheckPoint::default();
     loop {
         let attempt_start = Instant::now();
         let deadline = timeout.and_then(|d| attempt_start.checked_add(d));
@@ -389,8 +398,9 @@ pub(crate) fn verify_one(
             conflicts: budget_conflicts,
             cancel: Some(cancel.clone()),
         };
-        let (verdict, stats, certificates) = attempt(t, config, budget);
+        let (verdict, stats, attempt_certificates) = attempt(t, config, budget, &mut at);
         totals.add_attempt(&stats);
+        certificates.extend(attempt_certificates);
         let (kind, detail) = match &verdict {
             Verdict::Valid { .. } => (OutcomeKind::Valid, verdict.to_string()),
             Verdict::Invalid(_) => (OutcomeKind::Invalid, verdict.to_string()),

@@ -5,7 +5,8 @@
 //! `cargo test -p integration --test corpus -- --ignored`.
 
 use alive::fuzz::GenConfig;
-use alive::verifier::{verify_single, DriverConfig, OutcomeKind};
+use alive::typeck::enumerate_typings;
+use alive::verifier::{verify_single, DriverConfig, OutcomeKind, TransformOutcome};
 use alive::{generate_cpp, VerifyConfig};
 use std::collections::BTreeMap;
 
@@ -126,6 +127,57 @@ fn corpus_verdicts_and_conflicts_match_golden() {
             problems.join("\n")
         );
     }
+}
+
+/// A retry resumes at the condition that ran out instead of re-proving the
+/// conditions earlier attempts refuted. At the benchmark profile
+/// `MulDivRem:UremLtDivisor` is decided only by the third attempt (50, 400,
+/// then 3,200 conflicts); re-running each attempt from the first typing
+/// took 15 queries.
+#[test]
+fn retries_resume_at_the_condition_that_ran_out() {
+    let e = alive::suite::full_corpus()
+        .into_iter()
+        .find(|e| e.name == "MulDivRem:UremLtDivisor")
+        .expect("corpus entry");
+    let retried = DriverConfig {
+        verify: VerifyConfig::fast(),
+        conflict_budget: Some(50),
+        max_retries: 2,
+        retry_multiplier: 8,
+        with_certificates: true,
+        ..DriverConfig::default()
+    };
+    let once = DriverConfig {
+        conflict_budget: Some(3200),
+        max_retries: 0,
+        ..retried.clone()
+    };
+    let r = verify_single(&e.name, &e.transform, &retried);
+    let o = verify_single(&e.name, &e.transform, &once);
+    assert_eq!((r.kind, o.kind), (OutcomeKind::Valid, OutcomeKind::Valid));
+    assert_eq!((r.retries, o.retries), (2, 0));
+
+    // The attempts' certificates, concatenated, are the unretried run's.
+    let labels = |o: &TransformOutcome| -> Vec<(String, String)> {
+        o.certificates
+            .iter()
+            .map(|c| (c.meta.typing.clone(), c.meta.check.clone()))
+            .collect()
+    };
+    assert_eq!(labels(&r), labels(&o));
+    for c in &r.certificates {
+        c.check()
+            .unwrap_or_else(|err| panic!("{} {}: {err}", c.meta.typing, c.meta.check));
+    }
+
+    let typings = enumerate_typings(&e.transform, &VerifyConfig::fast().typeck)
+        .expect("typings")
+        .len();
+    assert_eq!((r.typings, o.typings), (typings, typings));
+    // Each retry re-solves only the condition that ran out.
+    assert_eq!(r.queries, o.queries + r.retries as usize);
+    assert!(r.queries < 15, "{} queries", r.queries);
 }
 
 #[test]
