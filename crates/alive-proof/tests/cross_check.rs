@@ -6,7 +6,7 @@
 //! assumptions must come with a transcript the checker accepts.
 
 use alive_proof::{check_refutation, CheckError, Step};
-use alive_sat::{ProofEvent, SharedDratRecorder, SolveResult, Solver, Var};
+use alive_sat::{Lit, ProofEvent, SharedDratRecorder, SolveResult, Solver, Var};
 
 /// Converts a solver transcript into checker steps.
 fn to_steps(events: &[ProofEvent]) -> Vec<Step> {
@@ -246,4 +246,66 @@ fn deletion_heavy_transcripts_check() {
     assert_eq!(solver.solve(), SolveResult::Unsat);
     let steps = to_steps(&handle.snapshot());
     assert!(check_refutation(num_vars, &steps).is_ok());
+}
+
+#[test]
+fn binary_heavy_transcripts_check() {
+    // Bit-blasted circuits are mostly binary clauses, and the solver
+    // propagates a binary clause without reordering it, so the implied
+    // literal of a binary reason may sit in either slot. Random 3-CNFs over
+    // equivalence chains (each variable four copies, six binary clauses)
+    // keep more than half the clauses binary and still need learning.
+    let mut rng = XorShift(0xb1_4a27_5eed_0001);
+    let (mut refuted, mut satisfied) = (0, 0);
+    for _ in 0..40 {
+        let n = 20 + rng.below(16) as usize;
+        let (mut solver, handle) = logging_solver();
+        let chains: Vec<Vec<Var>> = (0..n)
+            .map(|_| (0..4).map(|_| solver.new_var()).collect())
+            .collect();
+        let mut cnf: Vec<Vec<Lit>> = Vec::new();
+        for chain in &chains {
+            for w in chain.windows(2) {
+                cnf.push(vec![w[0].negative(), w[1].positive()]);
+                cnf.push(vec![w[0].positive(), w[1].negative()]);
+            }
+        }
+        for _ in 0..n * 43 / 10 {
+            let clause = (0..3)
+                .map(|_| {
+                    let chain = &chains[rng.below(n as u64) as usize];
+                    chain[rng.below(4) as usize].lit(rng.below(2) == 0)
+                })
+                .collect();
+            cnf.push(clause);
+        }
+        assert!(2 * cnf.iter().filter(|c| c.len() == 2).count() >= cnf.len());
+        for clause in &cnf {
+            if !solver.add_clause(clause.iter().copied()) {
+                break;
+            }
+        }
+        match solver.solve() {
+            SolveResult::Unsat => {
+                refuted += 1;
+                let steps = to_steps(&handle.snapshot());
+                check_refutation(solver.num_vars(), &steps)
+                    .unwrap_or_else(|e| panic!("binary-heavy transcript rejected: {e}"));
+            }
+            SolveResult::Sat => {
+                satisfied += 1;
+                for clause in &cnf {
+                    assert!(
+                        clause.iter().any(|&l| solver.lit_model(l)),
+                        "model falsifies {clause:?}"
+                    );
+                }
+            }
+            SolveResult::Unknown => unreachable!("no budget configured"),
+        }
+    }
+    assert!(
+        refuted >= 10 && satisfied >= 10,
+        "{refuted} unsat and {satisfied} sat instances; weak test"
+    );
 }
