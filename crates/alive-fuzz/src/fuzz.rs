@@ -20,8 +20,7 @@ use alive_ir::Transform;
 use alive_trace::sealed::fnv1a64;
 use alive_trace::Tracer;
 use alive_verifier::{
-    run_supervised, run_transforms, DriverConfig, Journal, OutcomeKind, PoolConfig, TaskSpec,
-    VerifyConfig,
+    run_supervised, run_transforms, DriverConfig, OutcomeKind, PoolConfig, TaskSpec, VerifyConfig,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -261,7 +260,6 @@ fn campaign(transforms: &[(String, Transform)], cfg: &FuzzConfig, tracer: &Trace
             Vec::new(),
             &driver,
             &pool,
-            None::<(&mut Journal, &[String])>,
             |idx, outcome| {
                 let t = &transforms[idx].1;
                 let audit =

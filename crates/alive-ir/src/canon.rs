@@ -45,7 +45,7 @@ use crate::ast::*;
 use std::collections::HashSet;
 
 /// FNV-1a 64-bit hash of arbitrary bytes (the same non-cryptographic hash
-/// the verification journal uses: it guards against accidents, not
+/// the verdict store uses: it guards against accidents, not
 /// adversaries).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -64,7 +64,7 @@ pub mod proto;
 pub mod slowlog;
 
 /// The shared durable-I/O seam (re-exported from `alive-verifier`): every
-/// artifact the daemon persists — store, slowlog, journal — writes through
+/// artifact the daemon persists — store, slowlog — writes through
 /// it, and the crash-point torture harness counts its operations.
 pub use alive_verifier::durable;
 

@@ -8,7 +8,7 @@
 //! the slow tail — and `alive slowlog` ranks them.
 //!
 //! The file is a [sealed](alive_trace::sealed) log written through one
-//! [`SealedLog`], like the store and the journal, under the same recovery
+//! [`SealedLog`], like the verdict store, under the same recovery
 //! policy: a torn tail from a crash is dropped on read and truncated when
 //! the daemon reopens the log, and a bad line with lines after it is
 //! refused. Rotation caps the size — when the file exceeds the cap it is

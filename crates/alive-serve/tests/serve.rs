@@ -95,7 +95,16 @@ fn epoch_bump_evicts() {
     let mut config = fast_config(store);
     config.epoch = 1;
     let (server, how) = Server::open(config).unwrap();
-    assert!(matches!(how, StoreOpen::Evicted { prior_epoch: 0, .. }));
+    // The eviction names the settings the old store was written under.
+    let desc = alive_verifier::config_description(&VerifyConfig::fast());
+    assert_eq!(
+        how,
+        StoreOpen::Evicted {
+            prior_config: alive_verifier::config_fingerprint(&VerifyConfig::fast()),
+            prior_epoch: 0,
+            prior_desc: Some(desc),
+        }
+    );
     let answer = server.check("good", &parse_transform(GOOD).unwrap());
     assert!(!answer.cached, "bumped epoch must re-verify");
 }

@@ -50,7 +50,7 @@ pub struct EfConfig {
     pub seed_with_zero: bool,
     /// Structured-trace handle cloned into every sub-solver; the disabled
     /// default costs one branch per emission site. Deliberately excluded
-    /// from the journal's config fingerprint — tracing cannot change
+    /// from the store's config fingerprint — tracing cannot change
     /// verdicts.
     pub tracer: Tracer,
 }

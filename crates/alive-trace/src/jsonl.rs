@@ -448,7 +448,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("alive-trace-hdr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.jsonl");
-        std::fs::write(&path, "{\"journal\":\"alive-journal/v1\"}\n").unwrap();
+        std::fs::write(&path, "{\"store\":\"alive-store/v1\"}\n").unwrap();
         assert!(matches!(read_trace(&path), Err(TraceReadError::BadHeader)));
         std::fs::remove_dir_all(&dir).ok();
     }

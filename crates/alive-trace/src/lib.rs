@@ -6,7 +6,7 @@
 //! time went*. This crate is that instrument for the reproduction: a
 //! zero-dependency event layer recording **spans** (named, nested,
 //! per-thread time intervals: `pool.task`, `typeck`, `encode`, `blast`,
-//! `cegis.round`, `sat.solve`, `check-model`, `journal.append`),
+//! `cegis.round`, `sat.solve`, `check-model`, `store.append`),
 //! **counters** (conflicts, propagations, restarts, gates per op kind,
 //! CEGIS rounds), **gauges**, and **histogram samples** (learned-clause
 //! lengths, queue wait), so every verdict comes with an explainable
@@ -42,7 +42,7 @@
 //! A [`TraceSink`] receives every [`Event`]. Provided sinks:
 //!
 //! * [`JsonlSink`] — streams CRC-sealed JSONL (`alive-trace/v1`, the same
-//!   FNV-1a seal as the verification journal) for `--trace <file>`;
+//!   FNV-1a seal as the verdict store) for `--trace <file>`;
 //! * [`StatsSink`] — live aggregation for the `--metrics` table, the
 //!   same fold (and table) as `alive stats` on the run's trace file;
 //! * [`MemorySink`] — event capture for tests;

@@ -1,6 +1,6 @@
 //! The sealed line: one line format and one recovery policy for every
-//! CRC-sealed JSONL artifact — the write-ahead journal, the verdict store,
-//! the slow-query log, and the trace.
+//! CRC-sealed JSONL artifact — the verdict store (which `--journal` also
+//! writes), the slow-query log, and the trace.
 //!
 //! A sealed line is a JSON object whose last field is `"crc"`, the FNV-1a
 //! 64 hash of every byte before `,"crc"`, rendered as 16 lower-case hex

@@ -24,7 +24,7 @@
 //!   it was cancelled halfway.
 //!
 //! The sequential entry point is [`run_transforms`]; the supervised
-//! parallel driver (worker pool, watchdog, crash-safe journal) lives in
+//! parallel driver (worker pool, watchdog) lives in
 //! [`crate::pool`] and reuses [`verify_one`] per task.
 
 use crate::verify::{
@@ -93,7 +93,7 @@ pub enum OutcomeKind {
 }
 
 impl OutcomeKind {
-    /// Stable lower-case label used in the JSON report and the journal.
+    /// Stable lower-case label used in the JSON report and the store.
     pub fn as_str(self) -> &'static str {
         match self {
             OutcomeKind::Valid => "valid",
@@ -104,7 +104,7 @@ impl OutcomeKind {
         }
     }
 
-    /// Inverse of [`OutcomeKind::as_str`] (used when resuming a journal).
+    /// Inverse of [`OutcomeKind::as_str`] (used when loading the store).
     pub fn from_label(s: &str) -> Option<OutcomeKind> {
         Some(match s {
             "valid" => OutcomeKind::Valid,
@@ -117,9 +117,9 @@ impl OutcomeKind {
     }
 }
 
-/// One verification attempt inside a [`TransformOutcome`]: supervised runs
-/// record every attempt (including requeue history carried over from a
-/// resumed journal) so the report can show where the time went.
+/// One verification attempt inside a [`TransformOutcome`]: every attempt
+/// this process ran is recorded, so the report can show where the time
+/// went.
 #[derive(Clone, Debug)]
 pub struct Attempt {
     /// Wall time of this attempt.
@@ -166,11 +166,11 @@ pub struct TransformOutcome {
     pub retries: u32,
     /// Pool worker that produced the outcome (0 in sequential runs).
     pub worker: u32,
-    /// `true` when the outcome was replayed from a `--resume` journal
-    /// instead of being verified in this process.
+    /// `true` when the outcome was reused from a `--resume` store instead
+    /// of being verified in this process.
     pub resumed: bool,
-    /// Per-attempt history, oldest first. Includes attempts inherited from
-    /// a resumed journal record when the transform was requeued.
+    /// Per-attempt history of this process, oldest first; empty for a
+    /// reused verdict.
     pub attempts: Vec<Attempt>,
 }
 
@@ -210,10 +210,6 @@ pub struct RunReport {
     pub cancelled: bool,
     /// Transforms never attempted (cancellation or fail-fast stop).
     pub skipped: usize,
-    /// Write-ahead journal appends that failed (I/O errors). The outcomes
-    /// were still counted; a nonzero value means a later `--resume` would
-    /// re-verify them.
-    pub journal_errors: usize,
 }
 
 impl RunReport {
@@ -364,7 +360,7 @@ fn attempt(
 /// poll — the driver's own token in sequential runs, a per-task token in
 /// supervised runs (so the watchdog can cut down one task without
 /// cancelling its siblings). `scale` multiplies the configured conflict
-/// budget and timeout (used to escalate requeued journal entries).
+/// budget and timeout (used to escalate entries `--resume` requeues).
 /// `on_attempt` is invoked with each attempt's absolute deadline just
 /// before the attempt starts; the pool's watchdog uses it to know when a
 /// worker is overdue.

@@ -1,13 +1,13 @@
 //! The single durable-I/O seam every persistent artifact writes through.
 //!
-//! Before this module existed, the journal, the verdict store, the
+//! Before this module existed, the batch journal, the verdict store, the
 //! slow-query log, and the scrub rewrite each hand-rolled their own
 //! write/fsync/rename sequence — and each copy had a different gap:
 //! ignored `sync_data` results, no parent-directory fsync after a create
 //! or rename, rotation that clobbered its predecessor. This module is the
 //! one audited copy of the discipline; the callers keep their formats but
 //! route every durability-relevant syscall through here. The sealed-line
-//! artifacts (journal, store, slowlog) share one writer, [`SealedLog`],
+//! artifacts (verdict store, slowlog) share one writer, [`SealedLog`],
 //! and every full rewrite goes through [`write_atomic`].
 //!
 //! Three rules, uniformly enforced:
@@ -32,9 +32,9 @@
 //!   operation return an injected I/O error instead of performing —
 //!   exercising the propagation/poisoning path in-process. The torture
 //!   harness (`crates/alive/tests/torture.rs`) sweeps N across whole
-//!   serve/journal workloads through the real binaries and asserts
-//!   recovery after every single crash point. Without the feature the
-//!   hooks do not exist and cost nothing.
+//!   daemon and batch (`--journal`) store workloads through the real
+//!   binaries and asserts recovery after every single crash point.
+//!   Without the feature the hooks do not exist and cost nothing.
 
 use alive_trace::sealed::seal;
 use std::fs::{File, OpenOptions};
@@ -288,7 +288,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// An append-only log of [sealed](alive_trace::sealed) lines: the one
-/// writer behind the journal, the verdict store, and the slow-query log.
+/// writer behind the verdict store and the slow-query log.
 ///
 /// Every append is sealed, written, and fsync'd before it returns. A
 /// failed write is rolled back to the last intact line, so the file never

@@ -35,7 +35,6 @@ mod attrs;
 mod counterexample;
 mod driver;
 pub mod durable;
-pub mod journal;
 mod pool;
 pub mod store;
 mod verify;
@@ -46,14 +45,11 @@ pub use driver::{
     run_transforms, run_transforms_with, verify_single, Attempt, DriverConfig, OutcomeKind,
     RunReport, TransformOutcome,
 };
-pub use journal::{
-    config_description, config_fingerprint, fingerprint_diff, plan_resume, transform_key, Journal,
-    JournalRecord, LoadedJournal, ResumePlan,
-};
 pub use pool::{run_supervised, run_transforms_parallel, PoolConfig, TaskSpec};
 pub use store::{
-    compact_store, evicted_path, lock_path, needs_compaction, quarantine_path, scrub_store,
-    CompactReport, ScrubReport, StoreLock, StoreOpen, StoreRecord, VerdictStore,
+    compact_store, config_description, config_fingerprint, evicted_path, fingerprint_diff,
+    lock_path, needs_compaction, plan_resume, quarantine_path, scrub_store, CompactReport,
+    ResumePlan, ScrubReport, StoreLock, StoreOpen, StoreRecord, VerdictStore,
 };
 pub use verify::{
     verify, verify_with_certificates, PhaseTimes, Verdict, VerifyConfig, VerifyError, VerifyStats,

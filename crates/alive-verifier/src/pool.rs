@@ -1,11 +1,10 @@
-//! The supervised parallel corpus driver: worker pool, watchdog, and
-//! write-ahead journaling.
+//! The supervised parallel corpus driver: worker pool and watchdog.
 //!
 //! [`run_supervised`] runs a corpus across `--jobs N` worker threads
 //! pulling task indices from a shared queue. Each task is verified by
 //! [`verify_one`](crate::driver) under its own [`CancelToken`] and budget,
 //! so one misbehaving query can be cut down without touching its siblings.
-//! Three supervision mechanisms sit around the workers:
+//! Two supervision mechanisms sit around the workers:
 //!
 //! * **The watchdog thread** polls every active worker slot. It fires a
 //!   task's cancel token when the task's deadline passes (a backstop for
@@ -15,14 +14,14 @@
 //!   **detaches** it: the thread is leaked, the task is recorded as
 //!   [`OutcomeKind::Hung`] with its partial stats, and — if work remains —
 //!   a replacement worker is spawned so the pool never shrinks.
-//! * **The write-ahead journal**: every completed outcome is appended and
-//!   fsync'd *before* it is counted, so a `kill -9` at any instant loses
-//!   at most the in-flight transforms, never a completed verdict (see
-//!   [`crate::journal`] and `--resume`).
 //! * **Input-order assembly**: outcomes arrive in completion order but the
 //!   [`RunReport`] lists them in corpus order, so parallel and sequential
 //!   runs of one corpus produce identical reports apart from timings and
 //!   worker ids.
+//!
+//! Durability is the caller's: the observer of [`run_supervised`] sees
+//! each outcome before it is counted, which is where the CLI inserts it
+//! into the verdict store ([`crate::store`], `--journal`/`--resume`).
 //!
 //! Fail-fast (`keep_going == false`) in a parallel run stops *dispatch* at
 //! the first `Invalid`/`Error`: queued work is skipped, but tasks already
@@ -30,7 +29,6 @@
 //! this degenerates to the sequential fail-fast behavior).
 
 use crate::driver::{verify_one, Attempt, DriverConfig, OutcomeKind, RunReport, TransformOutcome};
-use crate::journal::Journal;
 use alive_ir::Transform;
 use alive_smt::CancelToken;
 use std::collections::VecDeque;
@@ -59,28 +57,20 @@ impl Default for PoolConfig {
     }
 }
 
-/// One unit of work for the pool: which corpus index to verify, at what
-/// budget escalation, and with what prior attempt history (requeues from a
-/// resumed journal carry the attempts of the run that failed to decide
-/// them).
+/// One unit of work for the pool: which corpus index to verify, and at
+/// what budget escalation.
 #[derive(Clone, Debug)]
 pub struct TaskSpec {
     /// Index into the corpus slice.
     pub index: usize,
     /// Budget multiplier: 1 for fresh work, larger for requeued entries.
     pub scale: u32,
-    /// Attempts inherited from a previous run's journal record.
-    pub prior: Vec<Attempt>,
 }
 
 impl TaskSpec {
     /// A fresh, unescalated task.
     pub fn fresh(index: usize) -> TaskSpec {
-        TaskSpec {
-            index,
-            scale: 1,
-            prior: Vec::new(),
-        }
+        TaskSpec { index, scale: 1 }
     }
 }
 
@@ -114,8 +104,6 @@ struct SlotState {
     cancelled_at: Option<(Instant, CancelCause)>,
     /// The running task's cancel token.
     token: CancelToken,
-    /// Prior attempt history of the running task (for hung records).
-    prior: Vec<Attempt>,
 }
 
 /// One pool worker: its supervision state and its join handle. The handle
@@ -162,7 +150,6 @@ fn spawn_worker(shared: &Arc<Shared>) {
             deadline: None,
             cancelled_at: None,
             token: CancelToken::new(),
-            prior: Vec::new(),
         },
         handle: None,
     });
@@ -217,7 +204,6 @@ fn worker_loop(shared: &Arc<Shared>, slot_idx: usize, worker_id: u32) {
             slot.deadline = None;
             slot.cancelled_at = None;
             slot.token = token.clone();
-            slot.prior = task.prior.clone();
         }
         let (name, transform) = &shared.transforms[task.index];
         // The task span stays open for as long as the verification runs; a
@@ -255,11 +241,6 @@ fn worker_loop(shared: &Arc<Shared>, slot_idx: usize, worker_id: u32) {
                     last.outcome = format!("unknown: {}", outcome.detail);
                 }
             }
-        }
-        if !task.prior.is_empty() {
-            let mut merged = task.prior.clone();
-            merged.append(&mut outcome.attempts);
-            outcome.attempts = merged;
         }
         if !shared.config.keep_going
             && matches!(outcome.kind, OutcomeKind::Invalid | OutcomeKind::Error)
@@ -344,7 +325,6 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                             );
                             outcome.wall = now.duration_since(slot.started);
                             outcome.worker = slot.worker;
-                            outcome.attempts = slot.prior.clone();
                             outcome.attempts.push(Attempt {
                                 wall: now.duration_since(slot.started),
                                 conflicts: 0,
@@ -375,21 +355,18 @@ fn watchdog_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs `tasks` over the corpus under a supervised worker pool, merging in
-/// `preset` outcomes (verdicts replayed from a `--resume` journal).
+/// `preset` outcomes (verdicts reused by `--resume`).
 ///
-/// Every live outcome is appended to `journal` (keyed by
-/// `journal_keys[index]`) and fsync'd *before* it is counted or shown.
 /// `observer` fires for preset outcomes first (in corpus order), then for
-/// live outcomes in completion order; the returned report is always in
-/// corpus order.
-#[allow(clippy::too_many_arguments)]
+/// live outcomes in completion order, each time on this thread and before
+/// the outcome enters the report; the returned report is always in corpus
+/// order.
 pub fn run_supervised(
     transforms: &[(String, Transform)],
     tasks: Vec<TaskSpec>,
     preset: Vec<(usize, TransformOutcome)>,
     config: &DriverConfig,
     pool: &PoolConfig,
-    mut journal: Option<(&mut Journal, &[String])>,
     mut observer: impl FnMut(usize, &TransformOutcome),
 ) -> RunReport {
     let total = transforms.len();
@@ -444,12 +421,6 @@ pub fn run_supervised(
             Ok((index, outcome)) => {
                 if slots[index].is_some() {
                     continue; // late duplicate after a detach race
-                }
-                if let Some((journal, keys)) = journal.as_mut() {
-                    let _span = config.verify.ef.tracer.span("journal.append");
-                    if journal.append(&keys[index], &outcome).is_err() {
-                        report.journal_errors += 1;
-                    }
                 }
                 let kind = outcome.kind;
                 observer(index, &outcome);
@@ -511,12 +482,12 @@ pub fn run_supervised(
     report
 }
 
-/// Convenience wrapper: the whole corpus, fresh, no journal.
+/// Convenience wrapper: the whole corpus, fresh.
 pub fn run_transforms_parallel(
     transforms: &[(String, Transform)],
     config: &DriverConfig,
     pool: &PoolConfig,
 ) -> RunReport {
     let tasks = (0..transforms.len()).map(TaskSpec::fresh).collect();
-    run_supervised(transforms, tasks, Vec::new(), config, pool, None, |_, _| {})
+    run_supervised(transforms, tasks, Vec::new(), config, pool, |_, _| {})
 }

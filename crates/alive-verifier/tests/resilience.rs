@@ -207,7 +207,6 @@ fn json_report_escapes_special_characters() {
         }],
         cancelled: false,
         skipped: 0,
-        journal_errors: 0,
     };
     let json = report.to_json();
     assert!(json.contains("with \\\"quotes\\\"\\nand newline"));

@@ -1,18 +1,19 @@
 //! Supervised parallel driver: worker pool correctness, deterministic
-//! reports, crash-safe journaling, resume planning — and, under
+//! reports, crash-safe verdict stores, resume planning — and, under
 //! `--features fault-injection`, the watchdog's detach of a worker stuck
 //! in a query that ignores both its budget and its cancel token.
 //!
 //! The fault plan is process-global, so every test here serializes on one
 //! mutex; tests in other binaries run in other processes and are unaffected.
 
+use alive_ir::canon::canonical_text;
 use alive_ir::Transform;
 use alive_verifier::{
     config_fingerprint, plan_resume, run_supervised, run_transforms, run_transforms_parallel,
-    transform_key, DriverConfig, Journal, OutcomeKind, PoolConfig, RunReport, TaskSpec,
-    VerifyConfig,
+    DriverConfig, OutcomeKind, PoolConfig, RunReport, StoreOpen, TaskSpec, TransformOutcome,
+    VerdictStore, VerifyConfig,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -57,7 +58,7 @@ fn mixed_corpus() -> Vec<(String, Transform)> {
 }
 
 /// Like [`mixed_corpus`], but every transform is textually distinct, so
-/// each one gets its own journal key ((x ^ -1) + k ==> (k-1) - x, valid
+/// each one gets its own store key ((x ^ -1) + k ==> (k-1) - x, valid
 /// for every k; the invalid variants use k instead of k-1).
 fn distinct_corpus() -> Vec<(String, Transform)> {
     (0..8)
@@ -76,6 +77,41 @@ fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("alive-supervised-{}-{name}", std::process::id()));
     p
+}
+
+fn canons(corpus: &[(String, Transform)]) -> Vec<String> {
+    corpus.iter().map(|(_, t)| canonical_text(t)).collect()
+}
+
+/// Opens the store at `path` for `config`, at epoch 0, as `alive
+/// --journal`/`--resume` do.
+fn open_store(path: &Path, config: &VerifyConfig) -> (VerdictStore, StoreOpen) {
+    VerdictStore::open(path, config_fingerprint(config), 0, None).unwrap()
+}
+
+/// Runs `tasks` the way `alive --journal` does: the observer inserts each
+/// live outcome into `store` before the pool counts it.
+fn run_journaled(
+    corpus: &[(String, Transform)],
+    tasks: Vec<TaskSpec>,
+    preset: Vec<(usize, TransformOutcome)>,
+    config: &DriverConfig,
+    pool: &PoolConfig,
+    store: &mut VerdictStore,
+) -> RunReport {
+    let canons = canons(corpus);
+    run_supervised(corpus, tasks, preset, config, pool, |i, o| {
+        if !o.resumed {
+            let wall_ms = o.wall.as_millis() as u64;
+            store
+                .insert(&canons[i], o.kind, &o.detail, wall_ms, "")
+                .unwrap();
+        }
+    })
+}
+
+fn fresh_tasks(corpus: &[(String, Transform)]) -> Vec<TaskSpec> {
+    (0..corpus.len()).map(TaskSpec::fresh).collect()
 }
 
 /// Masks the volatile fields (timings, worker attribution) in a v3
@@ -166,7 +202,7 @@ fn preset_outcomes_are_reported_before_fresh_work_in_input_order() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    // Pretend transforms 0..4 are already journaled; only 4..8 get tasks.
+    // Pretend transforms 0..4 are already stored; only 4..8 get tasks.
     let full = run_transforms(&corpus, &config);
     let preset: Vec<_> = full.outcomes[..4]
         .iter()
@@ -188,7 +224,6 @@ fn preset_outcomes_are_reported_before_fresh_work_in_input_order() {
             jobs: 2,
             ..PoolConfig::default()
         },
-        None,
         |i, o| seen.push((i, o.resumed)),
     );
     assert_eq!(kinds(&report), kinds(&full));
@@ -209,43 +244,42 @@ fn journal_survives_a_run_and_plans_a_complete_resume() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let fingerprint = config_fingerprint(&config.verify);
-    let keys: Vec<String> = corpus
-        .iter()
-        .map(|(_, t)| transform_key(t, fingerprint))
-        .collect();
     let path = tmp_path("journal-full.jsonl");
-    let mut journal = Journal::create(&path, fingerprint).unwrap();
-    let tasks: Vec<TaskSpec> = (0..corpus.len()).map(TaskSpec::fresh).collect();
-    let report = run_supervised(
+    std::fs::remove_file(&path).ok();
+    let (mut store, _) = open_store(&path, &config.verify);
+    let pool = PoolConfig {
+        jobs: 4,
+        ..PoolConfig::default()
+    };
+    let report = run_journaled(
         &corpus,
-        tasks,
+        fresh_tasks(&corpus),
         Vec::new(),
         &config,
-        &PoolConfig {
-            jobs: 4,
-            ..PoolConfig::default()
-        },
-        Some((&mut journal, &keys)),
-        |_, _| {},
+        &pool,
+        &mut store,
     );
-    assert_eq!(report.journal_errors, 0);
-    drop(journal);
+    drop(store);
 
-    let loaded = Journal::load(&path).unwrap();
-    assert_eq!(loaded.discarded, 0);
-    assert_eq!(loaded.fingerprint, Some(fingerprint));
-    assert_eq!(loaded.records.len(), corpus.len());
-    let plan = plan_resume(&loaded.records, &keys);
+    let (store, how) = open_store(&path, &config.verify);
+    assert_eq!(
+        how,
+        StoreOpen::Loaded {
+            records: corpus.len(),
+            discarded: 0
+        }
+    );
+    let plan = plan_resume(&store, &canons(&corpus));
     assert_eq!(plan.reuse.len(), corpus.len(), "all verdicts reusable");
     assert!(plan.requeue.is_empty());
     assert!(plan.fresh.is_empty());
-    // Replaying the journal reproduces the verdicts without verification.
+    // Replaying the store reproduces the verdicts without verification.
     for (i, rec) in &plan.reuse {
-        let o = rec.to_outcome();
+        let o = rec.to_outcome(&corpus[*i].0);
         assert_eq!(o.kind, report.outcomes[*i].kind);
         assert!(o.resumed);
     }
+    drop(store);
     std::fs::remove_file(&path).ok();
 }
 
@@ -258,62 +292,58 @@ fn torn_journal_tail_is_discarded_and_the_rest_reused() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let fingerprint = config_fingerprint(&config.verify);
-    let keys: Vec<String> = corpus
-        .iter()
-        .map(|(_, t)| transform_key(t, fingerprint))
-        .collect();
+    let pool = PoolConfig::default();
     let path = tmp_path("journal-torn.jsonl");
-    let mut journal = Journal::create(&path, fingerprint).unwrap();
-    let tasks: Vec<TaskSpec> = (0..corpus.len()).map(TaskSpec::fresh).collect();
-    run_supervised(
+    std::fs::remove_file(&path).ok();
+    let (mut store, _) = open_store(&path, &config.verify);
+    run_journaled(
         &corpus,
-        tasks,
+        fresh_tasks(&corpus),
         Vec::new(),
         &config,
-        &PoolConfig::default(),
-        Some((&mut journal, &keys)),
-        |_, _| {},
+        &pool,
+        &mut store,
     );
-    drop(journal);
+    drop(store);
 
     // Simulate kill -9 mid-write: chop the file mid-record.
     let bytes = std::fs::read(&path).unwrap();
     let cut = bytes.len() - 17;
     std::fs::write(&path, &bytes[..cut]).unwrap();
 
-    let loaded = Journal::load(&path).unwrap();
-    assert_eq!(loaded.discarded, 1, "exactly the torn record is dropped");
-    assert_eq!(loaded.records.len(), corpus.len() - 1);
-    let plan = plan_resume(&loaded.records, &keys);
+    // Opening truncates the torn tail so new records stay parseable.
+    let (mut store, how) = open_store(&path, &config.verify);
+    assert_eq!(
+        how,
+        StoreOpen::Loaded {
+            records: corpus.len() - 1,
+            discarded: 1
+        },
+        "exactly the torn record is dropped"
+    );
+    let plan = plan_resume(&store, &canons(&corpus));
     assert_eq!(plan.reuse.len(), corpus.len() - 1);
     assert_eq!(plan.fresh, vec![corpus.len() - 1]);
 
-    // open_append truncates the torn tail so new records stay parseable.
-    let mut journal = Journal::open_append(&path).unwrap();
     let missing: Vec<TaskSpec> = plan.fresh.iter().map(|&i| TaskSpec::fresh(i)).collect();
     let preset: Vec<_> = plan
         .reuse
         .iter()
-        .map(|(i, r)| (*i, r.to_outcome()))
+        .map(|(i, r)| (*i, r.to_outcome(&corpus[*i].0)))
         .collect();
-    let resumed = run_supervised(
-        &corpus,
-        missing,
-        preset,
-        &config,
-        &PoolConfig::default(),
-        Some((&mut journal, &keys)),
-        |_, _| {},
-    );
-    drop(journal);
+    let resumed = run_journaled(&corpus, missing, preset, &config, &pool, &mut store);
+    drop(store);
     assert_eq!(kinds(&resumed), kinds(&run_transforms(&corpus, &config)));
-    let reloaded = Journal::load(&path).unwrap();
-    assert_eq!(reloaded.discarded, 0, "truncation removed the torn tail");
+    let (store, how) = open_store(&path, &config.verify);
+    assert!(
+        matches!(how, StoreOpen::Loaded { discarded: 0, .. }),
+        "truncation removed the torn tail: {how:?}"
+    );
     assert_eq!(
-        plan_resume(&reloaded.records, &keys).reuse.len(),
+        plan_resume(&store, &canons(&corpus)).reuse.len(),
         corpus.len()
     );
+    drop(store);
     std::fs::remove_file(&path).ok();
 }
 
@@ -321,38 +351,36 @@ fn torn_journal_tail_is_discarded_and_the_rest_reused() {
 fn journal_from_other_config_reuses_nothing() {
     let _g = serial();
     let corpus = vec![named("t", INTRO)];
-    let narrow_fp = config_fingerprint(&narrow());
-    let wide_fp = config_fingerprint(&VerifyConfig::fast());
-    assert_ne!(narrow_fp, wide_fp);
-    let narrow_keys: Vec<String> = corpus
-        .iter()
-        .map(|(_, t)| transform_key(t, narrow_fp))
-        .collect();
-    let wide_keys: Vec<String> = corpus
-        .iter()
-        .map(|(_, t)| transform_key(t, wide_fp))
-        .collect();
+    assert_ne!(
+        config_fingerprint(&narrow()),
+        config_fingerprint(&VerifyConfig::fast())
+    );
     let config = DriverConfig {
         verify: narrow(),
         ..DriverConfig::default()
     };
     let path = tmp_path("journal-config.jsonl");
-    let mut journal = Journal::create(&path, narrow_fp).unwrap();
-    run_supervised(
+    std::fs::remove_file(&path).ok();
+    let (mut store, _) = open_store(&path, &config.verify);
+    run_journaled(
         &corpus,
         vec![TaskSpec::fresh(0)],
         Vec::new(),
         &config,
         &PoolConfig::default(),
-        Some((&mut journal, &narrow_keys)),
-        |_, _| {},
+        &mut store,
     );
-    drop(journal);
-    let loaded = Journal::load(&path).unwrap();
-    let plan = plan_resume(&loaded.records, &wide_keys);
+    drop(store);
+    // The wider config evicts the store rather than reuse its verdicts.
+    let (store, how) = open_store(&path, &VerifyConfig::fast());
+    assert!(matches!(how, StoreOpen::Evicted { .. }), "{how:?}");
+    let plan = plan_resume(&store, &canons(&corpus));
     assert!(plan.reuse.is_empty(), "different config must not reuse");
     assert_eq!(plan.fresh, vec![0]);
-    std::fs::remove_file(&path).ok();
+    drop(store);
+    for p in [path.clone(), alive_verifier::evicted_path(&path, 0)] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 #[cfg(feature = "fault-injection")]
@@ -424,12 +452,12 @@ mod faults {
         assert!(json.contains("\"verdict\": \"hung\""));
     }
 
-    /// A journaled run with a hard hang: the hung entry lands in the
-    /// journal too, and `plan_resume` requeues it while reusing the rest.
+    /// A journaled run with a hard hang: the hung verdict lands in the
+    /// store too, and `plan_resume` requeues it while reusing the rest.
     #[test]
     fn hung_journal_entries_are_requeued_on_resume() {
         let _g = serial();
-        // Textually distinct (one journal key each), one SAT query each.
+        // Textually distinct (one store key each), one SAT query each.
         let corpus: Vec<(String, Transform)> = (1..=4)
             .map(|k| {
                 named(
@@ -452,36 +480,26 @@ mod faults {
             jobs: 2,
             grace: Duration::from_millis(100),
         };
-        let fingerprint = config_fingerprint(&config.verify);
-        let keys: Vec<String> = corpus
-            .iter()
-            .map(|(_, t)| transform_key(t, fingerprint))
-            .collect();
         let path = tmp_path("journal-hang.jsonl");
-        let mut journal = Journal::create(&path, fingerprint).unwrap();
-        let tasks: Vec<TaskSpec> = (0..corpus.len()).map(TaskSpec::fresh).collect();
+        std::fs::remove_file(&path).ok();
+        let (mut store, _) = open_store(&path, &config.verify);
+        let tasks = fresh_tasks(&corpus);
         with_plan("sat:hang-hard@2", || {
-            run_supervised(
-                &corpus,
-                tasks,
-                Vec::new(),
-                &config,
-                &pool,
-                Some((&mut journal, &keys)),
-                |_, _| {},
-            )
+            run_journaled(&corpus, tasks, Vec::new(), &config, &pool, &mut store)
         });
-        drop(journal);
-        let loaded = Journal::load(&path).unwrap();
-        assert_eq!(loaded.records.len(), corpus.len());
-        let plan = plan_resume(&loaded.records, &keys);
+        drop(store);
+        let (store, how) = open_store(&path, &config.verify);
+        assert!(
+            matches!(how, StoreOpen::Loaded { records: 4, .. }),
+            "{how:?}"
+        );
+        let plan = plan_resume(&store, &canons(&corpus));
         assert_eq!(plan.requeue.len(), 1, "the hung entry is requeued");
         assert_eq!(plan.reuse.len(), corpus.len() - 1);
         assert!(plan.fresh.is_empty());
-        // The requeued entry carries its failed attempt for the history.
-        let (_, rec) = &plan.requeue[0];
-        assert_eq!(rec.verdict, OutcomeKind::Hung);
-        assert!(!rec.attempts.is_empty());
+        let hung = &canons(&corpus)[plan.requeue[0]];
+        assert_eq!(store.lookup(hung).unwrap().verdict, OutcomeKind::Hung);
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -36,11 +36,13 @@
 //!   --jobs <n>        verify transforms across <n> supervised workers
 //!   --grace <secs>    watchdog grace before an unresponsive worker is
 //!                     detached and its transform recorded as hung
-//!   --journal <file>  append every completed outcome to a crash-safe
-//!                     write-ahead journal (fsync'd before it is counted)
-//!   --resume <file>   reuse verdicts from a previous run's journal, requeue
-//!                     hung/unknown entries under an escalated budget, and
-//!                     append new outcomes to the same file
+//!   --journal <file>  insert every completed outcome into a crash-safe
+//!                     verdict store (fsync'd before it is counted); the
+//!                     store is the one `alive serve --store` keeps
+//!   --resume <file>   reuse verdicts from a verdict store (written by
+//!                     --journal or by a daemon), requeue hung/unknown
+//!                     entries under an escalated budget, and insert new
+//!                     outcomes into the same file
 //!   --trace <file>    stream structured trace events (spans, counters,
 //!                     histogram samples) to <file> as CRC-sealed JSONL
 //!                     (schema alive-trace/v1)
@@ -121,15 +123,16 @@ use alive::fuzz::{paranoid_audit, replay_corpus, run_fuzz, FuzzConfig, OracleCon
 use alive::ir::{canonical_hash, canonical_text};
 use alive::serve::{serve_stdio, ServeConfig, ServeLimits, Server};
 use alive::trace::{
-    read_trace_lenient, stats::TOP, JsonlSink, StatsSink, TeeSink, TraceSink, TraceStats, Tracer,
+    read_trace_lenient, sealed, stats::TOP, JsonlSink, StatsSink, TeeSink, TraceSink, TraceStats,
+    Tracer,
 };
 use alive::{
     generate_cpp, infer_attributes, parse_transforms, Certificate, Transform, VerifyConfig,
 };
 use alive_verifier::{
     compact_store, config_description, config_fingerprint, fingerprint_diff, plan_resume,
-    run_supervised, scrub_store, transform_key, DriverConfig, Journal, OutcomeKind, PoolConfig,
-    RunReport, StoreOpen, TaskSpec, TransformOutcome,
+    run_supervised, scrub_store, DriverConfig, OutcomeKind, PoolConfig, RunReport, StoreOpen,
+    TaskSpec, TransformOutcome, VerdictStore,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -321,11 +324,34 @@ fn file_key(path: &str) -> PathBuf {
 
 /// Refuses an output that names the same file as another output or an
 /// input, before any file is created or opened: the output would
-/// truncate or interleave with the other.
+/// truncate or interleave with the other. A verdict store (`--store`,
+/// `--journal`, `--resume`) is a file family: it also writes `<store>.*`
+/// siblings (lock, tmp, evicted generations, slowlog), and no other
+/// output may name one of them.
 fn distinct_paths(outputs: &[(&str, Option<&String>)], inputs: &[String]) -> Result<(), String> {
     let outputs: Vec<(&str, &String)> =
         outputs.iter().filter_map(|&(f, p)| Some((f, p?))).collect();
+    let store = |flag: &str| matches!(flag, "--store" | "--journal" | "--resume");
+    // Whether `sibling` is one of the `<family>.*` files.
+    let in_family = |family: &str, sibling: &str| {
+        let (f, s) = (file_key(family), file_key(sibling));
+        s.to_string_lossy()
+            .starts_with(&format!("{}.", f.to_string_lossy()))
+    };
     for (i, &(flag, path)) in outputs.iter().enumerate() {
+        for &(other, other_path) in &outputs[i + 1..] {
+            let (family, member) = if store(flag) {
+                (path, other_path)
+            } else {
+                (other_path, path)
+            };
+            if (store(flag) || store(other)) && in_family(family, member) {
+                return Err(format!(
+                    "{flag} and {other} point at the same file family ({member}); \
+                     {family} also writes {family}.* — use distinct paths"
+                ));
+            }
+        }
         let others = outputs[i + 1..].iter().copied();
         let inputs = inputs.iter().map(|p| ("an input", p));
         if let Some((other, _)) = others
@@ -338,6 +364,28 @@ fn distinct_paths(outputs: &[(&str, Option<&String>)], inputs: &[String]) -> Res
         }
     }
     Ok(())
+}
+
+/// Whether `path` begins with a sealed `alive-journal/v1` header: the
+/// batch journal format the verdict store replaced. Opened as a store it
+/// would be rotated away as unreadable, so the CLI refuses it instead.
+fn retired_journal(path: &str) -> bool {
+    let text = sealed::read(Path::new(path)).unwrap_or_default();
+    sealed::unseal(sealed::first_line(&text))
+        .is_some_and(|header| header.starts_with("{\"journal\":\"alive-journal/v1\""))
+}
+
+/// Names, one stderr line each, the verifier settings that differ
+/// between this run (`current`) and an evicted store's header.
+fn print_config_diff(current: &str, prior: Option<&str>) {
+    match prior {
+        Some(recorded) => {
+            for (field, cur, rec) in fingerprint_diff(current, recorded) {
+                eprintln!("  {field}: this run {cur}, store {rec}");
+            }
+        }
+        None => eprintln!("  (the old header names no settings; cannot say which differ)"),
+    }
 }
 
 /// The verifier flags `alive` and `alive serve` share. `--fast` and
@@ -584,8 +632,8 @@ fn install_fault_plan_from_env() -> bool {
     fault_ok && crash_ok
 }
 
-/// Budget escalation factor applied to journal entries requeued by
-/// `--resume` (they already exhausted the configured budget once).
+/// Budget escalation factor applied to stored `unknown`/`hung` verdicts
+/// requeued by `--resume` (they already exhausted a budget once).
 const RESUME_ESCALATION: u32 = 8;
 
 /// The `alive stats <trace.jsonl>` subcommand: replay a trace offline and
@@ -834,20 +882,12 @@ fn run_serve(c: &mut Cursor) -> Result<ExitCode, String> {
     if stdio && socket.is_some() {
         return Err("--stdio and --socket are alternative transports; pick one".into());
     }
-    // stdio is the portable default. Every file the daemon writes is the
-    // store or a `<store>.*` sibling (slowlog, lock, tmp, quarantine,
-    // evicted generations); the trace may be none of them.
+    // stdio is the portable default.
     let stdio = stdio || socket.is_none();
-    if let Some(trace) = &flags.trace {
-        let (t, s) = (file_key(trace), file_key(&store));
-        let (t, s) = (t.to_string_lossy(), s.to_string_lossy());
-        if t == s || t.starts_with(&format!("{s}.")) {
-            return Err(format!(
-                "--trace and --store point at the same file family ({trace}); the daemon \
-                 writes {store} and {store}.* — use distinct paths"
-            ));
-        }
-    }
+    distinct_paths(
+        &[("--store", Some(&store)), ("--trace", flags.trace.as_ref())],
+        &[],
+    )?;
 
     // The daemon honours ALIVE_FAULT too: `store:*` and `serve:*` sites
     // live on this side of the wire.
@@ -889,10 +929,14 @@ fn run_serve(c: &mut Cursor) -> Result<ExitCode, String> {
         StoreOpen::Evicted {
             prior_config,
             prior_epoch,
-        } => eprintln!(
-            "serve: evicted stale store (was config {prior_config:016x}, epoch \
-             {prior_epoch}); rotated to {store}.evicted.{prior_epoch}"
-        ),
+            prior_desc,
+        } => {
+            eprintln!(
+                "serve: evicted stale store (was config {prior_config:016x}, epoch \
+                 {prior_epoch}); rotated to {store}.evicted.{prior_epoch}"
+            );
+            print_config_diff(&config_description(&verify_config), prior_desc.as_deref());
+        }
     }
     if let Some(c) = server.compaction() {
         eprintln!(
@@ -1380,17 +1424,15 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
     }
     if resume_path.is_some() && proof_dir.is_some() {
         return Err(
-            "--proof needs live verification; certificates are not journaled — \
+            "--proof needs live verification; certificates are not stored — \
                     re-run without --resume to produce them"
                 .into(),
         );
     }
     if resume_path.is_some() && paranoid {
-        return Err(
-            "--paranoid audits live verdicts; journal-replayed verdicts carry no \
+        return Err("--paranoid audits live verdicts; reused verdicts carry no \
                     certificates — re-run without --resume to audit them"
-                .into(),
-        );
+            .into());
     }
     distinct_paths(
         &[
@@ -1403,6 +1445,13 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
     )?;
     if files.is_empty() {
         return Err("no input files (try --help)".into());
+    }
+    let store_path = resume_path.as_ref().or(journal_path.as_ref());
+    if let Some(path) = store_path.filter(|p| retired_journal(p)) {
+        return Err(format!(
+            "{path} is an alive-journal/v1 file, a format this version no longer reads; \
+             --journal and --resume now keep an alive-store/v1 verdict store — name a new file"
+        ));
     }
 
     #[cfg(feature = "fault-injection")]
@@ -1451,8 +1500,8 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
         );
     }
 
-    // Covers config assembly, corpus fingerprinting, and journal/resume
-    // planning — closed before the driver starts so its spans don't nest.
+    // Covers config assembly, store open and resume planning — closed
+    // before the driver starts so its spans don't nest.
     let setup_span = tracer.span("setup");
     let driver = DriverConfig {
         keep_going,
@@ -1461,98 +1510,78 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
     };
     let pool = PoolConfig { jobs, grace };
 
-    // Journal keys tie each verdict to the transform text *and* the
-    // verifier settings, so a journal never short-circuits a different
-    // corpus or config.
-    let fingerprint = config_fingerprint(&verify_config);
-    let keys: Vec<String> = transforms
-        .iter()
-        .map(|(_, t)| transform_key(t, fingerprint))
-        .collect();
-
-    // Partition the corpus: replayed verdicts, requeued stragglers, fresh
-    // work — and open the write-ahead journal.
+    // The verdict store, opened at epoch 0 like `alive serve --store`
+    // without `--epoch`. It is keyed by canonical text, so renamed copies
+    // of a transform share one verdict, and verdicts the daemon earned are
+    // reused too.
     let mut preset: Vec<(usize, TransformOutcome)> = Vec::new();
-    let mut tasks: Vec<TaskSpec> = Vec::new();
-    let mut journal: Option<Journal> = None;
-    if let Some(path) = &resume_path {
-        let loaded = match Journal::load(Path::new(path)) {
-            Ok(l) => l,
-            Err(e) => {
+    let mut tasks: Vec<TaskSpec> = (0..transforms.len()).map(TaskSpec::fresh).collect();
+    let mut store: Option<(VerdictStore, Vec<String>)> = None;
+    if let Some(path) = store_path {
+        if resume_path.is_some() {
+            // A missing store is a hard error, not a silent fresh start.
+            if let Err(e) = std::fs::metadata(path) {
                 eprintln!("error: cannot read journal {path}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
-        };
-        if loaded.discarded > 0 {
-            eprintln!(
-                "warning: {path}: discarded {} torn/corrupt journal line(s)",
-                loaded.discarded
-            );
         }
-        if let Some(fp) = loaded.fingerprint {
-            if fp != fingerprint {
-                eprintln!(
-                    "warning: {path}: journal was written under different verifier \
-                     settings; no verdicts will be reused"
-                );
-                match &loaded.description {
-                    Some(recorded) => {
-                        let current = config_description(&verify_config);
-                        for (field, cur, rec) in fingerprint_diff(&current, recorded) {
-                            eprintln!("  {field}: this run {cur}, journal {rec}");
-                        }
-                    }
-                    None => eprintln!(
-                        "  (journal header predates recorded settings; cannot say \
-                         which fields differ)"
-                    ),
-                }
-            }
-        }
-        let plan = plan_resume(&loaded.records, &keys);
-        println!(
-            "resume: {} verdict(s) reused, {} requeued at budget x{}, {} fresh",
-            plan.reuse.len(),
-            plan.requeue.len(),
-            RESUME_ESCALATION,
-            plan.fresh.len(),
+        let desc = config_description(&verify_config);
+        let opened = VerdictStore::open(
+            Path::new(path),
+            config_fingerprint(&verify_config),
+            0,
+            Some(&desc),
         );
-        for (i, rec) in plan.reuse {
-            preset.push((i, rec.to_outcome()));
-        }
-        for (i, rec) in plan.requeue {
-            tasks.push(TaskSpec {
-                index: i,
-                scale: RESUME_ESCALATION,
-                prior: rec.to_outcome().attempts,
-            });
-        }
-        for i in plan.fresh {
-            tasks.push(TaskSpec::fresh(i));
-        }
-        tasks.sort_by_key(|t| t.index);
-        match Journal::open_append(Path::new(path)) {
-            Ok(j) => journal = Some(j),
+        let (opened, how) = match opened {
+            Ok(pair) => pair,
             Err(e) => {
-                eprintln!("error: cannot append to journal {path}: {e}");
+                eprintln!("error: cannot open journal {path}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
-        }
-    } else {
-        tasks = (0..transforms.len()).map(TaskSpec::fresh).collect();
-        if let Some(path) = &journal_path {
-            match Journal::create_described(
-                Path::new(path),
-                fingerprint,
-                Some(&config_description(&verify_config)),
-            ) {
-                Ok(j) => journal = Some(j),
-                Err(e) => {
-                    eprintln!("error: cannot create journal {path}: {e}");
-                    return Ok(ExitCode::FAILURE);
-                }
+        };
+        match how {
+            StoreOpen::Loaded { discarded, .. } if discarded > 0 => {
+                eprintln!("warning: {path}: discarded {discarded} torn/corrupt journal line(s)")
             }
+            StoreOpen::Evicted {
+                prior_epoch,
+                prior_desc,
+                ..
+            } => {
+                eprintln!(
+                    "warning: {path}: header is unreadable or names different verifier \
+                     settings; rotated to {path}.evicted.{prior_epoch}, no verdicts will be \
+                     reused"
+                );
+                print_config_diff(&desc, prior_desc.as_deref());
+            }
+            _ => {}
         }
+        let canons: Vec<String> = transforms.iter().map(|(_, t)| canonical_text(t)).collect();
+        if resume_path.is_some() {
+            let plan = plan_resume(&opened, &canons);
+            println!(
+                "resume: {} verdict(s) reused, {} requeued at budget x{}, {} fresh",
+                plan.reuse.len(),
+                plan.requeue.len(),
+                RESUME_ESCALATION,
+                plan.fresh.len(),
+            );
+            preset = plan
+                .reuse
+                .iter()
+                .map(|(i, rec)| (*i, rec.to_outcome(&transforms[*i].0)))
+                .collect();
+            let requeue = plan.requeue.into_iter().map(|index| TaskSpec {
+                index,
+                scale: RESUME_ESCALATION,
+            });
+            tasks = requeue
+                .chain(plan.fresh.into_iter().map(TaskSpec::fresh))
+                .collect();
+            tasks.sort_by_key(|t| t.index);
+        }
+        store = Some((opened, canons));
     }
 
     // Ctrl-C → cooperative cancellation: the token is raised, every solver
@@ -1569,112 +1598,117 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
     );
 
     let mut aux_failures = 0usize;
+    let mut store_errors = 0usize;
     let mut paranoid_disagreements = 0usize;
     let paranoid_cfg = OracleConfig::default();
     let mut used_slugs: HashMap<String, usize> = HashMap::new();
     drop(setup_span);
-    let report = run_supervised(
-        &transforms,
-        tasks,
-        preset,
-        &driver,
-        &pool,
-        journal.as_mut().map(|j| (j, keys.as_slice())),
-        |i, outcome| {
-            println!("----------------------------------------");
-            println!("Name: {}", outcome.name);
-            match outcome.kind {
-                OutcomeKind::Valid => {
-                    println!(
-                        "{}{}",
-                        outcome.detail,
-                        if outcome.resumed {
-                            " [resumed from journal]"
-                        } else {
-                            ""
-                        }
-                    );
-                    if let Some(dir) = &proof_dir {
-                        match persist_certificates(
-                            dir,
-                            &outcome.name,
-                            &outcome.certificates,
-                            &mut used_slugs,
-                        ) {
-                            Ok(n) => println!("{n} certificates written and re-checked"),
-                            Err(e) => {
-                                println!("certificate error: {e}");
-                                aux_failures += 1;
-                            }
-                        }
-                    }
-                    let t = &transforms[i].1;
-                    if infer {
-                        match infer_attributes(t, &verify_config) {
-                            Ok(r) => {
-                                if r.pre_weakened || r.post_strengthened {
-                                    println!("Optimal attributes:\n{}", r.inferred);
-                                }
-                            }
-                            Err(e) => println!("(attribute inference: {e})"),
-                        }
-                    }
-                    if emit_cpp {
-                        match generate_cpp(t) {
-                            Ok(cpp) => println!("{cpp}"),
-                            Err(e) => println!("(codegen: {e})"),
-                        }
-                    }
-                }
-                OutcomeKind::Invalid => println!("{}", outcome.detail),
-                OutcomeKind::Unknown => {
-                    println!("Verification inconclusive: {}", outcome.detail)
-                }
-                OutcomeKind::Error => println!("error: {}", outcome.detail),
-                OutcomeKind::Hung => println!("Hung: {}", outcome.detail),
+    let report = run_supervised(&transforms, tasks, preset, &driver, &pool, |i, outcome| {
+        // Durable before it is shown or counted: the pool calls this
+        // before the outcome enters the report.
+        if let Some((store, canons)) = store.as_mut().filter(|_| !outcome.resumed) {
+            let _span = tracer.span("store.append");
+            let wall_ms = outcome.wall.as_millis() as u64;
+            if store
+                .insert(&canons[i], outcome.kind, &outcome.detail, wall_ms, "")
+                .is_err()
+            {
+                store_errors += 1;
             }
-            if paranoid {
-                let audit = paranoid_audit(
-                    &transforms[i].1,
-                    outcome.kind,
-                    &outcome.certificates,
-                    &verify_config,
-                    &paranoid_cfg,
-                );
-                if audit.is_clean() {
-                    if audit.points_checked > 0 {
-                        println!(
-                            "paranoid: agreed ({} concrete point(s) over {} typing(s))",
-                            audit.points_checked, audit.typings_checked
-                        );
-                    }
-                } else {
-                    for d in &audit.disagreements {
-                        println!("paranoid: DISAGREEMENT: {d}");
-                    }
-                    paranoid_disagreements += audit.disagreements.len();
-                }
-            }
-            // --dedupe: every duplicate reports its representative's
-            // verdict (they are the same transform up to renaming).
-            for dup in dup_names.get(i).map_or(&[][..], Vec::as_slice) {
-                println!("----------------------------------------");
-                println!("Name: {dup}");
-                let verdict = match outcome.kind {
-                    OutcomeKind::Valid | OutcomeKind::Invalid => outcome.detail.clone(),
-                    OutcomeKind::Unknown => {
-                        format!("Verification inconclusive: {}", outcome.detail)
-                    }
-                    OutcomeKind::Error => format!("error: {}", outcome.detail),
-                    OutcomeKind::Hung => format!("Hung: {}", outcome.detail),
-                };
+        }
+        println!("----------------------------------------");
+        println!("Name: {}", outcome.name);
+        match outcome.kind {
+            OutcomeKind::Valid => {
                 println!(
-                    "{verdict} [deduped: canonically identical to {}]",
-                    outcome.name
+                    "{}{}",
+                    outcome.detail,
+                    if outcome.resumed {
+                        " [resumed from journal]"
+                    } else {
+                        ""
+                    }
                 );
+                if let Some(dir) = &proof_dir {
+                    match persist_certificates(
+                        dir,
+                        &outcome.name,
+                        &outcome.certificates,
+                        &mut used_slugs,
+                    ) {
+                        Ok(n) => println!("{n} certificates written and re-checked"),
+                        Err(e) => {
+                            println!("certificate error: {e}");
+                            aux_failures += 1;
+                        }
+                    }
+                }
+                let t = &transforms[i].1;
+                if infer {
+                    match infer_attributes(t, &verify_config) {
+                        Ok(r) => {
+                            if r.pre_weakened || r.post_strengthened {
+                                println!("Optimal attributes:\n{}", r.inferred);
+                            }
+                        }
+                        Err(e) => println!("(attribute inference: {e})"),
+                    }
+                }
+                if emit_cpp {
+                    match generate_cpp(t) {
+                        Ok(cpp) => println!("{cpp}"),
+                        Err(e) => println!("(codegen: {e})"),
+                    }
+                }
             }
-        },
-    );
+            OutcomeKind::Invalid => println!("{}", outcome.detail),
+            OutcomeKind::Unknown => {
+                println!("Verification inconclusive: {}", outcome.detail)
+            }
+            OutcomeKind::Error => println!("error: {}", outcome.detail),
+            OutcomeKind::Hung => println!("Hung: {}", outcome.detail),
+        }
+        if paranoid {
+            let audit = paranoid_audit(
+                &transforms[i].1,
+                outcome.kind,
+                &outcome.certificates,
+                &verify_config,
+                &paranoid_cfg,
+            );
+            if audit.is_clean() {
+                if audit.points_checked > 0 {
+                    println!(
+                        "paranoid: agreed ({} concrete point(s) over {} typing(s))",
+                        audit.points_checked, audit.typings_checked
+                    );
+                }
+            } else {
+                for d in &audit.disagreements {
+                    println!("paranoid: DISAGREEMENT: {d}");
+                }
+                paranoid_disagreements += audit.disagreements.len();
+            }
+        }
+        // --dedupe: every duplicate reports its representative's
+        // verdict (they are the same transform up to renaming).
+        for dup in dup_names.get(i).map_or(&[][..], Vec::as_slice) {
+            println!("----------------------------------------");
+            println!("Name: {dup}");
+            let verdict = match outcome.kind {
+                OutcomeKind::Valid | OutcomeKind::Invalid => outcome.detail.clone(),
+                OutcomeKind::Unknown => {
+                    format!("Verification inconclusive: {}", outcome.detail)
+                }
+                OutcomeKind::Error => format!("error: {}", outcome.detail),
+                OutcomeKind::Hung => format!("Hung: {}", outcome.detail),
+            };
+            println!(
+                "{verdict} [deduped: canonically identical to {}]",
+                outcome.name
+            );
+        }
+    });
 
     println!("----------------------------------------");
     println!(
@@ -1711,10 +1745,9 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
         );
         aux_failures += 1;
     }
-    if report.journal_errors > 0 {
+    if store_errors > 0 {
         eprintln!(
-            "warning: {} journal append(s) failed; --resume would re-verify them",
-            report.journal_errors
+            "warning: {store_errors} journal append(s) failed; --resume would re-verify them"
         );
         aux_failures += 1;
     }

@@ -1125,6 +1125,136 @@ fn outputs_may_not_overwrite_inputs() {
     }
 }
 
+/// A verdict store is a file family: `--journal`/`--resume` also write
+/// `<store>.lock`, `<store>.tmp` and `<store>.evicted.N`, so no other
+/// output may name one of them.
+#[test]
+fn store_siblings_may_not_be_outputs() {
+    let dir = temp_dir("store-family");
+    std::fs::write(dir.join("x.opt"), GOOD).unwrap();
+    for args in [
+        &[
+            "--journal",
+            "run.jsonl",
+            "--report",
+            "run.jsonl.lock",
+            "x.opt",
+        ][..],
+        &[
+            "--trace",
+            "run.jsonl.evicted.0",
+            "--resume",
+            "run.jsonl",
+            "x.opt",
+        ][..],
+        &[
+            "--journal",
+            "./run.jsonl",
+            "--report",
+            "run.jsonl.tmp",
+            "x.opt",
+        ][..],
+    ] {
+        let out = alive_bin().current_dir(&dir).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "args {args:?}: {stderr}");
+        assert!(
+            stderr.contains("same file family"),
+            "args {args:?}: {stderr}"
+        );
+    }
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["x.opt"], "a refused run wrote nothing");
+}
+
+/// The header of the batch journal format the verdict store replaced.
+const RETIRED_JOURNAL: &str = "{\"journal\":\"alive-journal/v1\",\"config\":\"0123456789abcdef\",\
+     \"desc\":\"widths=4,8,;ptr=64\",\"crc\":\"2f553e0e30cf4bb1\"}\n";
+
+/// An old journal handed to `--journal` or `--resume` is refused as a
+/// usage error, not rotated away as an unreadable store.
+#[test]
+fn retired_journal_is_refused_and_left_untouched() {
+    let dir = temp_dir("retired-journal");
+    let f = dir.join("easy.opt");
+    std::fs::write(&f, EASY).unwrap();
+    let journal = dir.join("old.jsonl");
+    std::fs::write(&journal, RETIRED_JOURNAL).unwrap();
+    for flag in ["--journal", "--resume"] {
+        let (code, stdout, stderr) = run(&[
+            "--fast",
+            flag,
+            journal.to_str().unwrap(),
+            f.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 64, "{flag}: {stderr}");
+        assert!(stderr.contains("alive-journal/v1"), "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag}: nothing verified: {stdout}");
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), RETIRED_JOURNAL);
+        let siblings: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("old.jsonl."))
+            .collect();
+        assert!(siblings.is_empty(), "{flag}: {siblings:?}");
+    }
+}
+
+/// Batch runs and the daemon share one store: a verdict the daemon
+/// earned is reused by `--resume` for a renamed copy, and the store the
+/// batch run appends to stays one that `alive compact` and `alive scrub`
+/// accept.
+#[test]
+fn resume_reuses_a_verdict_the_daemon_earned() {
+    let dir = temp_dir("daemon-to-batch");
+    let store = dir.join("shared.jsonl");
+    let first = serve_stdio(
+        &store,
+        "{\"op\":\"verify\",\"id\":\"a\",\"text\":\"%r = add %x, 0\\n=>\\n%r = %x\"}\n\
+         {\"op\":\"shutdown\",\"id\":\"q\"}\n",
+    );
+    assert!(first.contains("\"cached\":false"), "{first}");
+    let f = dir.join("renamed.opt");
+    std::fs::write(
+        &f,
+        format!("Name: add-zero\n%q = add %z, 0\n=>\n%q = %z\n\n{EASY}"),
+    )
+    .unwrap();
+    let (code, stdout, stderr) = run(&[
+        "--fast",
+        "--resume",
+        store.to_str().unwrap(),
+        f.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(
+        stdout.contains("resume: 1 verdict(s) reused, 0 requeued at budget x8, 1 fresh"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("[resumed from journal]"), "{stdout}");
+    assert!(stdout.contains("2 valid, 0 invalid"), "{stdout}");
+    for sub in ["compact", "scrub"] {
+        let (code, stdout, stderr) = run(&[sub, store.to_str().unwrap()]);
+        assert_eq!(code, 0, "{sub}: {stdout}{stderr}");
+    }
+    // Both verdicts are now stored: a second resume reuses them all.
+    let (code, stdout, _) = run(&[
+        "--fast",
+        "--resume",
+        store.to_str().unwrap(),
+        f.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(
+        stdout.contains("resume: 2 verdict(s) reused, 0 requeued at budget x8, 0 fresh"),
+        "{stdout}"
+    );
+}
+
 /// `serve --trace` naming the verdict store (or a sibling the daemon
 /// writes, `<store>.*`) is refused before the store is opened, so the
 /// cached verdict survives.

@@ -1,5 +1,6 @@
-//! Golden bytes of the four CRC-sealed JSONL artifacts: the write-ahead
-//! journal, the verdict store, the slow-query log and the trace.
+//! Golden bytes of the three CRC-sealed JSONL artifacts: the verdict
+//! store (which `--journal` also writes), the slow-query log and the
+//! trace.
 //!
 //! Each test drives the real writer with fixed inputs, compares the file
 //! it leaves byte for byte against a pinned header line and record line,
@@ -9,11 +10,8 @@
 
 use alive::serve::slowlog::{read_slowlog, SlowLog, SlowRecord};
 use alive::trace::{read_trace, Event, EventKind, JsonlSink, TraceSink};
-use alive::verifier::{
-    Attempt, Journal, OutcomeKind, PhaseTimes, StoreOpen, TransformOutcome, VerdictStore,
-};
+use alive::verifier::{OutcomeKind, StoreOpen, VerdictStore};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Text with every class of character the escaper treats specially.
 const TRICKY: &str = "q\"b\\n\nt\tc\u{1}é";
@@ -38,54 +36,6 @@ fn assert_lines(path: &PathBuf, header: &str, record: &str) {
         "bytes of {}",
         path.display()
     );
-}
-
-const JOURNAL_HEADER: &str = r#"{"journal":"alive-journal/v1","config":"0123456789abcdef","desc":"widths=4,8,;ptr=64","crc":"2f553e0e30cf4bb1"}"#;
-const JOURNAL_RECORD: &str = r#"{"key":"00aabbccddeeff11","name":"q\"b\\n\nt\tc\u0001é","verdict":"unknown","reason":"conflict budget exhausted","wall_ms":12,"conflicts":34,"queries":5,"typings":2,"retries":1,"worker":3,"attempts":[{"wall_ms":4,"conflicts":10,"outcome":"unknown: conflict budget exhausted"},{"wall_ms":8,"conflicts":24,"outcome":"unknown: conflict budget exhausted"}],"crc":"9a4aa11ed7bb8baf"}"#;
-
-#[test]
-fn journal_bytes_are_pinned() {
-    let path = temp("journal.jsonl");
-    let attempt = |ms, conflicts| Attempt {
-        wall: Duration::from_millis(ms),
-        conflicts,
-        outcome: "unknown: conflict budget exhausted".to_string(),
-    };
-    let outcome = TransformOutcome {
-        name: TRICKY.to_string(),
-        kind: OutcomeKind::Unknown,
-        detail: "conflict budget exhausted".to_string(),
-        certificates: Vec::new(),
-        wall: Duration::from_millis(12),
-        conflicts: 34,
-        propagations: 120,
-        decisions: 17,
-        restarts: 1,
-        ef_rounds: 2,
-        phases: PhaseTimes::default(),
-        queries: 5,
-        typings: 2,
-        retries: 1,
-        worker: 3,
-        resumed: false,
-        attempts: vec![attempt(4, 10), attempt(8, 24)],
-    };
-    let mut journal =
-        Journal::create_described(&path, 0x0123_4567_89ab_cdef, Some("widths=4,8,;ptr=64"))
-            .unwrap();
-    journal.append("00aabbccddeeff11", &outcome).unwrap();
-    drop(journal);
-    assert_lines(&path, JOURNAL_HEADER, JOURNAL_RECORD);
-
-    let loaded = Journal::load(&path).unwrap();
-    assert_eq!(loaded.discarded, 0);
-    assert_eq!(loaded.fingerprint, Some(0x0123_4567_89ab_cdef));
-    assert_eq!(loaded.description.as_deref(), Some("widths=4,8,;ptr=64"));
-    assert_eq!(loaded.records.len(), 1);
-    let rec = &loaded.records[0];
-    assert_eq!(rec.name, TRICKY);
-    assert_eq!(rec.verdict, OutcomeKind::Unknown);
-    assert_eq!(rec.attempts.len(), 2);
 }
 
 const STORE_HEADER: &str = r#"{"store":"alive-store/v1","config":"00000000000000aa","epoch":3,"desc":"widths=4,","crc":"23fb17437468df47"}"#;

@@ -2,8 +2,8 @@
 //!
 //! Every fsync, create, rename, truncate, and directory sync in the
 //! system is a numbered crash point (`ALIVE_CRASH_AT=N`, fault-injection
-//! builds). These tests run a real serve workload and a real journal
-//! workload through the real binaries, crashing the process at durable
+//! builds). These tests run a real serve workload and a real `--journal`
+//! batch workload through the real binaries, crashing the process at durable
 //! operation 1, then 2, then 3, ... until a run completes with no crash
 //! left to fire — so *every* reachable crash point in the workload is
 //! exercised, not a sampled few. After each crash the harness asserts the
@@ -11,7 +11,7 @@
 //!
 //! * **recovery succeeds** — a fresh daemon opens the store (evicting a
 //!   header-torn file, truncating a torn tail), or `alive scrub` salvages
-//!   it; a fresh `--resume` replays the journal;
+//!   it; a fresh `--resume` replays the batch run's store;
 //! * **no acknowledged verdict is lost** — every answer a client received
 //!   before the crash is served warm (from the store) after recovery;
 //! * **no wrong verdict is ever served** — every answer, before or after
@@ -27,9 +27,10 @@
 
 #![cfg(unix)]
 
+use alive::ir::canonical_text;
 use alive::serve::client::{Client, ClientConfig};
 use alive_suite::{full_corpus, SuiteEntry};
-use alive_verifier::{verify_single, DriverConfig, Journal};
+use alive_verifier::{config_fingerprint, verify_single, DriverConfig, StoreOpen, VerdictStore};
 use std::collections::HashMap;
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 /// point fired means the injection machinery misbehaved.
 const SIGABRT: i32 = 6;
 
-/// Sweep bound: the serve and journal workloads below perform ~10
+/// Sweep bound: the serve and `--journal` workloads below perform ~10
 /// durable operations each, so a sweep that reaches 64 without a clean
 /// run means the op count exploded — fail loudly rather than loop.
 const MAX_CRASH_POINT: u64 = 64;
@@ -297,8 +298,8 @@ fn sweep_serve(name: &str, kind: &str) -> u64 {
 }
 
 /// Sweeps crash points over a `--journal` verify run; recovery is
-/// `--resume` on the same journal (or a fresh `--journal` run when the
-/// crash predates the file's existence). After recovery the journal must
+/// `--resume` on the same store (or a fresh `--journal` run when the
+/// crash predates the file's existence). After recovery the store must
 /// hold a correct verdict for every transform.
 fn sweep_journal(name: &str, kind: &str) -> u64 {
     let entries = workload();
@@ -336,9 +337,9 @@ fn sweep_journal(name: &str, kind: &str) -> u64 {
             String::from_utf8_lossy(&doomed.stderr)
         );
 
-        // Recovery: resume from whatever the crash left. A journal that
+        // Recovery: resume from whatever the crash left. A store that
         // never made it to disk (crash inside create) means nothing was
-        // acknowledged — start over with a fresh journal.
+        // acknowledged — start over with a fresh `--journal` run.
         let resume = if journal.exists() {
             Command::new(env!("CARGO_BIN_EXE_alive"))
                 .args(["--fast", "--resume"])
@@ -366,35 +367,38 @@ fn sweep_journal(name: &str, kind: &str) -> u64 {
     panic!("{name}: no clean run within {MAX_CRASH_POINT} crash points — the workload's durable-op count exploded");
 }
 
-/// After recovery the journal must load cleanly and its last record per
-/// transform must carry the reference verdict — a journaled (i.e.
-/// acknowledged-to-the-operator) verdict that went missing or mutated is
-/// a durability failure.
+/// After recovery the store must load cleanly under the run's config and
+/// its live record for each transform's canonical text must carry the
+/// reference verdict — a stored (i.e. acknowledged-to-the-operator)
+/// verdict that went missing or mutated is a durability failure.
 fn check_journal(
     path: &Path,
     entries: &[SuiteEntry],
     expected: &HashMap<String, String>,
     ctx: &str,
 ) {
-    let loaded = Journal::load(path).unwrap_or_else(|e| panic!("{ctx}: journal unreadable: {e}"));
-    let mut last: HashMap<String, String> = HashMap::new();
-    for rec in &loaded.records {
-        last.insert(rec.name.clone(), rec.verdict.as_str().to_string());
-    }
+    let fingerprint = config_fingerprint(&alive::VerifyConfig::fast());
+    let (store, how) = VerdictStore::open(path, fingerprint, 0, None)
+        .unwrap_or_else(|e| panic!("{ctx}: store unreadable: {e}"));
+    assert!(
+        matches!(how, StoreOpen::Loaded { .. }),
+        "{ctx}: recovered store did not load: {how:?}"
+    );
     for e in entries {
-        let got = last
-            .get(&e.name)
-            .unwrap_or_else(|| panic!("{ctx}: {} missing from the recovered journal", e.name));
+        let rec = store
+            .lookup(&canonical_text(&e.transform))
+            .unwrap_or_else(|| panic!("{ctx}: {} missing from the recovered store", e.name));
         assert_eq!(
-            got, &expected[&e.name],
-            "{ctx}: journal verdict for {}",
+            rec.verdict.as_str(),
+            expected[&e.name],
+            "{ctx}: stored verdict for {}",
             e.name
         );
     }
 }
 
 /// The minimum crash points a sweep must find when the hooks exist:
-/// store/journal creation is 4 durable ops (create, header append,
+/// store creation is 4 durable ops (create, header append,
 /// sync, parent-dir sync) and each of the 3 records is 2 more — a sweep
 /// that ends earlier silently stopped counting ops.
 const MIN_OPS_WITH_HOOKS: u64 = 7;
