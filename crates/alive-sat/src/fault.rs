@@ -54,7 +54,7 @@ pub enum FaultKind {
 pub enum FaultSite {
     /// `alive-sat`: one count per `solve`/`solve_with_assumptions` call.
     Sat,
-    /// `alive-smt`: one count per `check`/`check_assuming` call.
+    /// `alive-smt`: one count per `check` call.
     Smt,
     /// `alive-verifier::store`: one count per verdict-store append.
     Store,

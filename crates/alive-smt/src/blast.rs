@@ -10,7 +10,7 @@
 //! even when two different terms need it (`udiv` and `urem` of the same
 //! operands share one divider).
 
-use crate::term::{Op, TermId, TermPool};
+use crate::term::{BvOp, Op, TermId, TermPool};
 use crate::value::{BvVal, Sort};
 use alive_sat::{Exhaustion, Lit, Solver};
 use std::collections::HashMap;
@@ -127,13 +127,8 @@ impl Blaster {
         self.cache.get(&id)
     }
 
-    /// Blasts a boolean term to a single literal.
-    pub fn blast_bool(&mut self, pool: &TermPool, sat: &mut Solver, id: TermId) -> Lit {
-        debug_assert_eq!(pool.sort(id), Sort::Bool);
-        self.blast(pool, sat, id).as_bool()
-    }
-
-    /// Budget-aware variant of [`Blaster::blast_bool`].
+    /// Blasts a boolean term to a single literal, polling the budget like
+    /// [`Blaster::try_blast`].
     ///
     /// # Errors
     ///
@@ -147,12 +142,6 @@ impl Blaster {
     ) -> Result<Lit, Exhaustion> {
         debug_assert_eq!(pool.sort(id), Sort::Bool);
         Ok(self.try_blast(pool, sat, id)?.as_bool())
-    }
-
-    /// Blasts any term, memoized, ignoring any installed budget.
-    pub fn blast(&mut self, pool: &TermPool, sat: &mut Solver, root: TermId) -> Blasted {
-        self.blast_inner(pool, sat, root, false)
-            .expect("unbudgeted blast cannot be exhausted")
     }
 
     /// Blasts any term, memoized, polling the solver's [`alive_sat::Budget`]
@@ -170,20 +159,8 @@ impl Blaster {
         sat: &mut Solver,
         root: TermId,
     ) -> Result<Blasted, Exhaustion> {
-        self.blast_inner(pool, sat, root, true)
-    }
-
-    fn blast_inner(
-        &mut self,
-        pool: &TermPool,
-        sat: &mut Solver,
-        root: TermId,
-        poll_budget: bool,
-    ) -> Result<Blasted, Exhaustion> {
-        if poll_budget {
-            if let Some(e) = sat.budget().check_soft() {
-                return Err(e);
-            }
+        if let Some(e) = sat.budget().check_soft() {
+            return Err(e);
         }
         // Iterative post-order to avoid deep recursion on ite-chains.
         let mut stack = vec![(root, false)];
@@ -201,12 +178,10 @@ impl Blaster {
                 }
                 continue;
             }
-            if poll_budget {
-                encoded += 1;
-                if encoded.is_multiple_of(BLAST_POLL_INTERVAL) {
-                    if let Some(e) = sat.budget().check_soft() {
-                        return Err(e);
-                    }
+            encoded += 1;
+            if encoded.is_multiple_of(BLAST_POLL_INTERVAL) {
+                if let Some(e) = sat.budget().check_soft() {
+                    return Err(e);
                 }
             }
             let vars_before = sat.num_vars();
@@ -226,7 +201,7 @@ impl Blaster {
 
     /// Encodes one term whose children are already cached.
     fn encode(&mut self, pool: &TermPool, sat: &mut Solver, id: TermId) -> Blasted {
-        let term = pool.term(id).clone();
+        let term = pool.term(id);
         let width = match term.sort {
             Sort::BitVec(w) => w,
             Sort::Bool => 0,
@@ -297,9 +272,6 @@ impl Blaster {
                 }
             }
             Op::BvNot(a) => Blasted::Bv(self.get_bv(*a).iter().map(|&l| !l).collect()),
-            Op::BvAnd(a, b) => self.bitwise(sat, *a, *b, BitOp::And),
-            Op::BvOr(a, b) => self.bitwise(sat, *a, *b, BitOp::Or),
-            Op::BvXor(a, b) => self.bitwise(sat, *a, *b, BitOp::Xor),
             Op::BvNeg(a) => {
                 let av = self.get_bv(*a);
                 let inv: Vec<Lit> = av.iter().map(|&l| !l).collect();
@@ -310,78 +282,53 @@ impl Blaster {
                     .collect();
                 Blasted::Bv(self.adder(sat, &inv, &one, !t).0)
             }
-            Op::BvAdd(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let f = self.lit_false(sat);
-                Blasted::Bv(self.adder(sat, &av, &bv, f).0)
-            }
-            Op::BvSub(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let binv: Vec<Lit> = bv.iter().map(|&l| !l).collect();
-                let t = self.lit_true(sat);
-                Blasted::Bv(self.adder(sat, &av, &binv, t).0)
-            }
-            Op::BvMul(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                Blasted::Bv(self.multiplier(sat, &av, &bv))
-            }
-            Op::BvUdiv(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let (q, _r) = self.divider(sat, &av, &bv);
-                Blasted::Bv(q)
-            }
-            Op::BvUrem(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let (_q, r) = self.divider(sat, &av, &bv);
-                Blasted::Bv(r)
-            }
-            Op::BvSdiv(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                Blasted::Bv(self.signed_divrem(sat, &av, &bv).0)
-            }
-            Op::BvSrem(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                Blasted::Bv(self.signed_divrem(sat, &av, &bv).1)
-            }
-            Op::BvShl(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let f = self.lit_false(sat);
-                Blasted::Bv(self.barrel_shift(sat, &av, &bv, ShiftDir::Left, f))
-            }
-            Op::BvLshr(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let f = self.lit_false(sat);
-                Blasted::Bv(self.barrel_shift(sat, &av, &bv, ShiftDir::Right, f))
-            }
-            Op::BvAshr(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let sign = *av.last().expect("non-empty bv");
-                Blasted::Bv(self.barrel_shift(sat, &av, &bv, ShiftDir::Right, sign))
-            }
-            Op::BvUlt(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                Blasted::Bool(self.mk_ult(sat, &av, &bv))
-            }
-            Op::BvUle(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let gt = self.mk_ult(sat, &bv, &av);
-                Blasted::Bool(!gt)
-            }
-            Op::BvSlt(a, b) => {
+            Op::Bv(op, a, b) => {
                 let (mut av, mut bv) = (self.get_bv(*a), self.get_bv(*b));
-                // Flip sign bits to reduce signed compare to unsigned.
-                let n = av.len();
-                av[n - 1] = !av[n - 1];
-                bv[n - 1] = !bv[n - 1];
-                Blasted::Bool(self.mk_ult(sat, &av, &bv))
-            }
-            Op::BvSle(a, b) => {
-                let (mut av, mut bv) = (self.get_bv(*a), self.get_bv(*b));
-                let n = av.len();
-                av[n - 1] = !av[n - 1];
-                bv[n - 1] = !bv[n - 1];
-                let gt = self.mk_ult(sat, &bv, &av);
-                Blasted::Bool(!gt)
+                match op {
+                    BvOp::And => self.bitwise(sat, &av, &bv, Blaster::mk_and),
+                    BvOp::Or => self.bitwise(sat, &av, &bv, Blaster::mk_or),
+                    BvOp::Xor => self.bitwise(sat, &av, &bv, Blaster::mk_xor),
+                    BvOp::Add => {
+                        let f = self.lit_false(sat);
+                        Blasted::Bv(self.adder(sat, &av, &bv, f).0)
+                    }
+                    BvOp::Sub => {
+                        let binv: Vec<Lit> = bv.iter().map(|&l| !l).collect();
+                        let t = self.lit_true(sat);
+                        Blasted::Bv(self.adder(sat, &av, &binv, t).0)
+                    }
+                    BvOp::Mul => Blasted::Bv(self.multiplier(sat, &av, &bv)),
+                    BvOp::Udiv => Blasted::Bv(self.divider(sat, &av, &bv).0),
+                    BvOp::Urem => Blasted::Bv(self.divider(sat, &av, &bv).1),
+                    BvOp::Sdiv => Blasted::Bv(self.signed_divrem(sat, &av, &bv).0),
+                    BvOp::Srem => Blasted::Bv(self.signed_divrem(sat, &av, &bv).1),
+                    BvOp::Shl | BvOp::Lshr => {
+                        let f = self.lit_false(sat);
+                        let dir = if *op == BvOp::Shl {
+                            ShiftDir::Left
+                        } else {
+                            ShiftDir::Right
+                        };
+                        Blasted::Bv(self.barrel_shift(sat, &av, &bv, dir, f))
+                    }
+                    BvOp::Ashr => {
+                        let sign = *av.last().expect("non-empty bv");
+                        Blasted::Bv(self.barrel_shift(sat, &av, &bv, ShiftDir::Right, sign))
+                    }
+                    BvOp::Ult => Blasted::Bool(self.mk_ult(sat, &av, &bv)),
+                    BvOp::Ule => Blasted::Bool(!self.mk_ult(sat, &bv, &av)),
+                    BvOp::Slt | BvOp::Sle => {
+                        // Flip sign bits to reduce signed compare to unsigned.
+                        let n = av.len();
+                        av[n - 1] = !av[n - 1];
+                        bv[n - 1] = !bv[n - 1];
+                        Blasted::Bool(if *op == BvOp::Slt {
+                            self.mk_ult(sat, &av, &bv)
+                        } else {
+                            !self.mk_ult(sat, &bv, &av)
+                        })
+                    }
+                }
             }
             Op::ZExt(a) => {
                 let av = self.get_bv(*a);
@@ -420,16 +367,11 @@ impl Blaster {
         self.cache[&id].as_bv().to_vec()
     }
 
-    fn bitwise(&mut self, sat: &mut Solver, a: TermId, b: TermId, op: BitOp) -> Blasted {
-        let (av, bv) = (self.get_bv(a), self.get_bv(b));
+    fn bitwise(&mut self, sat: &mut Solver, av: &[Lit], bv: &[Lit], gate: GateFn) -> Blasted {
         let bits = av
             .iter()
-            .zip(&bv)
-            .map(|(&x, &y)| match op {
-                BitOp::And => self.mk_and(sat, x, y),
-                BitOp::Or => self.mk_or(sat, x, y),
-                BitOp::Xor => self.mk_xor(sat, x, y),
-            })
+            .zip(bv)
+            .map(|(&x, &y)| gate(self, sat, x, y))
             .collect();
         Blasted::Bv(bits)
     }
@@ -782,12 +724,8 @@ impl Blaster {
     }
 }
 
-#[derive(Clone, Copy)]
-enum BitOp {
-    And,
-    Or,
-    Xor,
-}
+/// A two-input gate builder ([`Blaster::mk_and`] and friends).
+type GateFn = fn(&mut Blaster, &mut Solver, Lit, Lit) -> Lit;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ShiftDir {
@@ -831,9 +769,9 @@ mod tests {
             let q = div(&mut pool, a, b);
             let r = rem(&mut pool, a, b);
             let (mut blaster, mut sat) = (Blaster::new(), Solver::new());
-            blaster.blast(&pool, &mut sat, q);
+            blaster.try_blast(&pool, &mut sat, q).unwrap();
             let (vars, hits) = (sat.num_vars(), blaster.gate_hits());
-            blaster.blast(&pool, &mut sat, r);
+            blaster.try_blast(&pool, &mut sat, r).unwrap();
             assert_eq!(sat.num_vars(), vars, "{}", pool.display(r));
             assert!(blaster.gate_hits() > hits);
         }

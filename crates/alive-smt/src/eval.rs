@@ -117,24 +117,8 @@ pub fn eval(pool: &TermPool, root: TermId, env: &Assignment) -> Result<Value, Ev
                 }
             }
             Op::BvNot(a) => get(*a).as_bv().not().into(),
-            Op::BvAnd(a, b) => get(*a).as_bv().and(get(*b).as_bv()).into(),
-            Op::BvOr(a, b) => get(*a).as_bv().or(get(*b).as_bv()).into(),
-            Op::BvXor(a, b) => get(*a).as_bv().xor(get(*b).as_bv()).into(),
             Op::BvNeg(a) => get(*a).as_bv().neg().into(),
-            Op::BvAdd(a, b) => get(*a).as_bv().add(get(*b).as_bv()).into(),
-            Op::BvSub(a, b) => get(*a).as_bv().sub(get(*b).as_bv()).into(),
-            Op::BvMul(a, b) => get(*a).as_bv().mul(get(*b).as_bv()).into(),
-            Op::BvUdiv(a, b) => get(*a).as_bv().udiv(get(*b).as_bv()).into(),
-            Op::BvUrem(a, b) => get(*a).as_bv().urem(get(*b).as_bv()).into(),
-            Op::BvSdiv(a, b) => get(*a).as_bv().sdiv(get(*b).as_bv()).into(),
-            Op::BvSrem(a, b) => get(*a).as_bv().srem(get(*b).as_bv()).into(),
-            Op::BvShl(a, b) => get(*a).as_bv().shl(get(*b).as_bv()).into(),
-            Op::BvLshr(a, b) => get(*a).as_bv().lshr(get(*b).as_bv()).into(),
-            Op::BvAshr(a, b) => get(*a).as_bv().ashr(get(*b).as_bv()).into(),
-            Op::BvUlt(a, b) => Value::Bool(get(*a).as_bv().ult(get(*b).as_bv())),
-            Op::BvUle(a, b) => Value::Bool(get(*a).as_bv().ule(get(*b).as_bv())),
-            Op::BvSlt(a, b) => Value::Bool(get(*a).as_bv().slt(get(*b).as_bv())),
-            Op::BvSle(a, b) => Value::Bool(get(*a).as_bv().sle(get(*b).as_bv())),
+            Op::Bv(op, a, b) => (op.def().apply)(get(*a).as_bv(), get(*b).as_bv()),
             Op::ZExt(a) => get(*a).as_bv().zext(term.sort.width()).into(),
             Op::SExt(a) => get(*a).as_bv().sext(term.sort.width()).into(),
             Op::Extract(a, hi, lo) => get(*a).as_bv().extract(*hi, *lo).into(),

@@ -1,7 +1,6 @@
 //! The user-facing SMT solver: assert terms, check satisfiability, read
 //! models. Incremental: terms may be asserted between `check` calls, and
-//! `check_assuming` solves under temporary assumptions without polluting
-//! the clause database with non-definitional clauses.
+//! each assertion is bit-blasted once, under the installed budget.
 
 use crate::blast::Blaster;
 use crate::eval::Assignment;
@@ -67,8 +66,8 @@ pub struct SmtSolver {
     /// then missing an assertion, so every later `check` must answer
     /// `Unknown` rather than reason about the truncated formula.
     blast_exhausted: Option<Exhaustion>,
-    /// Per-call exhaustion that did not reach the SAT solver (an aborted
-    /// assumption blast, an injected hang); cleared at each check.
+    /// Per-call exhaustion that did not reach the SAT solver (an injected
+    /// hang); cleared at each check.
     call_exhausted: Option<Exhaustion>,
     #[cfg(feature = "fault-injection")]
     injected: bool,
@@ -94,8 +93,8 @@ impl SmtSolver {
     }
 
     /// Installs a resource [`Budget`] (deadline, conflict limit,
-    /// cancellation). It governs bit-blasting during `assert_term` and
-    /// `check_assuming` as well as every SAT search.
+    /// cancellation). It governs bit-blasting during `assert_term` as
+    /// well as every SAT search.
     pub fn set_budget(&mut self, budget: Budget) {
         self.sat.set_budget(budget);
     }
@@ -110,7 +109,7 @@ impl SmtSolver {
         self.sat.stats()
     }
 
-    /// Why the most recent `check`/`check_assuming` returned
+    /// Why the most recent `check` returned
     /// [`SatResult::Unknown`] (`None` after a decisive answer).
     pub fn exhaustion(&self) -> Option<Exhaustion> {
         #[cfg(feature = "fault-injection")]
@@ -136,7 +135,7 @@ impl SmtSolver {
     }
 
     /// Extracts the proof transcript recorded by `handle` after a `check`
-    /// that returned [`SatResult::Unsat`] with no assumptions.
+    /// that returned [`SatResult::Unsat`].
     ///
     /// The transcript covers the bit-blasted CNF of everything asserted so
     /// far. A constant-false assertion never reaches the SAT solver, so in
@@ -218,44 +217,6 @@ impl SmtSolver {
             return r;
         }
         Self::lift(self.sat.solve())
-    }
-
-    /// Checks satisfiability under temporary assumptions.
-    ///
-    /// Gate clauses for the assumption terms are added permanently (they
-    /// are pure definitions), but the assumptions themselves hold only for
-    /// this call. If blasting an assumption trips the budget the call
-    /// answers [`SatResult::Unknown`] without poisoning the solver (the
-    /// asserted formula itself is still fully encoded).
-    pub fn check_assuming(&mut self, pool: &TermPool, assumptions: &[TermId]) -> SatResult {
-        self.clear_call_state();
-        if self.trivially_false {
-            return SatResult::Unsat;
-        }
-        if self.blast_exhausted.is_some() {
-            return SatResult::Unknown;
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(r) = self.fire_fault() {
-            return r;
-        }
-        let mut lits = Vec::with_capacity(assumptions.len());
-        for &t in assumptions {
-            if let Some(b) = pool.as_bool_const(t) {
-                if !b {
-                    return SatResult::Unsat;
-                }
-                continue;
-            }
-            match self.blaster.try_blast_bool(pool, &mut self.sat, t) {
-                Ok(l) => lits.push(l),
-                Err(e) => {
-                    self.call_exhausted = Some(e);
-                    return SatResult::Unknown;
-                }
-            }
-        }
-        Self::lift(self.sat.solve_with_assumptions(&lits))
     }
 
     fn lift(r: SolveResult) -> SatResult {
@@ -340,30 +301,6 @@ impl SmtSolver {
         }
         a
     }
-
-    /// Adds a blocking clause excluding the current model of `vars`.
-    ///
-    /// Used for all-models enumeration (type assignments, attribute
-    /// inference).
-    pub fn block_model(&mut self, pool: &mut TermPool, vars: &[TermId]) {
-        let mut diffs = Vec::with_capacity(vars.len());
-        for &v in vars {
-            match pool.sort(v) {
-                Sort::Bool => {
-                    let b = self.model_bool(pool, v);
-                    let c = pool.bool_const(b);
-                    diffs.push(pool.ne(v, c));
-                }
-                Sort::BitVec(_) => {
-                    let val = self.model_bv(pool, v);
-                    let c = pool.bv_const(val);
-                    diffs.push(pool.ne(v, c));
-                }
-            }
-        }
-        let clause = pool.or(diffs);
-        self.assert_term(pool, clause);
-    }
 }
 
 #[cfg(test)]
@@ -406,45 +343,5 @@ mod tests {
         let mut s = SmtSolver::new();
         s.assert_term(&p, f);
         assert_eq!(s.check(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn check_assuming_is_temporary() {
-        let mut p = TermPool::new();
-        let x = p.var("x", Sort::BitVec(4));
-        let zero = p.bv(4, 0);
-        let is_zero = p.eq(x, zero);
-        let not_zero = p.not(is_zero);
-        let mut s = SmtSolver::new();
-        assert_eq!(s.check_assuming(&p, &[is_zero]), SatResult::Sat);
-        assert_eq!(s.model_bv(&p, x), BvVal::zero(4));
-        assert_eq!(s.check_assuming(&p, &[not_zero]), SatResult::Sat);
-        assert_ne!(s.model_bv(&p, x), BvVal::zero(4));
-        assert_eq!(s.check_assuming(&p, &[is_zero, not_zero]), SatResult::Unsat);
-        // No permanent damage.
-        assert_eq!(s.check(), SatResult::Sat);
-    }
-
-    #[test]
-    fn model_enumeration_via_blocking() {
-        let mut p = TermPool::new();
-        let x = p.var("x", Sort::BitVec(2));
-        let three = p.bv(2, 3);
-        let lt = p.bv_ult(x, three);
-        let mut s = SmtSolver::new();
-        s.assert_term(&p, lt);
-        let mut seen = Vec::new();
-        loop {
-            match s.check() {
-                SatResult::Sat => {
-                    seen.push(s.model_bv(&p, x).bits());
-                    s.block_model(&mut p, &[x]);
-                }
-                SatResult::Unsat => break,
-                SatResult::Unknown => panic!("unexpected unknown"),
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 }

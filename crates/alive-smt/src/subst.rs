@@ -2,7 +2,6 @@
 
 use crate::eval::Assignment;
 use crate::term::{Op, TermId, TermPool};
-use crate::value::Value;
 use std::collections::HashMap;
 
 /// Replaces variables in `root` according to `map`, rebuilding (and
@@ -48,24 +47,8 @@ pub fn substitute(pool: &mut TermPool, root: TermId, map: &HashMap<TermId, TermI
             Op::Eq(a, b) => pool.eq(g(*a), g(*b)),
             Op::Ite(c, t, e) => pool.ite(g(*c), g(*t), g(*e)),
             Op::BvNot(a) => pool.bv_not(g(*a)),
-            Op::BvAnd(a, b) => pool.bv_and(g(*a), g(*b)),
-            Op::BvOr(a, b) => pool.bv_or(g(*a), g(*b)),
-            Op::BvXor(a, b) => pool.bv_xor(g(*a), g(*b)),
             Op::BvNeg(a) => pool.bv_neg(g(*a)),
-            Op::BvAdd(a, b) => pool.bv_add(g(*a), g(*b)),
-            Op::BvSub(a, b) => pool.bv_sub(g(*a), g(*b)),
-            Op::BvMul(a, b) => pool.bv_mul(g(*a), g(*b)),
-            Op::BvUdiv(a, b) => pool.bv_udiv(g(*a), g(*b)),
-            Op::BvUrem(a, b) => pool.bv_urem(g(*a), g(*b)),
-            Op::BvSdiv(a, b) => pool.bv_sdiv(g(*a), g(*b)),
-            Op::BvSrem(a, b) => pool.bv_srem(g(*a), g(*b)),
-            Op::BvShl(a, b) => pool.bv_shl(g(*a), g(*b)),
-            Op::BvLshr(a, b) => pool.bv_lshr(g(*a), g(*b)),
-            Op::BvAshr(a, b) => pool.bv_ashr(g(*a), g(*b)),
-            Op::BvUlt(a, b) => pool.bv_ult(g(*a), g(*b)),
-            Op::BvUle(a, b) => pool.bv_ule(g(*a), g(*b)),
-            Op::BvSlt(a, b) => pool.bv_slt(g(*a), g(*b)),
-            Op::BvSle(a, b) => pool.bv_sle(g(*a), g(*b)),
+            Op::Bv(op, a, b) => pool.bv_binop(*op, g(*a), g(*b)),
             Op::ZExt(a) => {
                 let w = pool.sort(id).width();
                 pool.zext(g(*a), w)
@@ -86,11 +69,7 @@ pub fn substitute(pool: &mut TermPool, root: TermId, map: &HashMap<TermId, TermI
 pub fn substitute_assignment(pool: &mut TermPool, root: TermId, env: &Assignment) -> TermId {
     let mut map = HashMap::new();
     for (var, value) in env.iter() {
-        let c = match value {
-            Value::Bool(b) => pool.bool_const(b),
-            Value::Bv(v) => pool.bv_const(v),
-        };
-        map.insert(var, c);
+        map.insert(var, pool.constant(value));
     }
     substitute(pool, root, &map)
 }

@@ -3,6 +3,11 @@
 //! All terms live in a [`TermPool`]; a [`TermId`] is an index into it.
 //! Constructors perform light simplification (constant folding, identity and
 //! annihilator rules) so the formulas handed to the bit-blaster stay small.
+//! The seventeen binary bitvector operators are one [`Op::Bv`] variant, and
+//! each is defined once, by its [`BvOp::def`] row: name, semantics,
+//! commutativity and fold rows. Constant folding, [`crate::eval`],
+//! [`crate::substitute`] and the blaster all read that row; the
+//! `op_table` test checks every row exhaustively at widths 1–6.
 //! Bitvector equality also compares ring normal forms — polynomials over
 //! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
 //! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
@@ -51,51 +56,14 @@ pub enum Op {
     /// If-then-else; branches at either sort.
     Ite(TermId, TermId, TermId),
 
-    // Bitvector bitwise.
+    // Bitvector unary operators.
     /// Bitwise complement.
     BvNot(TermId),
-    /// Bitwise and.
-    BvAnd(TermId, TermId),
-    /// Bitwise or.
-    BvOr(TermId, TermId),
-    /// Bitwise xor.
-    BvXor(TermId, TermId),
-
-    // Bitvector arithmetic.
     /// Two's complement negation.
     BvNeg(TermId),
-    /// Wrapping addition.
-    BvAdd(TermId, TermId),
-    /// Wrapping subtraction.
-    BvSub(TermId, TermId),
-    /// Wrapping multiplication.
-    BvMul(TermId, TermId),
-    /// Unsigned division (SMT-LIB total semantics).
-    BvUdiv(TermId, TermId),
-    /// Unsigned remainder.
-    BvUrem(TermId, TermId),
-    /// Signed division.
-    BvSdiv(TermId, TermId),
-    /// Signed remainder.
-    BvSrem(TermId, TermId),
 
-    // Shifts.
-    /// Shift left.
-    BvShl(TermId, TermId),
-    /// Logical shift right.
-    BvLshr(TermId, TermId),
-    /// Arithmetic shift right.
-    BvAshr(TermId, TermId),
-
-    // Comparisons (result sort Bool).
-    /// Unsigned less-than.
-    BvUlt(TermId, TermId),
-    /// Unsigned less-or-equal.
-    BvUle(TermId, TermId),
-    /// Signed less-than.
-    BvSlt(TermId, TermId),
-    /// Signed less-or-equal.
-    BvSle(TermId, TermId),
+    /// A binary bitvector operator over two operands of one width.
+    Bv(BvOp, TermId, TermId),
 
     // Width changes.
     /// Zero-extend to the result width.
@@ -123,23 +91,7 @@ impl Op {
             Op::Xor(a, b)
             | Op::Implies(a, b)
             | Op::Eq(a, b)
-            | Op::BvAnd(a, b)
-            | Op::BvOr(a, b)
-            | Op::BvXor(a, b)
-            | Op::BvAdd(a, b)
-            | Op::BvSub(a, b)
-            | Op::BvMul(a, b)
-            | Op::BvUdiv(a, b)
-            | Op::BvUrem(a, b)
-            | Op::BvSdiv(a, b)
-            | Op::BvSrem(a, b)
-            | Op::BvShl(a, b)
-            | Op::BvLshr(a, b)
-            | Op::BvAshr(a, b)
-            | Op::BvUlt(a, b)
-            | Op::BvUle(a, b)
-            | Op::BvSlt(a, b)
-            | Op::BvSle(a, b)
+            | Op::Bv(_, a, b)
             | Op::Concat(a, b) => vec![*a, *b],
             Op::Ite(c, t, e) => vec![*c, *t, *e],
         }
@@ -160,28 +112,215 @@ impl Op {
             Op::Eq(_, _) => "eq",
             Op::Ite(_, _, _) => "ite",
             Op::BvNot(_) => "bvnot",
-            Op::BvAnd(_, _) => "bvand",
-            Op::BvOr(_, _) => "bvor",
-            Op::BvXor(_, _) => "bvxor",
             Op::BvNeg(_) => "bvneg",
-            Op::BvAdd(_, _) => "bvadd",
-            Op::BvSub(_, _) => "bvsub",
-            Op::BvMul(_, _) => "bvmul",
-            Op::BvUdiv(_, _) => "bvudiv",
-            Op::BvUrem(_, _) => "bvurem",
-            Op::BvSdiv(_, _) => "bvsdiv",
-            Op::BvSrem(_, _) => "bvsrem",
-            Op::BvShl(_, _) => "bvshl",
-            Op::BvLshr(_, _) => "bvlshr",
-            Op::BvAshr(_, _) => "bvashr",
-            Op::BvUlt(_, _) => "bvult",
-            Op::BvUle(_, _) => "bvule",
-            Op::BvSlt(_, _) => "bvslt",
-            Op::BvSle(_, _) => "bvsle",
+            Op::Bv(op, _, _) => op.def().name,
             Op::ZExt(_) => "zext",
             Op::SExt(_) => "sext",
             Op::Extract(_, _, _) => "extract",
             Op::Concat(_, _) => "concat",
+        }
+    }
+}
+
+/// A binary bitvector operator: both operands share one width.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum BvOp {
+    /// Bitwise and.
+    And,
+    /// Bitwise or.
+    Or,
+    /// Bitwise xor.
+    Xor,
+    /// Wrapping addition.
+    Add,
+    /// Wrapping subtraction.
+    Sub,
+    /// Wrapping multiplication.
+    Mul,
+    /// Unsigned division (SMT-LIB total semantics).
+    Udiv,
+    /// Unsigned remainder.
+    Urem,
+    /// Signed division.
+    Sdiv,
+    /// Signed remainder.
+    Srem,
+    /// Shift left.
+    Shl,
+    /// Logical shift right.
+    Lshr,
+    /// Arithmetic shift right.
+    Ashr,
+    /// Unsigned less-than.
+    Ult,
+    /// Unsigned less-or-equal.
+    Ule,
+    /// Signed less-than.
+    Slt,
+    /// Signed less-or-equal.
+    Sle,
+}
+
+/// A constant a fold row names, at the operands' width.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fixed {
+    /// All bits clear.
+    Zero,
+    /// The value 1.
+    One,
+    /// All bits set.
+    Ones,
+}
+
+impl Fixed {
+    /// The constant at width `w`.
+    pub fn at(self, w: u32) -> BvVal {
+        match self {
+            Fixed::Zero => BvVal::zero(w),
+            Fixed::One => BvVal::one(w),
+            Fixed::Ones => BvVal::ones(w),
+        }
+    }
+}
+
+/// What a fold row rewrites a term to.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fold {
+    /// The other operand (for `x op x`, `x` itself).
+    Operand,
+    /// The bitwise complement of the other operand.
+    NotOperand,
+    /// A bitvector constant.
+    Const(Fixed),
+    /// A boolean constant.
+    Bool(bool),
+}
+
+/// One operator's row of the [`BvOp`] table.
+#[derive(Clone, Copy, Debug)]
+pub struct BvDef {
+    /// SMT-LIB name: the [`Op::kind_name`] (and so the `blast.gates.<kind>`
+    /// key) and the head of [`TermPool::display`].
+    pub name: &'static str,
+    /// Semantics on constants; constant folding and [`crate::eval`] use it.
+    pub apply: fn(BvVal, BvVal) -> Value,
+    /// The result is a boolean (the comparisons), not a bitvector of the
+    /// operands' width.
+    pub predicate: bool,
+    /// `a op b = b op a`: a term keeps its operands in `a <= b` order, and
+    /// a fold row matches a constant on either side.
+    pub commutes: bool,
+    /// What `x op x` folds to.
+    pub same: Option<Fold>,
+    /// `(k, fold)`: a right operand equal to `k` (or either operand, when
+    /// the operator commutes) folds the term.
+    pub rows: &'static [(Fixed, Fold)],
+}
+
+impl BvOp {
+    /// Every operator.
+    pub const ALL: [BvOp; 17] = [
+        BvOp::And,
+        BvOp::Or,
+        BvOp::Xor,
+        BvOp::Add,
+        BvOp::Sub,
+        BvOp::Mul,
+        BvOp::Udiv,
+        BvOp::Urem,
+        BvOp::Sdiv,
+        BvOp::Srem,
+        BvOp::Shl,
+        BvOp::Lshr,
+        BvOp::Ashr,
+        BvOp::Ult,
+        BvOp::Ule,
+        BvOp::Slt,
+        BvOp::Sle,
+    ];
+
+    /// The operator's row of the table: its one definition.
+    pub fn def(self) -> BvDef {
+        use Fixed::{One, Ones, Zero};
+        use Fold::{Bool, Const, NotOperand, Operand};
+        let row = |name, apply: fn(BvVal, BvVal) -> Value| BvDef {
+            name,
+            apply,
+            predicate: false,
+            commutes: false,
+            same: None,
+            rows: &[],
+        };
+        match self {
+            BvOp::And => BvDef {
+                commutes: true,
+                same: Some(Operand),
+                rows: &[(Zero, Const(Zero)), (Ones, Operand)],
+                ..row("bvand", |x, y| x.and(y).into())
+            },
+            BvOp::Or => BvDef {
+                commutes: true,
+                same: Some(Operand),
+                rows: &[(Ones, Const(Ones)), (Zero, Operand)],
+                ..row("bvor", |x, y| x.or(y).into())
+            },
+            BvOp::Xor => BvDef {
+                commutes: true,
+                same: Some(Const(Zero)),
+                rows: &[(Zero, Operand), (Ones, NotOperand)],
+                ..row("bvxor", |x, y| x.xor(y).into())
+            },
+            BvOp::Add => BvDef {
+                commutes: true,
+                rows: &[(Zero, Operand)],
+                ..row("bvadd", |x, y| x.add(y).into())
+            },
+            BvOp::Sub => BvDef {
+                same: Some(Const(Zero)),
+                rows: &[(Zero, Operand)],
+                ..row("bvsub", |x, y| x.sub(y).into())
+            },
+            BvOp::Mul => BvDef {
+                commutes: true,
+                rows: &[(Zero, Const(Zero)), (One, Operand)],
+                ..row("bvmul", |x, y| x.mul(y).into())
+            },
+            BvOp::Udiv => row("bvudiv", |x, y| x.udiv(y).into()),
+            BvOp::Urem => row("bvurem", |x, y| x.urem(y).into()),
+            BvOp::Sdiv => row("bvsdiv", |x, y| x.sdiv(y).into()),
+            BvOp::Srem => row("bvsrem", |x, y| x.srem(y).into()),
+            BvOp::Shl => BvDef {
+                rows: &[(Zero, Operand)],
+                ..row("bvshl", |x, y| x.shl(y).into())
+            },
+            BvOp::Lshr => BvDef {
+                rows: &[(Zero, Operand)],
+                ..row("bvlshr", |x, y| x.lshr(y).into())
+            },
+            BvOp::Ashr => BvDef {
+                rows: &[(Zero, Operand)],
+                ..row("bvashr", |x, y| x.ashr(y).into())
+            },
+            BvOp::Ult => BvDef {
+                predicate: true,
+                same: Some(Bool(false)),
+                ..row("bvult", |x, y| x.ult(y).into())
+            },
+            BvOp::Ule => BvDef {
+                predicate: true,
+                same: Some(Bool(true)),
+                ..row("bvule", |x, y| x.ule(y).into())
+            },
+            BvOp::Slt => BvDef {
+                predicate: true,
+                same: Some(Bool(false)),
+                ..row("bvslt", |x, y| x.slt(y).into())
+            },
+            BvOp::Sle => BvDef {
+                predicate: true,
+                same: Some(Bool(true)),
+                ..row("bvsle", |x, y| x.sle(y).into())
+            },
         }
     }
 }
@@ -537,7 +676,7 @@ impl TermPool {
         })
     }
 
-    // ---- bitvector bitwise ----
+    // ---- bitvector operators ----
 
     /// Bitwise complement.
     pub fn bv_not(&mut self, a: TermId) -> TermId {
@@ -554,66 +693,6 @@ impl TermPool {
         })
     }
 
-    /// Bitwise and.
-    pub fn bv_and(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_bitwise(a, b, BvKind::And)
-    }
-
-    /// Bitwise or.
-    pub fn bv_or(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_bitwise(a, b, BvKind::Or)
-    }
-
-    /// Bitwise xor.
-    pub fn bv_xor(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_bitwise(a, b, BvKind::Xor)
-    }
-
-    fn bv_bitwise(&mut self, a: TermId, b: TermId, kind: BvKind) -> TermId {
-        self.check_same_bv(a, b);
-        let w = self.width(a);
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            let v = match kind {
-                BvKind::And => x.and(y),
-                BvKind::Or => x.or(y),
-                BvKind::Xor => x.xor(y),
-            };
-            return self.bv_const(v);
-        }
-        // Identity / annihilator / idempotence rules.
-        let zero = BvVal::zero(w);
-        let ones = BvVal::ones(w);
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(c) = self.as_bv_const(x) {
-                match kind {
-                    BvKind::And if c == zero => return self.bv_const(zero),
-                    BvKind::And if c == ones => return y,
-                    BvKind::Or if c == ones => return self.bv_const(ones),
-                    BvKind::Or if c == zero => return y,
-                    BvKind::Xor if c == zero => return y,
-                    BvKind::Xor if c == ones => return self.bv_not(y),
-                    _ => {}
-                }
-            }
-        }
-        if a == b {
-            return match kind {
-                BvKind::And | BvKind::Or => a,
-                BvKind::Xor => self.bv_const(zero),
-            };
-        }
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let sort = self.sort(a);
-        let op = match kind {
-            BvKind::And => Op::BvAnd(a, b),
-            BvKind::Or => Op::BvOr(a, b),
-            BvKind::Xor => Op::BvXor(a, b),
-        };
-        self.intern(Term { op, sort })
-    }
-
-    // ---- bitvector arithmetic ----
-
     /// Two's complement negation.
     pub fn bv_neg(&mut self, a: TermId) -> TermId {
         if let Some(v) = self.as_bv_const(a) {
@@ -629,172 +708,146 @@ impl TermPool {
         })
     }
 
-    /// Wrapping addition.
-    pub fn bv_add(&mut self, a: TermId, b: TermId) -> TermId {
+    /// A binary bitvector operator, simplified by its [`BvOp::def`] row:
+    /// two constants fold to the operator's value, then `x op x` and a
+    /// constant operand fold as the row says. A commutative operator
+    /// orders its operands, so `a op b` and `b op a` are one term.
+    pub fn bv_binop(&mut self, op: BvOp, a: TermId, b: TermId) -> TermId {
         self.check_same_bv(a, b);
+        let def = op.def();
         let w = self.width(a);
         if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            return self.bv_const(x.add(y));
+            return self.constant((def.apply)(x, y));
         }
-        for (x, y) in [(a, b), (b, a)] {
-            if self.as_bv_const(x) == Some(BvVal::zero(w)) {
-                return y;
+        if let Some(fold) = def.same.filter(|_| a == b) {
+            return self.fold(fold, a, w);
+        }
+        for &(k, fold) in def.rows {
+            let k = Some(k.at(w));
+            if self.as_bv_const(b) == k {
+                return self.fold(fold, a, w);
+            }
+            if def.commutes && self.as_bv_const(a) == k {
+                return self.fold(fold, b, w);
             }
         }
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let sort = self.sort(a);
+        let (a, b) = if def.commutes && a > b {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        let sort = if def.predicate {
+            Sort::Bool
+        } else {
+            Sort::BitVec(w)
+        };
         self.intern(Term {
-            op: Op::BvAdd(a, b),
+            op: Op::Bv(op, a, b),
             sort,
         })
+    }
+
+    /// The term a fold row rewrites to, given the other operand `x`.
+    fn fold(&mut self, fold: Fold, x: TermId, w: u32) -> TermId {
+        match fold {
+            Fold::Operand => x,
+            Fold::NotOperand => self.bv_not(x),
+            Fold::Const(k) => self.bv_const(k.at(w)),
+            Fold::Bool(b) => self.bool_const(b),
+        }
+    }
+
+    /// The constant term of a value.
+    pub(crate) fn constant(&mut self, v: Value) -> TermId {
+        match v {
+            Value::Bool(b) => self.bool_const(b),
+            Value::Bv(v) => self.bv_const(v),
+        }
+    }
+
+    /// Bitwise and.
+    pub fn bv_and(&mut self, a: TermId, b: TermId) -> TermId {
+        self.bv_binop(BvOp::And, a, b)
+    }
+
+    /// Bitwise or.
+    pub fn bv_or(&mut self, a: TermId, b: TermId) -> TermId {
+        self.bv_binop(BvOp::Or, a, b)
+    }
+
+    /// Bitwise xor.
+    pub fn bv_xor(&mut self, a: TermId, b: TermId) -> TermId {
+        self.bv_binop(BvOp::Xor, a, b)
+    }
+
+    /// Wrapping addition.
+    pub fn bv_add(&mut self, a: TermId, b: TermId) -> TermId {
+        self.bv_binop(BvOp::Add, a, b)
     }
 
     /// Wrapping subtraction.
     pub fn bv_sub(&mut self, a: TermId, b: TermId) -> TermId {
-        self.check_same_bv(a, b);
-        let w = self.width(a);
-        if a == b {
-            return self.bv_const(BvVal::zero(w));
-        }
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            return self.bv_const(x.sub(y));
-        }
-        if self.as_bv_const(b) == Some(BvVal::zero(w)) {
-            return a;
-        }
-        let sort = self.sort(a);
-        self.intern(Term {
-            op: Op::BvSub(a, b),
-            sort,
-        })
+        self.bv_binop(BvOp::Sub, a, b)
     }
 
     /// Wrapping multiplication.
     pub fn bv_mul(&mut self, a: TermId, b: TermId) -> TermId {
-        self.check_same_bv(a, b);
-        let w = self.width(a);
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            return self.bv_const(x.mul(y));
-        }
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(c) = self.as_bv_const(x) {
-                if c.is_zero() {
-                    return self.bv_const(BvVal::zero(w));
-                }
-                if c == BvVal::one(w) {
-                    return y;
-                }
-            }
-        }
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let sort = self.sort(a);
-        self.intern(Term {
-            op: Op::BvMul(a, b),
-            sort,
-        })
+        self.bv_binop(BvOp::Mul, a, b)
     }
 
     /// Unsigned division (total, SMT-LIB semantics).
     pub fn bv_udiv(&mut self, a: TermId, b: TermId) -> TermId {
-        self.binop_no_fold_by_zero(a, b, BvDivKind::Udiv)
+        self.bv_binop(BvOp::Udiv, a, b)
     }
 
     /// Unsigned remainder.
     pub fn bv_urem(&mut self, a: TermId, b: TermId) -> TermId {
-        self.binop_no_fold_by_zero(a, b, BvDivKind::Urem)
+        self.bv_binop(BvOp::Urem, a, b)
     }
 
     /// Signed division.
     pub fn bv_sdiv(&mut self, a: TermId, b: TermId) -> TermId {
-        self.binop_no_fold_by_zero(a, b, BvDivKind::Sdiv)
+        self.bv_binop(BvOp::Sdiv, a, b)
     }
 
     /// Signed remainder.
     pub fn bv_srem(&mut self, a: TermId, b: TermId) -> TermId {
-        self.binop_no_fold_by_zero(a, b, BvDivKind::Srem)
+        self.bv_binop(BvOp::Srem, a, b)
     }
-
-    fn binop_no_fold_by_zero(&mut self, a: TermId, b: TermId, kind: BvDivKind) -> TermId {
-        self.check_same_bv(a, b);
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            let v = match kind {
-                BvDivKind::Udiv => x.udiv(y),
-                BvDivKind::Urem => x.urem(y),
-                BvDivKind::Sdiv => x.sdiv(y),
-                BvDivKind::Srem => x.srem(y),
-            };
-            return self.bv_const(v);
-        }
-        let sort = self.sort(a);
-        let op = match kind {
-            BvDivKind::Udiv => Op::BvUdiv(a, b),
-            BvDivKind::Urem => Op::BvUrem(a, b),
-            BvDivKind::Sdiv => Op::BvSdiv(a, b),
-            BvDivKind::Srem => Op::BvSrem(a, b),
-        };
-        self.intern(Term { op, sort })
-    }
-
-    // ---- shifts ----
 
     /// Shift left.
     pub fn bv_shl(&mut self, a: TermId, b: TermId) -> TermId {
-        self.shift(a, b, ShiftKind::Shl)
+        self.bv_binop(BvOp::Shl, a, b)
     }
 
     /// Logical shift right.
     pub fn bv_lshr(&mut self, a: TermId, b: TermId) -> TermId {
-        self.shift(a, b, ShiftKind::Lshr)
+        self.bv_binop(BvOp::Lshr, a, b)
     }
 
     /// Arithmetic shift right.
     pub fn bv_ashr(&mut self, a: TermId, b: TermId) -> TermId {
-        self.shift(a, b, ShiftKind::Ashr)
+        self.bv_binop(BvOp::Ashr, a, b)
     }
-
-    fn shift(&mut self, a: TermId, b: TermId, kind: ShiftKind) -> TermId {
-        self.check_same_bv(a, b);
-        let w = self.width(a);
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            let v = match kind {
-                ShiftKind::Shl => x.shl(y),
-                ShiftKind::Lshr => x.lshr(y),
-                ShiftKind::Ashr => x.ashr(y),
-            };
-            return self.bv_const(v);
-        }
-        if self.as_bv_const(b) == Some(BvVal::zero(w)) {
-            return a;
-        }
-        let sort = self.sort(a);
-        let op = match kind {
-            ShiftKind::Shl => Op::BvShl(a, b),
-            ShiftKind::Lshr => Op::BvLshr(a, b),
-            ShiftKind::Ashr => Op::BvAshr(a, b),
-        };
-        self.intern(Term { op, sort })
-    }
-
-    // ---- comparisons ----
 
     /// Unsigned less-than.
     pub fn bv_ult(&mut self, a: TermId, b: TermId) -> TermId {
-        self.cmp(a, b, CmpKind::Ult)
+        self.bv_binop(BvOp::Ult, a, b)
     }
 
     /// Unsigned less-or-equal.
     pub fn bv_ule(&mut self, a: TermId, b: TermId) -> TermId {
-        self.cmp(a, b, CmpKind::Ule)
+        self.bv_binop(BvOp::Ule, a, b)
     }
 
     /// Signed less-than.
     pub fn bv_slt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.cmp(a, b, CmpKind::Slt)
+        self.bv_binop(BvOp::Slt, a, b)
     }
 
     /// Signed less-or-equal.
     pub fn bv_sle(&mut self, a: TermId, b: TermId) -> TermId {
-        self.cmp(a, b, CmpKind::Sle)
+        self.bv_binop(BvOp::Sle, a, b)
     }
 
     /// Unsigned greater-than (swapped `ult`).
@@ -815,32 +868,6 @@ impl TermPool {
     /// Signed greater-or-equal (swapped `sle`).
     pub fn bv_sge(&mut self, a: TermId, b: TermId) -> TermId {
         self.bv_sle(b, a)
-    }
-
-    fn cmp(&mut self, a: TermId, b: TermId, kind: CmpKind) -> TermId {
-        self.check_same_bv(a, b);
-        if a == b {
-            return self.bool_const(matches!(kind, CmpKind::Ule | CmpKind::Sle));
-        }
-        if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
-            let v = match kind {
-                CmpKind::Ult => x.ult(y),
-                CmpKind::Ule => x.ule(y),
-                CmpKind::Slt => x.slt(y),
-                CmpKind::Sle => x.sle(y),
-            };
-            return self.bool_const(v);
-        }
-        let op = match kind {
-            CmpKind::Ult => Op::BvUlt(a, b),
-            CmpKind::Ule => Op::BvUle(a, b),
-            CmpKind::Slt => Op::BvSlt(a, b),
-            CmpKind::Sle => Op::BvSle(a, b),
-        };
-        self.intern(Term {
-            op,
-            sort: Sort::Bool,
-        })
     }
 
     // ---- width changes ----
@@ -948,13 +975,11 @@ impl TermPool {
         let is_ring_op = |id: TermId| {
             matches!(
                 self.term(id).op,
-                Op::BvAdd(..)
-                    | Op::BvSub(..)
-                    | Op::BvNeg(_)
-                    | Op::BvMul(..)
-                    | Op::BvShl(..)
-                    | Op::BvUrem(..)
-                    | Op::BvSrem(..)
+                Op::BvNeg(_)
+                    | Op::Bv(
+                        BvOp::Add | BvOp::Sub | BvOp::Mul | BvOp::Shl | BvOp::Urem | BvOp::Srem,
+                        ..
+                    )
             )
         };
         if !is_ring_op(a) && !is_ring_op(b) {
@@ -994,20 +1019,20 @@ impl TermPool {
         let minus_one = BvVal::ones(w);
         match self.term(id).op {
             Op::BvConst(v) => Some(Poly::constant(v)),
-            Op::BvAdd(a, b) => self.ring_form(a)?.add(&self.ring_form(b)?),
-            Op::BvSub(a, b) => self
+            Op::Bv(BvOp::Add, a, b) => self.ring_form(a)?.add(&self.ring_form(b)?),
+            Op::Bv(BvOp::Sub, a, b) => self
                 .ring_form(a)?
                 .add(&self.ring_form(b)?.scale(minus_one)?),
             Op::BvNeg(a) => self.ring_form(a)?.scale(minus_one),
-            Op::BvMul(a, b) => self.ring_form(a)?.mul(&self.ring_form(b)?),
-            Op::BvShl(a, b) => match self.as_bv_const(b) {
+            Op::Bv(BvOp::Mul, a, b) => self.ring_form(a)?.mul(&self.ring_form(b)?),
+            Op::Bv(BvOp::Shl, a, b) => match self.as_bv_const(b) {
                 Some(k) => self.ring_form(a)?.scale(BvVal::one(w).shl(k)),
                 None => self.ring_form(a)?.mul(&Poly::atom(Atom::Pow2(b), w)),
             },
-            Op::BvUdiv(a, b) => Some(Poly::atom(Atom::Udiv(a, b), w)),
-            Op::BvSdiv(a, b) => Some(Poly::atom(Atom::Sdiv(a, b), w)),
-            Op::BvUrem(a, b) => self.rem_form(a, b, Atom::Udiv(a, b)),
-            Op::BvSrem(a, b) => self.rem_form(a, b, Atom::Sdiv(a, b)),
+            Op::Bv(BvOp::Udiv, a, b) => Some(Poly::atom(Atom::Udiv(a, b), w)),
+            Op::Bv(BvOp::Sdiv, a, b) => Some(Poly::atom(Atom::Sdiv(a, b), w)),
+            Op::Bv(BvOp::Urem, a, b) => self.rem_form(a, b, Atom::Udiv(a, b)),
+            Op::Bv(BvOp::Srem, a, b) => self.rem_form(a, b, Atom::Sdiv(a, b)),
             _ => Some(Poly::atom(Atom::Term(id), w)),
         }
     }
@@ -1052,41 +1077,15 @@ impl TermPool {
                 let _ = write!(out, "{}", self.var_names[*v as usize]);
                 return;
             }
-            Op::Not(_) => "not",
-            Op::And(_) => "and",
-            Op::Or(_) => "or",
-            Op::Xor(..) => "xor",
-            Op::Implies(..) => "=>",
-            Op::Eq(..) => "=",
-            Op::Ite(..) => "ite",
-            Op::BvNot(_) => "bvnot",
-            Op::BvAnd(..) => "bvand",
-            Op::BvOr(..) => "bvor",
-            Op::BvXor(..) => "bvxor",
-            Op::BvNeg(_) => "bvneg",
-            Op::BvAdd(..) => "bvadd",
-            Op::BvSub(..) => "bvsub",
-            Op::BvMul(..) => "bvmul",
-            Op::BvUdiv(..) => "bvudiv",
-            Op::BvUrem(..) => "bvurem",
-            Op::BvSdiv(..) => "bvsdiv",
-            Op::BvSrem(..) => "bvsrem",
-            Op::BvShl(..) => "bvshl",
-            Op::BvLshr(..) => "bvlshr",
-            Op::BvAshr(..) => "bvashr",
-            Op::BvUlt(..) => "bvult",
-            Op::BvUle(..) => "bvule",
-            Op::BvSlt(..) => "bvslt",
-            Op::BvSle(..) => "bvsle",
-            Op::ZExt(_) => "zext",
-            Op::SExt(_) => "sext",
             Op::Extract(_, hi, lo) => {
                 let _ = write!(out, "(extract[{hi}:{lo}] ");
                 self.fmt_term(t.op.children()[0], out);
                 out.push(')');
                 return;
             }
-            Op::Concat(..) => "concat",
+            Op::Implies(..) => "=>",
+            Op::Eq(..) => "=",
+            op => op.kind_name(),
         };
         let _ = write!(out, "({name}");
         for c in t.op.children() {
@@ -1101,36 +1100,6 @@ impl fmt::Display for TermPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TermPool({} terms)", self.terms.len())
     }
-}
-
-#[derive(Clone, Copy)]
-enum BvKind {
-    And,
-    Or,
-    Xor,
-}
-
-#[derive(Clone, Copy)]
-enum BvDivKind {
-    Udiv,
-    Urem,
-    Sdiv,
-    Srem,
-}
-
-#[derive(Clone, Copy)]
-enum ShiftKind {
-    Shl,
-    Lshr,
-    Ashr,
-}
-
-#[derive(Clone, Copy)]
-enum CmpKind {
-    Ult,
-    Ule,
-    Slt,
-    Sle,
 }
 
 /// Most monomials a ring normal form may hold. A larger form counts as
