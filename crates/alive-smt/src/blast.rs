@@ -158,7 +158,7 @@ impl Blaster {
         pool: &TermPool,
         sat: &mut Solver,
         root: TermId,
-    ) -> Result<Blasted, Exhaustion> {
+    ) -> Result<&Blasted, Exhaustion> {
         if let Some(e) = sat.budget().check_soft() {
             return Err(e);
         }
@@ -185,7 +185,12 @@ impl Blaster {
                 }
             }
             let vars_before = sat.num_vars();
-            let b = self.encode(pool, sat, id);
+            // The cache is moved out while the node is encoded, so the
+            // children's literals are borrowed from it, not copied, while
+            // the gate builders take `&mut self`.
+            let cache = std::mem::take(&mut self.cache);
+            let b = self.encode(pool, sat, &cache, id);
+            self.cache = cache;
             self.nodes_encoded += 1;
             let gates = (sat.num_vars() - vars_before) as u64;
             if gates > 0 {
@@ -196,11 +201,19 @@ impl Blaster {
             }
             self.cache.insert(id, b);
         }
-        Ok(self.cache[&root].clone())
+        Ok(&self.cache[&root])
     }
 
-    /// Encodes one term whose children are already cached.
-    fn encode(&mut self, pool: &TermPool, sat: &mut Solver, id: TermId) -> Blasted {
+    /// Encodes one term whose children are in `cache`.
+    fn encode(
+        &mut self,
+        pool: &TermPool,
+        sat: &mut Solver,
+        cache: &HashMap<TermId, Blasted>,
+        id: TermId,
+    ) -> Blasted {
+        let bit = |c: &TermId| cache[c].as_bool();
+        let bits = |c: &TermId| cache[c].as_bv();
         let term = pool.term(id);
         let width = match term.sort {
             Sort::BitVec(w) => w,
@@ -218,90 +231,64 @@ impl Blaster {
                 Sort::Bool => Blasted::Bool(sat.new_var().positive()),
                 Sort::BitVec(w) => Blasted::Bv((0..w).map(|_| sat.new_var().positive()).collect()),
             },
-            Op::Not(a) => Blasted::Bool(!self.get_bool(*a)),
+            Op::Not(a) => Blasted::Bool(!bit(a)),
             Op::And(cs) => {
-                let lits: Vec<Lit> = cs.iter().map(|&c| self.get_bool(c)).collect();
+                let lits: Vec<Lit> = cs.iter().map(bit).collect();
                 Blasted::Bool(self.mk_and_many(sat, &lits))
             }
             Op::Or(cs) => {
-                let lits: Vec<Lit> = cs.iter().map(|&c| self.get_bool(c)).collect();
+                let lits: Vec<Lit> = cs.iter().map(bit).collect();
                 Blasted::Bool(self.mk_or_many(sat, &lits))
             }
-            Op::Xor(a, b) => {
-                let (a, b) = (self.get_bool(*a), self.get_bool(*b));
-                Blasted::Bool(self.mk_xor(sat, a, b))
-            }
-            Op::Implies(a, b) => {
-                let (a, b) = (self.get_bool(*a), self.get_bool(*b));
-                Blasted::Bool(self.mk_or(sat, !a, b))
-            }
+            Op::Xor(a, b) => Blasted::Bool(self.mk_xor(sat, bit(a), bit(b))),
+            Op::Implies(a, b) => Blasted::Bool(self.mk_or(sat, !bit(a), bit(b))),
             Op::Eq(a, b) => match pool.sort(*a) {
-                Sort::Bool => {
-                    let (a, b) = (self.get_bool(*a), self.get_bool(*b));
-                    let x = self.mk_xor(sat, a, b);
-                    Blasted::Bool(!x)
-                }
+                Sort::Bool => Blasted::Bool(!self.mk_xor(sat, bit(a), bit(b))),
                 Sort::BitVec(_) => {
-                    let av = self.get_bv(*a);
-                    let bv = self.get_bv(*b);
-                    let mut eqs = Vec::with_capacity(av.len());
-                    for (x, y) in av.iter().zip(&bv) {
-                        let xo = self.mk_xor(sat, *x, *y);
-                        eqs.push(!xo);
-                    }
+                    let eqs: Vec<Lit> = bits(a)
+                        .iter()
+                        .zip(bits(b))
+                        .map(|(&x, &y)| !self.mk_xor(sat, x, y))
+                        .collect();
                     Blasted::Bool(self.mk_and_many(sat, &eqs))
                 }
             },
             Op::Ite(c, t, e) => {
-                let cl = self.get_bool(*c);
+                let cl = bit(c);
                 match pool.sort(*t) {
-                    Sort::Bool => {
-                        let (tl, el) = (self.get_bool(*t), self.get_bool(*e));
-                        Blasted::Bool(self.mk_mux(sat, cl, tl, el))
-                    }
+                    Sort::Bool => Blasted::Bool(self.mk_mux(sat, cl, bit(t), bit(e))),
                     Sort::BitVec(_) => {
-                        let tv = self.get_bv(*t);
-                        let ev = self.get_bv(*e);
-                        let bits = tv
+                        let out = bits(t)
                             .iter()
-                            .zip(&ev)
+                            .zip(bits(e))
                             .map(|(&x, &y)| self.mk_mux(sat, cl, x, y))
                             .collect();
-                        Blasted::Bv(bits)
+                        Blasted::Bv(out)
                     }
                 }
             }
-            Op::BvNot(a) => Blasted::Bv(self.get_bv(*a).iter().map(|&l| !l).collect()),
-            Op::BvNeg(a) => {
-                let av = self.get_bv(*a);
-                let inv: Vec<Lit> = av.iter().map(|&l| !l).collect();
-                let t = self.lit_true(sat);
-                let one: Vec<Lit> = std::iter::once(t)
-                    .chain(std::iter::repeat(!t))
-                    .take(inv.len())
-                    .collect();
-                Blasted::Bv(self.adder(sat, &inv, &one, !t).0)
-            }
+            Op::BvNot(a) => Blasted::Bv(bits(a).iter().map(|&l| !l).collect()),
+            Op::BvNeg(a) => Blasted::Bv(self.negate(sat, bits(a))),
             Op::Bv(op, a, b) => {
-                let (mut av, mut bv) = (self.get_bv(*a), self.get_bv(*b));
+                let (av, bv) = (bits(a), bits(b));
                 match op {
-                    BvOp::And => self.bitwise(sat, &av, &bv, Blaster::mk_and),
-                    BvOp::Or => self.bitwise(sat, &av, &bv, Blaster::mk_or),
-                    BvOp::Xor => self.bitwise(sat, &av, &bv, Blaster::mk_xor),
+                    BvOp::And => self.bitwise(sat, av, bv, Blaster::mk_and),
+                    BvOp::Or => self.bitwise(sat, av, bv, Blaster::mk_or),
+                    BvOp::Xor => self.bitwise(sat, av, bv, Blaster::mk_xor),
                     BvOp::Add => {
                         let f = self.lit_false(sat);
-                        Blasted::Bv(self.adder(sat, &av, &bv, f).0)
+                        Blasted::Bv(self.adder(sat, av, bv, f).0)
                     }
                     BvOp::Sub => {
                         let binv: Vec<Lit> = bv.iter().map(|&l| !l).collect();
                         let t = self.lit_true(sat);
-                        Blasted::Bv(self.adder(sat, &av, &binv, t).0)
+                        Blasted::Bv(self.adder(sat, av, &binv, t).0)
                     }
-                    BvOp::Mul => Blasted::Bv(self.multiplier(sat, &av, &bv)),
-                    BvOp::Udiv => Blasted::Bv(self.divider(sat, &av, &bv).0),
-                    BvOp::Urem => Blasted::Bv(self.divider(sat, &av, &bv).1),
-                    BvOp::Sdiv => Blasted::Bv(self.signed_divrem(sat, &av, &bv).0),
-                    BvOp::Srem => Blasted::Bv(self.signed_divrem(sat, &av, &bv).1),
+                    BvOp::Mul => Blasted::Bv(self.multiplier(sat, av, bv)),
+                    BvOp::Udiv => Blasted::Bv(self.divider(sat, av, bv).0),
+                    BvOp::Urem => Blasted::Bv(self.divider(sat, av, bv).1),
+                    BvOp::Sdiv => Blasted::Bv(self.signed_divrem(sat, av, bv).0),
+                    BvOp::Srem => Blasted::Bv(self.signed_divrem(sat, av, bv).1),
                     BvOp::Shl | BvOp::Lshr => {
                         let f = self.lit_false(sat);
                         let dir = if *op == BvOp::Shl {
@@ -309,16 +296,17 @@ impl Blaster {
                         } else {
                             ShiftDir::Right
                         };
-                        Blasted::Bv(self.barrel_shift(sat, &av, &bv, dir, f))
+                        Blasted::Bv(self.barrel_shift(sat, av, bv, dir, f))
                     }
                     BvOp::Ashr => {
                         let sign = *av.last().expect("non-empty bv");
-                        Blasted::Bv(self.barrel_shift(sat, &av, &bv, ShiftDir::Right, sign))
+                        Blasted::Bv(self.barrel_shift(sat, av, bv, ShiftDir::Right, sign))
                     }
-                    BvOp::Ult => Blasted::Bool(self.mk_ult(sat, &av, &bv)),
-                    BvOp::Ule => Blasted::Bool(!self.mk_ult(sat, &bv, &av)),
+                    BvOp::Ult => Blasted::Bool(self.mk_ult(sat, av, bv)),
+                    BvOp::Ule => Blasted::Bool(!self.mk_ult(sat, bv, av)),
                     BvOp::Slt | BvOp::Sle => {
                         // Flip sign bits to reduce signed compare to unsigned.
+                        let (mut av, mut bv) = (av.to_vec(), bv.to_vec());
                         let n = av.len();
                         av[n - 1] = !av[n - 1];
                         bv[n - 1] = !bv[n - 1];
@@ -331,40 +319,20 @@ impl Blaster {
                 }
             }
             Op::ZExt(a) => {
-                let av = self.get_bv(*a);
-                let f = self.lit_false(sat);
-                let mut bits = av;
-                bits.resize(width as usize, f);
-                Blasted::Bv(bits)
+                let mut out = bits(a).to_vec();
+                out.resize(width as usize, self.lit_false(sat));
+                Blasted::Bv(out)
             }
             Op::SExt(a) => {
-                let av = self.get_bv(*a);
-                let sign = *av.last().expect("non-empty bv");
-                let mut bits = av;
-                bits.resize(width as usize, sign);
-                Blasted::Bv(bits)
+                let av = bits(a);
+                let mut out = av.to_vec();
+                out.resize(width as usize, *av.last().expect("non-empty bv"));
+                Blasted::Bv(out)
             }
-            Op::Extract(a, hi, lo) => {
-                let av = self.get_bv(*a);
-                Blasted::Bv(av[*lo as usize..=*hi as usize].to_vec())
-            }
-            Op::Concat(a, b) => {
-                let (av, bv) = (self.get_bv(*a), self.get_bv(*b));
-                let mut bits = bv; // low part first (little endian)
-                bits.extend(av);
-                Blasted::Bv(bits)
-            }
+            Op::Extract(a, hi, lo) => Blasted::Bv(bits(a)[*lo as usize..=*hi as usize].to_vec()),
+            // Low part first (little endian).
+            Op::Concat(a, b) => Blasted::Bv([bits(b), bits(a)].concat()),
         }
-    }
-
-    #[inline]
-    fn get_bool(&self, id: TermId) -> Lit {
-        self.cache[&id].as_bool()
-    }
-
-    #[inline]
-    fn get_bv(&self, id: TermId) -> Vec<Lit> {
-        self.cache[&id].as_bv().to_vec()
     }
 
     fn bitwise(&mut self, sat: &mut Solver, av: &[Lit], bv: &[Lit], gate: GateFn) -> Blasted {

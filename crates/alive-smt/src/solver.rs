@@ -68,6 +68,7 @@ pub struct SmtSolver {
     blast_exhausted: Option<Exhaustion>,
     /// Per-call exhaustion that did not reach the SAT solver (an injected
     /// hang); cleared at each check.
+    #[cfg(feature = "fault-injection")]
     call_exhausted: Option<Exhaustion>,
     #[cfg(feature = "fault-injection")]
     injected: bool,
@@ -113,12 +114,15 @@ impl SmtSolver {
     /// [`SatResult::Unknown`] (`None` after a decisive answer).
     pub fn exhaustion(&self) -> Option<Exhaustion> {
         #[cfg(feature = "fault-injection")]
-        if self.injected {
-            return Some(Exhaustion::Injected);
+        {
+            if self.injected {
+                return Some(Exhaustion::Injected);
+            }
+            if let Some(e) = self.blast_exhausted.or(self.call_exhausted) {
+                return Some(e);
+            }
         }
-        self.blast_exhausted
-            .or(self.call_exhausted)
-            .or_else(|| self.sat.exhaustion())
+        self.blast_exhausted.or_else(|| self.sat.exhaustion())
     }
 
     /// Turns on DRAT-style proof logging in the underlying SAT solver and
@@ -228,9 +232,9 @@ impl SmtSolver {
     }
 
     fn clear_call_state(&mut self) {
-        self.call_exhausted = None;
         #[cfg(feature = "fault-injection")]
         {
+            self.call_exhausted = None;
             self.injected = false;
         }
     }
