@@ -5,9 +5,11 @@
 //! annihilator rules) so the formulas handed to the bit-blaster stay small.
 //! The seventeen binary bitvector operators are one [`Op::Bv`] variant, and
 //! each is defined once, by its [`BvOp::def`] row: name, semantics,
-//! commutativity and fold rows. Constant folding, [`crate::eval`],
-//! [`crate::substitute`] and the blaster all read that row; the
-//! `op_table` test checks every row exhaustively at widths 1–6.
+//! commutativity, fold rows and guarded word-level [`Law`]s (division by a
+//! negation, by a shifted value, and by a quotient). Constant folding,
+//! [`crate::eval`], [`crate::substitute`] and the blaster all read that
+//! row; the `op_table` test checks every fold row and law exhaustively at
+//! widths 1–6.
 //! Bitvector equality also compares ring normal forms — polynomials over
 //! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
 //! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
@@ -15,7 +17,7 @@
 //! evaluator by property tests.
 
 use crate::value::{BvVal, Sort, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifier of a term inside a [`TermPool`].
@@ -170,6 +172,8 @@ pub enum Fixed {
     One,
     /// All bits set.
     Ones,
+    /// The signed minimum: only the sign bit set.
+    Min,
 }
 
 impl Fixed {
@@ -179,6 +183,7 @@ impl Fixed {
             Fixed::Zero => BvVal::zero(w),
             Fixed::One => BvVal::one(w),
             Fixed::Ones => BvVal::ones(w),
+            Fixed::Min => BvVal::int_min(w),
         }
     }
 }
@@ -190,6 +195,8 @@ pub enum Fold {
     Operand,
     /// The bitwise complement of the other operand.
     NotOperand,
+    /// The two's complement negation of the other operand.
+    NegOperand,
     /// A bitvector constant.
     Const(Fixed),
     /// A boolean constant.
@@ -215,7 +222,106 @@ pub struct BvDef {
     /// `(k, fold)`: a right operand equal to `k` (or either operand, when
     /// the operator commutes) folds the term.
     pub rows: &'static [(Fixed, Fold)],
+    /// Word-level laws, tried in order on a term no fold applies to.
+    pub laws: &'static [Law],
 }
+
+/// A term shape in a [`Law`]. On the left-hand side it matches an operand
+/// and binds the law's variables; the guard and the right-hand side are
+/// built from it through the pool's constructors.
+#[derive(Clone, Copy, Debug)]
+pub enum Shape {
+    /// Law variable `i`: matches any term (one term at every occurrence)
+    /// and builds the term it matched.
+    Var(u8),
+    /// A constant at the operands' width.
+    Const(Fixed),
+    /// Two's complement negation.
+    Neg(&'static Shape),
+    /// A binary operator of the table (operands in the order written).
+    Bv(BvOp, &'static Shape, &'static Shape),
+    /// Equality; guards only.
+    Eq(&'static Shape, &'static Shape),
+    /// Disequality; guards only.
+    Ne(&'static Shape, &'static Shape),
+    /// Conjunction; guards only.
+    And(&'static Shape, &'static Shape),
+}
+
+/// A word-level rewrite of one operator: a term whose operands match `lhs`
+/// becomes `rhs` where `guard` holds. A guarded law builds
+/// `ite(guard, rhs, lhs)`, so an instance whose guard is false keeps its
+/// value. Every law is an identity of SMT-LIB semantics at every width.
+#[derive(Clone, Copy, Debug)]
+pub struct Law {
+    /// Name; firings count under the trace counter `smt.laws.<name>`.
+    pub name: &'static str,
+    /// The shapes of the left and the right operand.
+    pub lhs: [Shape; 2],
+    /// Where the rewrite holds; `None` when it holds everywhere.
+    pub guard: Option<Shape>,
+    /// The rewritten term.
+    pub rhs: Shape,
+}
+
+/// The variables of the [`Law`] table.
+const X: Shape = Shape::Var(0);
+const Y: Shape = Shape::Var(1);
+const C: Shape = Shape::Var(2);
+
+/// Law variables a matched left-hand side binds.
+type Binding = [Option<TermId>; 3];
+
+/// `srem x, −c = srem x, c`: the remainder takes the dividend's sign and
+/// |−c| = |c|, also where −c = c (c = 0 and c = MIN).
+const SREM_LAWS: &[Law] = &[Law {
+    name: "srem-neg",
+    lhs: [X, Shape::Neg(&C)],
+    guard: None,
+    rhs: Shape::Bv(BvOp::Srem, &X, &C),
+}];
+
+/// `sdiv x, −c = −(sdiv x, c)`: truncating division is odd in the
+/// divisor, except where −c = c (c = 0 and c = MIN).
+const SDIV_LAWS: &[Law] = &[Law {
+    name: "sdiv-neg",
+    lhs: [X, Shape::Neg(&C)],
+    guard: Some(Shape::And(
+        &Shape::Ne(&C, &Shape::Const(Fixed::Zero)),
+        &Shape::Ne(&C, &Shape::Const(Fixed::Min)),
+    )),
+    rhs: Shape::Neg(&Shape::Bv(BvOp::Sdiv, &X, &C)),
+}];
+
+/// `udiv x, (y << c) = udiv (x >> c), y` when the shift keeps every bit
+/// of `y` (the `shl nuw` form), so `y << c = y·2^c`; a shift by `c ≥ w`
+/// keeps them only for y = 0, where both sides divide by zero;
+/// `udiv (udiv x c), y = udiv x, c·y` when `c ≠ 0` and `c·y` does not wrap
+/// (⌊⌊x/c⌋/y⌋ = ⌊x/(c·y)⌋ over the integers; both sides are all ones at
+/// y = 0).
+const UDIV_LAWS: &[Law] = &[
+    Law {
+        name: "udiv-shl",
+        lhs: [X, Shape::Bv(BvOp::Shl, &Y, &C)],
+        guard: Some(Shape::Eq(
+            &Shape::Bv(BvOp::Lshr, &Shape::Bv(BvOp::Shl, &Y, &C), &C),
+            &Y,
+        )),
+        rhs: Shape::Bv(BvOp::Udiv, &Shape::Bv(BvOp::Lshr, &X, &C), &Y),
+    },
+    Law {
+        name: "udiv-udiv",
+        lhs: [Shape::Bv(BvOp::Udiv, &X, &C), Y],
+        guard: Some(Shape::And(
+            &Shape::Ne(&C, &Shape::Const(Fixed::Zero)),
+            &Shape::Eq(
+                &Shape::Bv(BvOp::Udiv, &Shape::Bv(BvOp::Mul, &C, &Y), &C),
+                &Y,
+            ),
+        )),
+        rhs: Shape::Bv(BvOp::Udiv, &X, &Shape::Bv(BvOp::Mul, &C, &Y)),
+    },
+];
 
 impl BvOp {
     /// Every operator.
@@ -242,7 +348,7 @@ impl BvOp {
     /// The operator's row of the table: its one definition.
     pub fn def(self) -> BvDef {
         use Fixed::{One, Ones, Zero};
-        use Fold::{Bool, Const, NotOperand, Operand};
+        use Fold::{Bool, Const, NegOperand, NotOperand, Operand};
         let row = |name, apply: fn(BvVal, BvVal) -> Value| BvDef {
             name,
             apply,
@@ -250,6 +356,7 @@ impl BvOp {
             commutes: false,
             same: None,
             rows: &[],
+            laws: &[],
         };
         match self {
             BvOp::And => BvDef {
@@ -285,10 +392,28 @@ impl BvOp {
                 rows: &[(Zero, Const(Zero)), (One, Operand)],
                 ..row("bvmul", |x, y| x.mul(y).into())
             },
-            BvOp::Udiv => row("bvudiv", |x, y| x.udiv(y).into()),
-            BvOp::Urem => row("bvurem", |x, y| x.urem(y).into()),
-            BvOp::Sdiv => row("bvsdiv", |x, y| x.sdiv(y).into()),
-            BvOp::Srem => row("bvsrem", |x, y| x.srem(y).into()),
+            BvOp::Udiv => BvDef {
+                rows: &[(One, Operand)],
+                laws: UDIV_LAWS,
+                ..row("bvudiv", |x, y| x.udiv(y).into())
+            },
+            BvOp::Urem => BvDef {
+                same: Some(Const(Zero)),
+                rows: &[(One, Const(Zero))],
+                ..row("bvurem", |x, y| x.urem(y).into())
+            },
+            // sdiv MIN, −1 wraps to MIN = −MIN, so −1 negates everywhere.
+            BvOp::Sdiv => BvDef {
+                rows: &[(One, Operand), (Ones, NegOperand)],
+                laws: SDIV_LAWS,
+                ..row("bvsdiv", |x, y| x.sdiv(y).into())
+            },
+            BvOp::Srem => BvDef {
+                same: Some(Const(Zero)),
+                rows: &[(One, Const(Zero)), (Ones, Const(Zero))],
+                laws: SREM_LAWS,
+                ..row("bvsrem", |x, y| x.srem(y).into())
+            },
             BvOp::Shl => BvDef {
                 rows: &[(Zero, Operand)],
                 ..row("bvshl", |x, y| x.shl(y).into())
@@ -355,6 +480,7 @@ pub struct TermPool {
     /// Memoized ring normal forms; `None` marks a term past the caps.
     ring_forms: HashMap<TermId, Option<Poly>>,
     ring_folds: u64,
+    law_firings: BTreeMap<&'static str, u64>,
 }
 
 impl TermPool {
@@ -710,7 +836,8 @@ impl TermPool {
 
     /// A binary bitvector operator, simplified by its [`BvOp::def`] row:
     /// two constants fold to the operator's value, then `x op x` and a
-    /// constant operand fold as the row says. A commutative operator
+    /// constant operand fold as the row says, then the first [`Law`] whose
+    /// left-hand side matches rewrites the term. A commutative operator
     /// orders its operands, so `a op b` and `b op a` are one term.
     pub fn bv_binop(&mut self, op: BvOp, a: TermId, b: TermId) -> TermId {
         self.check_same_bv(a, b);
@@ -741,10 +868,17 @@ impl TermPool {
         } else {
             Sort::BitVec(w)
         };
-        self.intern(Term {
+        let term = Term {
             op: Op::Bv(op, a, b),
             sort,
-        })
+        };
+        for law in def.laws {
+            let mut env = [None; 3];
+            if self.matches(law.lhs[0], a, &mut env) && self.matches(law.lhs[1], b, &mut env) {
+                return self.rewrite(law, &env, term, w);
+            }
+        }
+        self.intern(term)
     }
 
     /// The term a fold row rewrites to, given the other operand `x`.
@@ -752,9 +886,75 @@ impl TermPool {
         match fold {
             Fold::Operand => x,
             Fold::NotOperand => self.bv_not(x),
+            Fold::NegOperand => self.bv_neg(x),
             Fold::Const(k) => self.bv_const(k.at(w)),
             Fold::Bool(b) => self.bool_const(b),
         }
+    }
+
+    /// Does `t` have the shape? Binds the shape's variables in `env`.
+    fn matches(&self, shape: Shape, t: TermId, env: &mut Binding) -> bool {
+        match (shape, &self.term(t).op) {
+            (Shape::Var(i), _) => *env[usize::from(i)].get_or_insert(t) == t,
+            (Shape::Const(k), Op::BvConst(v)) => *v == k.at(v.width()),
+            (Shape::Neg(s), &Op::BvNeg(a)) => self.matches(*s, a, env),
+            (Shape::Bv(op, p, q), &Op::Bv(o, a, b)) => {
+                op == o && self.matches(*p, a, env) && self.matches(*q, b, env)
+            }
+            _ => false,
+        }
+    }
+
+    /// Builds a shape over the variables `env` binds, at width `w`.
+    fn build(&mut self, shape: Shape, env: &Binding, w: u32) -> TermId {
+        let two = |p: &Shape, q: &Shape, pool: &mut TermPool| {
+            (pool.build(*p, env, w), pool.build(*q, env, w))
+        };
+        match shape {
+            Shape::Var(i) => {
+                env[usize::from(i)].expect("a law's variables are bound by its left-hand side")
+            }
+            Shape::Const(k) => self.bv_const(k.at(w)),
+            Shape::Neg(s) => {
+                let a = self.build(*s, env, w);
+                self.bv_neg(a)
+            }
+            Shape::Bv(op, p, q) => {
+                let (a, b) = two(p, q, self);
+                self.bv_binop(op, a, b)
+            }
+            Shape::Eq(p, q) => {
+                let (a, b) = two(p, q, self);
+                self.eq(a, b)
+            }
+            Shape::Ne(p, q) => {
+                let (a, b) = two(p, q, self);
+                self.ne(a, b)
+            }
+            Shape::And(p, q) => {
+                let (a, b) = two(p, q, self);
+                self.and2(a, b)
+            }
+        }
+    }
+
+    /// Applies a law whose left-hand side matched `lhs`, counting the
+    /// firing unless the guard folded to false.
+    fn rewrite(&mut self, law: &Law, env: &Binding, lhs: Term, w: u32) -> TermId {
+        let rhs = self.build(law.rhs, env, w);
+        let out = match law.guard {
+            None => rhs,
+            Some(guard) => {
+                let guard = self.build(guard, env, w);
+                let lhs = self.intern(lhs);
+                if self.as_bool_const(guard) == Some(false) {
+                    return lhs;
+                }
+                self.ite(guard, rhs, lhs)
+            }
+        };
+        *self.law_firings.entry(law.name).or_insert(0) += 1;
+        out
     }
 
     /// The constant term of a value.
@@ -960,6 +1160,11 @@ impl TermPool {
     /// How many [`TermPool::eq`] calls the ring normal form decided.
     pub fn ring_folds(&self) -> u64 {
         self.ring_folds
+    }
+
+    /// How many times each [`Law`] rewrote a term, by name.
+    pub fn law_firings(&self) -> &BTreeMap<&'static str, u64> {
+        &self.law_firings
     }
 
     /// `Some(c)` when the bitvector terms `a - b` normalize to the

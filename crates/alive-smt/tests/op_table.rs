@@ -9,9 +9,14 @@
 //! operand; that covers every fold row, and each row is also checked to
 //! fire. The table's names, which key the `blast.gates.<kind>` counters,
 //! are pinned, and so is the operator each public `bv_*` constructor
-//! builds.
+//! builds. Every law is walked the same way: an instance of its left-hand
+//! side must fire it and evaluate, under every assignment of its
+//! variables, to the `BvVal` method applied to the operands' values
+//! (computed here from the shape, not by the pool); a guarded law must
+//! keep the un-rewritten term as its else branch, and its guard must be
+//! false somewhere.
 
-use alive_smt::{eval, Assignment, BvOp, BvVal, Op, Sort, TermId, TermPool, Value};
+use alive_smt::{eval, Assignment, BvOp, BvVal, Law, Op, Shape, Sort, TermId, TermPool, Value};
 
 type Ctor = fn(&mut TermPool, TermId, TermId) -> TermId;
 type Method = fn(BvVal, BvVal) -> Value;
@@ -170,6 +175,121 @@ fn every_fold_row_fires_and_keeps_the_value() {
                     assert_eq!(eval_at(&p, t, vx, v), want, "{name} i{w} at x = {v:?}");
                 }
             }
+        }
+    }
+}
+
+/// Every law with the operator it rewrites.
+fn laws() -> Vec<(BvOp, Law)> {
+    BvOp::ALL
+        .iter()
+        .flat_map(|&op| op.def().laws.iter().map(move |&law| (op, law)))
+        .collect()
+}
+
+/// Adds the indices of the law variables in `s` to `used`.
+fn variables(s: Shape, used: &mut Vec<u8>) {
+    match s {
+        Shape::Var(i) if !used.contains(&i) => used.push(i),
+        Shape::Var(_) | Shape::Const(_) => {}
+        Shape::Neg(a) => variables(*a, used),
+        Shape::Bv(_, a, b) | Shape::Eq(a, b) | Shape::Ne(a, b) | Shape::And(a, b) => {
+            variables(*a, used);
+            variables(*b, used);
+        }
+    }
+}
+
+/// Builds a left-hand-side shape over `vars` with the public constructors.
+fn instance(p: &mut TermPool, s: Shape, vars: &[TermId; 3], w: u32) -> TermId {
+    match s {
+        Shape::Var(i) => vars[usize::from(i)],
+        Shape::Const(k) => p.bv_const(k.at(w)),
+        Shape::Neg(a) => {
+            let a = instance(p, *a, vars, w);
+            p.bv_neg(a)
+        }
+        Shape::Bv(op, a, b) => {
+            let (a, b) = (instance(p, *a, vars, w), instance(p, *b, vars, w));
+            by_name(op).1(p, a, b)
+        }
+        Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => panic!("{s:?} on a left-hand side"),
+    }
+}
+
+/// The value of a left-hand-side shape, from the `BvVal` methods alone.
+fn value(s: Shape, vals: &[BvVal; 3], w: u32) -> BvVal {
+    let bv = |v: Value| match v {
+        Value::Bv(v) => v,
+        Value::Bool(_) => panic!("{s:?} is boolean"),
+    };
+    match s {
+        Shape::Var(i) => vals[usize::from(i)],
+        Shape::Const(k) => k.at(w),
+        Shape::Neg(a) => value(*a, vals, w).neg(),
+        Shape::Bv(op, a, b) => bv(by_name(op).2(value(*a, vals, w), value(*b, vals, w))),
+        Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => panic!("{s:?} on a left-hand side"),
+    }
+}
+
+#[test]
+fn every_law_fires_and_keeps_the_value() {
+    let laws = laws();
+    // The names key the `smt.laws.<name>` trace counters.
+    let names: Vec<&str> = laws.iter().map(|(_, law)| law.name).collect();
+    assert_eq!(names, ["udiv-shl", "udiv-udiv", "sdiv-neg", "srem-neg"]);
+    for (op, law) in laws {
+        let (name, ctor, method) = by_name(op);
+        let mut used = Vec::new();
+        law.lhs.iter().for_each(|&s| variables(s, &mut used));
+        // The signed laws are also walked at i8, where MIN and the
+        // overflowing quotient sit far from the small values.
+        let signed = matches!(op, BvOp::Sdiv | BvOp::Srem);
+        let widths = WIDTHS.chain(signed.then_some(8));
+        let mut guard_false = 0u64;
+        for w in widths {
+            let mut p = TermPool::new();
+            let vars = ["x", "y", "c"].map(|n| p.var(n, Sort::BitVec(w)));
+            let [a, b] = law.lhs.map(|s| instance(&mut p, s, &vars, w));
+            let fired = p.law_firings().get(law.name).copied().unwrap_or(0);
+            let t = ctor(&mut p, a, b);
+            let at = format!("{name} {} i{w}", law.name);
+            assert_eq!(p.law_firings()[law.name], fired + 1, "{at}: did not fire");
+            let guard = match p.term(t).op {
+                Op::Ite(g, _, lhs) => {
+                    assert!(law.guard.is_some(), "{at}: unguarded law built an ite");
+                    let plain = &p.term(lhs).op;
+                    assert!(
+                        *plain == Op::Bv(op, a, b),
+                        "{at}: else branch {}",
+                        p.display(lhs)
+                    );
+                    Some(g)
+                }
+                _ => {
+                    assert!(law.guard.is_none(), "{at}: {}", p.display(t));
+                    None
+                }
+            };
+            // Every assignment of the variables the left-hand side uses.
+            let count = 1u128 << (w * used.len() as u32);
+            for n in 0..count {
+                let mut vals = [BvVal::zero(w); 3];
+                let mut env = Assignment::new();
+                for (k, &i) in used.iter().enumerate() {
+                    let bits = (n >> (w * k as u32)) & ((1u128 << w) - 1);
+                    vals[usize::from(i)] = BvVal::new(w, bits);
+                    env.set(vars[usize::from(i)], vals[usize::from(i)]);
+                }
+                let want = method(value(law.lhs[0], &vals, w), value(law.lhs[1], &vals, w));
+                assert_eq!(eval(&p, t, &env).unwrap(), want, "{at} at {vals:?}");
+                if let Some(g) = guard {
+                    guard_false += u64::from(eval(&p, g, &env).unwrap() == Value::Bool(false));
+                }
+            }
+        }
+        if law.guard.is_some() {
+            assert!(guard_false > 0, "{name} {}: guard never false", law.name);
         }
     }
 }

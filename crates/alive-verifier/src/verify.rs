@@ -431,9 +431,13 @@ fn check_one_typing(
         }
         Ok(TypingOutcome::Passed)
     })();
-    // Equalities the ring normal form decided while encoding or solving:
-    // what explains a condition refuted without SAT search.
+    // Equalities the ring normal form decided and terms the operator
+    // table's laws rewrote while encoding or solving: what explains a
+    // condition refuted without SAT search, or with less of it.
     tracer.counter("smt.ring_folds", pool.ring_folds());
+    for (&law, &n) in pool.law_firings() {
+        tracer.counter_with("smt.laws", || law.to_string(), n);
+    }
     outcome
 }
 
