@@ -52,5 +52,5 @@ pub use eval::{eval, Assignment, EvalError};
 pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult};
 pub use solver::{ProofTranscript, SatResult, SmtSolver};
 pub use subst::{substitute, substitute_assignment};
-pub use term::{BvDef, BvOp, Fixed, Fold, Law, Op, Shape, Term, TermId, TermPool};
+pub use term::{BvDef, BvOp, Fixed, Law, Op, Shape, Term, TermId, TermPool};
 pub use value::{BvVal, Sort, Value};

@@ -5,11 +5,11 @@
 //! annihilator rules) so the formulas handed to the bit-blaster stay small.
 //! The seventeen binary bitvector operators are one [`Op::Bv`] variant, and
 //! each is defined once, by its [`BvOp::def`] row: name, semantics,
-//! commutativity, fold rows and guarded word-level [`Law`]s (division by a
-//! negation, by a shifted value, and by a quotient). Constant folding,
-//! [`crate::eval`], [`crate::substitute`] and the blaster all read that
-//! row; the `op_table` test checks every fold row and law exhaustively at
-//! widths 1–6.
+//! commutativity and [`Law`]s — identity and annihilator rewrites such as
+//! `and x, 0 → 0`, and guarded word-level ones (division by a negation, by
+//! a shifted value, and by a quotient). Constant folding, [`crate::eval`],
+//! [`crate::substitute`] and the blaster all read that row; the `op_table`
+//! test checks every law exhaustively at widths 1–6.
 //! Bitvector equality also compares ring normal forms — polynomials over
 //! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
 //! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
@@ -163,7 +163,7 @@ pub enum BvOp {
     Sle,
 }
 
-/// A constant a fold row names, at the operands' width.
+/// A constant a law names, at the operands' width.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Fixed {
     /// All bits clear.
@@ -188,21 +188,6 @@ impl Fixed {
     }
 }
 
-/// What a fold row rewrites a term to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Fold {
-    /// The other operand (for `x op x`, `x` itself).
-    Operand,
-    /// The bitwise complement of the other operand.
-    NotOperand,
-    /// The two's complement negation of the other operand.
-    NegOperand,
-    /// A bitvector constant.
-    Const(Fixed),
-    /// A boolean constant.
-    Bool(bool),
-}
-
 /// One operator's row of the [`BvOp`] table.
 #[derive(Clone, Copy, Debug)]
 pub struct BvDef {
@@ -215,14 +200,10 @@ pub struct BvDef {
     /// operands' width.
     pub predicate: bool,
     /// `a op b = b op a`: a term keeps its operands in `a <= b` order, and
-    /// a fold row matches a constant on either side.
+    /// a law matches its operands in either order.
     pub commutes: bool,
-    /// What `x op x` folds to.
-    pub same: Option<Fold>,
-    /// `(k, fold)`: a right operand equal to `k` (or either operand, when
-    /// the operator commutes) folds the term.
-    pub rows: &'static [(Fixed, Fold)],
-    /// Word-level laws, tried in order on a term no fold applies to.
+    /// The operator's [`Law`]s, tried in order; the first that matches
+    /// rewrites the term.
     pub laws: &'static [Law],
 }
 
@@ -236,6 +217,10 @@ pub enum Shape {
     Var(u8),
     /// A constant at the operands' width.
     Const(Fixed),
+    /// A boolean constant; right-hand sides only.
+    Bool(bool),
+    /// Bitwise complement.
+    Not(&'static Shape),
     /// Two's complement negation.
     Neg(&'static Shape),
     /// A binary operator of the table (operands in the order written).
@@ -248,13 +233,14 @@ pub enum Shape {
     And(&'static Shape, &'static Shape),
 }
 
-/// A word-level rewrite of one operator: a term whose operands match `lhs`
-/// becomes `rhs` where `guard` holds. A guarded law builds
-/// `ite(guard, rhs, lhs)`, so an instance whose guard is false keeps its
-/// value. Every law is an identity of SMT-LIB semantics at every width.
+/// A rewrite of one operator: a term whose operands match `lhs` becomes
+/// `rhs` where `guard` holds. A guarded law builds `ite(guard, rhs, lhs)`,
+/// so an instance whose guard is false keeps its value. Every law is an
+/// identity of SMT-LIB semantics at every width.
 #[derive(Clone, Copy, Debug)]
 pub struct Law {
-    /// Name; firings count under the trace counter `smt.laws.<name>`.
+    /// Name, `<op>-<operand>`; firings count under the trace counter
+    /// `smt.laws.<name>`.
     pub name: &'static str,
     /// The shapes of the left and the right operand.
     pub lhs: [Shape; 2],
@@ -264,34 +250,56 @@ pub struct Law {
     pub rhs: Shape,
 }
 
+/// An unguarded law.
+const fn law(name: &'static str, lhs: [Shape; 2], rhs: Shape) -> Law {
+    Law {
+        name,
+        lhs,
+        guard: None,
+        rhs,
+    }
+}
+
 /// The variables of the [`Law`] table.
 const X: Shape = Shape::Var(0);
 const Y: Shape = Shape::Var(1);
 const C: Shape = Shape::Var(2);
+
+/// The constants of the [`Law`] table.
+const ZERO: Shape = Shape::Const(Fixed::Zero);
+const ONE: Shape = Shape::Const(Fixed::One);
+const ONES: Shape = Shape::Const(Fixed::Ones);
+const MIN: Shape = Shape::Const(Fixed::Min);
 
 /// Law variables a matched left-hand side binds.
 type Binding = [Option<TermId>; 3];
 
 /// `srem x, −c = srem x, c`: the remainder takes the dividend's sign and
 /// |−c| = |c|, also where −c = c (c = 0 and c = MIN).
-const SREM_LAWS: &[Law] = &[Law {
-    name: "srem-neg",
-    lhs: [X, Shape::Neg(&C)],
-    guard: None,
-    rhs: Shape::Bv(BvOp::Srem, &X, &C),
-}];
+const SREM_LAWS: &[Law] = &[
+    law("srem-self", [X, X], ZERO),
+    law("srem-one", [X, ONE], ZERO),
+    law("srem-ones", [X, ONES], ZERO),
+    law(
+        "srem-neg",
+        [X, Shape::Neg(&C)],
+        Shape::Bv(BvOp::Srem, &X, &C),
+    ),
+];
 
+/// `sdiv x, −1 = −x` (sdiv MIN, −1 wraps to MIN = −MIN);
 /// `sdiv x, −c = −(sdiv x, c)`: truncating division is odd in the
 /// divisor, except where −c = c (c = 0 and c = MIN).
-const SDIV_LAWS: &[Law] = &[Law {
-    name: "sdiv-neg",
-    lhs: [X, Shape::Neg(&C)],
-    guard: Some(Shape::And(
-        &Shape::Ne(&C, &Shape::Const(Fixed::Zero)),
-        &Shape::Ne(&C, &Shape::Const(Fixed::Min)),
-    )),
-    rhs: Shape::Neg(&Shape::Bv(BvOp::Sdiv, &X, &C)),
-}];
+const SDIV_LAWS: &[Law] = &[
+    law("sdiv-one", [X, ONE], X),
+    law("sdiv-ones", [X, ONES], Shape::Neg(&X)),
+    Law {
+        name: "sdiv-neg",
+        lhs: [X, Shape::Neg(&C)],
+        guard: Some(Shape::And(&Shape::Ne(&C, &ZERO), &Shape::Ne(&C, &MIN))),
+        rhs: Shape::Neg(&Shape::Bv(BvOp::Sdiv, &X, &C)),
+    },
+];
 
 /// `udiv x, (y << c) = udiv (x >> c), y` when the shift keeps every bit
 /// of `y` (the `shl nuw` form), so `y << c = y·2^c`; a shift by `c ≥ w`
@@ -300,6 +308,7 @@ const SDIV_LAWS: &[Law] = &[Law {
 /// (⌊⌊x/c⌋/y⌋ = ⌊x/(c·y)⌋ over the integers; both sides are all ones at
 /// y = 0).
 const UDIV_LAWS: &[Law] = &[
+    law("udiv-one", [X, ONE], X),
     Law {
         name: "udiv-shl",
         lhs: [X, Shape::Bv(BvOp::Shl, &Y, &C)],
@@ -313,7 +322,7 @@ const UDIV_LAWS: &[Law] = &[
         name: "udiv-udiv",
         lhs: [Shape::Bv(BvOp::Udiv, &X, &C), Y],
         guard: Some(Shape::And(
-            &Shape::Ne(&C, &Shape::Const(Fixed::Zero)),
+            &Shape::Ne(&C, &ZERO),
             &Shape::Eq(
                 &Shape::Bv(BvOp::Udiv, &Shape::Bv(BvOp::Mul, &C, &Y), &C),
                 &Y,
@@ -347,103 +356,117 @@ impl BvOp {
 
     /// The operator's row of the table: its one definition.
     pub fn def(self) -> BvDef {
-        use Fixed::{One, Ones, Zero};
-        use Fold::{Bool, Const, NegOperand, NotOperand, Operand};
         let row = |name, apply: fn(BvVal, BvVal) -> Value| BvDef {
             name,
             apply,
             predicate: false,
             commutes: false,
-            same: None,
-            rows: &[],
             laws: &[],
         };
         match self {
             BvOp::And => BvDef {
                 commutes: true,
-                same: Some(Operand),
-                rows: &[(Zero, Const(Zero)), (Ones, Operand)],
+                laws: const {
+                    &[
+                        law("and-self", [X, X], X),
+                        law("and-zero", [X, ZERO], ZERO),
+                        law("and-ones", [X, ONES], X),
+                    ]
+                },
                 ..row("bvand", |x, y| x.and(y).into())
             },
             BvOp::Or => BvDef {
                 commutes: true,
-                same: Some(Operand),
-                rows: &[(Ones, Const(Ones)), (Zero, Operand)],
+                laws: const {
+                    &[
+                        law("or-self", [X, X], X),
+                        law("or-ones", [X, ONES], ONES),
+                        law("or-zero", [X, ZERO], X),
+                    ]
+                },
                 ..row("bvor", |x, y| x.or(y).into())
             },
             BvOp::Xor => BvDef {
                 commutes: true,
-                same: Some(Const(Zero)),
-                rows: &[(Zero, Operand), (Ones, NotOperand)],
+                laws: const {
+                    &[
+                        law("xor-self", [X, X], ZERO),
+                        law("xor-zero", [X, ZERO], X),
+                        law("xor-ones", [X, ONES], Shape::Not(&X)),
+                    ]
+                },
                 ..row("bvxor", |x, y| x.xor(y).into())
             },
             BvOp::Add => BvDef {
                 commutes: true,
-                rows: &[(Zero, Operand)],
+                laws: const { &[law("add-zero", [X, ZERO], X)] },
                 ..row("bvadd", |x, y| x.add(y).into())
             },
             BvOp::Sub => BvDef {
-                same: Some(Const(Zero)),
-                rows: &[(Zero, Operand)],
+                laws: const { &[law("sub-self", [X, X], ZERO), law("sub-zero", [X, ZERO], X)] },
                 ..row("bvsub", |x, y| x.sub(y).into())
             },
             BvOp::Mul => BvDef {
                 commutes: true,
-                rows: &[(Zero, Const(Zero)), (One, Operand)],
+                laws: const {
+                    &[
+                        law("mul-zero", [X, ZERO], ZERO),
+                        law("mul-one", [X, ONE], X),
+                    ]
+                },
                 ..row("bvmul", |x, y| x.mul(y).into())
             },
             BvOp::Udiv => BvDef {
-                rows: &[(One, Operand)],
                 laws: UDIV_LAWS,
                 ..row("bvudiv", |x, y| x.udiv(y).into())
             },
             BvOp::Urem => BvDef {
-                same: Some(Const(Zero)),
-                rows: &[(One, Const(Zero))],
+                laws: const {
+                    &[
+                        law("urem-self", [X, X], ZERO),
+                        law("urem-one", [X, ONE], ZERO),
+                    ]
+                },
                 ..row("bvurem", |x, y| x.urem(y).into())
             },
-            // sdiv MIN, −1 wraps to MIN = −MIN, so −1 negates everywhere.
             BvOp::Sdiv => BvDef {
-                rows: &[(One, Operand), (Ones, NegOperand)],
                 laws: SDIV_LAWS,
                 ..row("bvsdiv", |x, y| x.sdiv(y).into())
             },
             BvOp::Srem => BvDef {
-                same: Some(Const(Zero)),
-                rows: &[(One, Const(Zero)), (Ones, Const(Zero))],
                 laws: SREM_LAWS,
                 ..row("bvsrem", |x, y| x.srem(y).into())
             },
             BvOp::Shl => BvDef {
-                rows: &[(Zero, Operand)],
+                laws: const { &[law("shl-zero", [X, ZERO], X)] },
                 ..row("bvshl", |x, y| x.shl(y).into())
             },
             BvOp::Lshr => BvDef {
-                rows: &[(Zero, Operand)],
+                laws: const { &[law("lshr-zero", [X, ZERO], X)] },
                 ..row("bvlshr", |x, y| x.lshr(y).into())
             },
             BvOp::Ashr => BvDef {
-                rows: &[(Zero, Operand)],
+                laws: const { &[law("ashr-zero", [X, ZERO], X)] },
                 ..row("bvashr", |x, y| x.ashr(y).into())
             },
             BvOp::Ult => BvDef {
                 predicate: true,
-                same: Some(Bool(false)),
+                laws: const { &[law("ult-self", [X, X], Shape::Bool(false))] },
                 ..row("bvult", |x, y| x.ult(y).into())
             },
             BvOp::Ule => BvDef {
                 predicate: true,
-                same: Some(Bool(true)),
+                laws: const { &[law("ule-self", [X, X], Shape::Bool(true))] },
                 ..row("bvule", |x, y| x.ule(y).into())
             },
             BvOp::Slt => BvDef {
                 predicate: true,
-                same: Some(Bool(false)),
+                laws: const { &[law("slt-self", [X, X], Shape::Bool(false))] },
                 ..row("bvslt", |x, y| x.slt(y).into())
             },
             BvOp::Sle => BvDef {
                 predicate: true,
-                same: Some(Bool(true)),
+                laws: const { &[law("sle-self", [X, X], Shape::Bool(true))] },
                 ..row("bvsle", |x, y| x.sle(y).into())
             },
         }
@@ -835,28 +858,16 @@ impl TermPool {
     }
 
     /// A binary bitvector operator, simplified by its [`BvOp::def`] row:
-    /// two constants fold to the operator's value, then `x op x` and a
-    /// constant operand fold as the row says, then the first [`Law`] whose
-    /// left-hand side matches rewrites the term. A commutative operator
-    /// orders its operands, so `a op b` and `b op a` are one term.
+    /// two constants fold to the operator's value, then the first [`Law`]
+    /// whose left-hand side matches rewrites the term. A commutative
+    /// operator orders its operands, so `a op b` and `b op a` are one term,
+    /// and its laws match the operands in either order.
     pub fn bv_binop(&mut self, op: BvOp, a: TermId, b: TermId) -> TermId {
         self.check_same_bv(a, b);
         let def = op.def();
         let w = self.width(a);
         if let (Some(x), Some(y)) = (self.as_bv_const(a), self.as_bv_const(b)) {
             return self.constant((def.apply)(x, y));
-        }
-        if let Some(fold) = def.same.filter(|_| a == b) {
-            return self.fold(fold, a, w);
-        }
-        for &(k, fold) in def.rows {
-            let k = Some(k.at(w));
-            if self.as_bv_const(b) == k {
-                return self.fold(fold, a, w);
-            }
-            if def.commutes && self.as_bv_const(a) == k {
-                return self.fold(fold, b, w);
-            }
         }
         let (a, b) = if def.commutes && a > b {
             (b, a)
@@ -872,24 +883,16 @@ impl TermPool {
             op: Op::Bv(op, a, b),
             sort,
         };
+        let orders = if def.commutes { 2 } else { 1 };
         for law in def.laws {
-            let mut env = [None; 3];
-            if self.matches(law.lhs[0], a, &mut env) && self.matches(law.lhs[1], b, &mut env) {
-                return self.rewrite(law, &env, term, w);
+            for (l, r) in [(a, b), (b, a)].into_iter().take(orders) {
+                let mut env = [None; 3];
+                if self.matches(law.lhs[0], l, &mut env) && self.matches(law.lhs[1], r, &mut env) {
+                    return self.rewrite(law, &env, term, w);
+                }
             }
         }
         self.intern(term)
-    }
-
-    /// The term a fold row rewrites to, given the other operand `x`.
-    fn fold(&mut self, fold: Fold, x: TermId, w: u32) -> TermId {
-        match fold {
-            Fold::Operand => x,
-            Fold::NotOperand => self.bv_not(x),
-            Fold::NegOperand => self.bv_neg(x),
-            Fold::Const(k) => self.bv_const(k.at(w)),
-            Fold::Bool(b) => self.bool_const(b),
-        }
     }
 
     /// Does `t` have the shape? Binds the shape's variables in `env`.
@@ -915,6 +918,11 @@ impl TermPool {
                 env[usize::from(i)].expect("a law's variables are bound by its left-hand side")
             }
             Shape::Const(k) => self.bv_const(k.at(w)),
+            Shape::Bool(b) => self.bool_const(b),
+            Shape::Not(s) => {
+                let a = self.build(*s, env, w);
+                self.bv_not(a)
+            }
             Shape::Neg(s) => {
                 let a = self.build(*s, env, w);
                 self.bv_neg(a)

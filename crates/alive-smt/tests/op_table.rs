@@ -6,15 +6,17 @@
 //! the table's `apply`, so the check is not circular. A term with one
 //! symbolic operand and one constant operand, on either side, must
 //! evaluate to that method's result for every value of the symbolic
-//! operand; that covers every fold row, and each row is also checked to
-//! fire. The table's names, which key the `blast.gates.<kind>` counters,
-//! are pinned, and so is the operator each public `bv_*` constructor
-//! builds. Every law is walked the same way: an instance of its left-hand
-//! side must fire it and evaluate, under every assignment of its
-//! variables, to the `BvVal` method applied to the operands' values
-//! (computed here from the shape, not by the pool); a guarded law must
-//! keep the un-rewritten term as its else branch, and its guard must be
-//! false somewhere.
+//! operand. The table's names, which key the `blast.gates.<kind>`
+//! counters, are pinned, and so is the operator each public `bv_*`
+//! constructor builds. Every law — the identity and annihilator rows as
+//! well as the guarded word-level ones — is walked by one loop, in both
+//! operand orders when the operator commutes: an instance of its
+//! left-hand side must evaluate, under every assignment of its variables,
+//! to the `BvVal` method applied to the operands' values (computed here
+//! from the shape, not by the pool); an unguarded law's instance must
+//! never stay the plain operator term, a guarded law must keep that term
+//! as its else branch and its guard must be false somewhere, and every law
+//! must fire at one width or more. The law names are pinned.
 
 use alive_smt::{eval, Assignment, BvOp, BvVal, Law, Op, Shape, Sort, TermId, TermPool, Value};
 
@@ -143,42 +145,6 @@ fn one_constant_operand_evaluates_to_the_value_methods() {
     }
 }
 
-#[test]
-fn every_fold_row_fires_and_keeps_the_value() {
-    for op in BvOp::ALL {
-        let (name, ctor, method) = by_name(op);
-        let def = op.def();
-        for w in WIDTHS {
-            let mut p = TermPool::new();
-            let vx = p.var("x", Sort::BitVec(w));
-            // (term, left operand, right operand); `None` stands for x.
-            let mut rows = Vec::new();
-            if def.same.is_some() {
-                rows.push((ctor(&mut p, vx, vx), None, None));
-            }
-            for &(k, _) in def.rows {
-                let k = k.at(w);
-                let c = p.bv_const(k);
-                rows.push((ctor(&mut p, vx, c), None, Some(k)));
-                if def.commutes {
-                    rows.push((ctor(&mut p, c, vx), Some(k), None));
-                }
-            }
-            for (t, l, r) in rows {
-                assert!(
-                    !is_op(&p, t, op),
-                    "{name} i{w}: {} did not fold",
-                    p.display(t)
-                );
-                for v in values(w) {
-                    let want = method(l.unwrap_or(v), r.unwrap_or(v));
-                    assert_eq!(eval_at(&p, t, vx, v), want, "{name} i{w} at x = {v:?}");
-                }
-            }
-        }
-    }
-}
-
 /// Every law with the operator it rewrites.
 fn laws() -> Vec<(BvOp, Law)> {
     BvOp::ALL
@@ -191,8 +157,8 @@ fn laws() -> Vec<(BvOp, Law)> {
 fn variables(s: Shape, used: &mut Vec<u8>) {
     match s {
         Shape::Var(i) if !used.contains(&i) => used.push(i),
-        Shape::Var(_) | Shape::Const(_) => {}
-        Shape::Neg(a) => variables(*a, used),
+        Shape::Var(_) | Shape::Const(_) | Shape::Bool(_) => {}
+        Shape::Not(a) | Shape::Neg(a) => variables(*a, used),
         Shape::Bv(_, a, b) | Shape::Eq(a, b) | Shape::Ne(a, b) | Shape::And(a, b) => {
             variables(*a, used);
             variables(*b, used);
@@ -213,7 +179,9 @@ fn instance(p: &mut TermPool, s: Shape, vars: &[TermId; 3], w: u32) -> TermId {
             let (a, b) = (instance(p, *a, vars, w), instance(p, *b, vars, w));
             by_name(op).1(p, a, b)
         }
-        Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => panic!("{s:?} on a left-hand side"),
+        Shape::Bool(_) | Shape::Not(_) | Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => {
+            panic!("{s:?} on a left-hand side")
+        }
     }
 }
 
@@ -228,7 +196,9 @@ fn value(s: Shape, vals: &[BvVal; 3], w: u32) -> BvVal {
         Shape::Const(k) => k.at(w),
         Shape::Neg(a) => value(*a, vals, w).neg(),
         Shape::Bv(op, a, b) => bv(by_name(op).2(value(*a, vals, w), value(*b, vals, w))),
-        Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => panic!("{s:?} on a left-hand side"),
+        Shape::Bool(_) | Shape::Not(_) | Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => {
+            panic!("{s:?} on a left-hand side")
+        }
     }
 }
 
@@ -237,7 +207,44 @@ fn every_law_fires_and_keeps_the_value() {
     let laws = laws();
     // The names key the `smt.laws.<name>` trace counters.
     let names: Vec<&str> = laws.iter().map(|(_, law)| law.name).collect();
-    assert_eq!(names, ["udiv-shl", "udiv-udiv", "sdiv-neg", "srem-neg"]);
+    assert_eq!(
+        names,
+        [
+            "and-self",
+            "and-zero",
+            "and-ones",
+            "or-self",
+            "or-ones",
+            "or-zero",
+            "xor-self",
+            "xor-zero",
+            "xor-ones",
+            "add-zero",
+            "sub-self",
+            "sub-zero",
+            "mul-zero",
+            "mul-one",
+            "udiv-one",
+            "udiv-shl",
+            "udiv-udiv",
+            "urem-self",
+            "urem-one",
+            "sdiv-one",
+            "sdiv-ones",
+            "sdiv-neg",
+            "srem-self",
+            "srem-one",
+            "srem-ones",
+            "srem-neg",
+            "shl-zero",
+            "lshr-zero",
+            "ashr-zero",
+            "ult-self",
+            "ule-self",
+            "slt-self",
+            "sle-self",
+        ]
+    );
     for (op, law) in laws {
         let (name, ctor, method) = by_name(op);
         let mut used = Vec::new();
@@ -246,48 +253,71 @@ fn every_law_fires_and_keeps_the_value() {
         // overflowing quotient sit far from the small values.
         let signed = matches!(op, BvOp::Sdiv | BvOp::Srem);
         let widths = WIDTHS.chain(signed.then_some(8));
+        let mut fired_widths = 0;
         let mut guard_false = 0u64;
         for w in widths {
             let mut p = TermPool::new();
             let vars = ["x", "y", "c"].map(|n| p.var(n, Sort::BitVec(w)));
             let [a, b] = law.lhs.map(|s| instance(&mut p, s, &vars, w));
-            let fired = p.law_firings().get(law.name).copied().unwrap_or(0);
-            let t = ctor(&mut p, a, b);
-            let at = format!("{name} {} i{w}", law.name);
-            assert_eq!(p.law_firings()[law.name], fired + 1, "{at}: did not fire");
-            let guard = match p.term(t).op {
-                Op::Ite(g, _, lhs) => {
-                    assert!(law.guard.is_some(), "{at}: unguarded law built an ite");
-                    let plain = &p.term(lhs).op;
-                    assert!(
-                        *plain == Op::Bv(op, a, b),
-                        "{at}: else branch {}",
-                        p.display(lhs)
-                    );
-                    Some(g)
-                }
-                _ => {
-                    assert!(law.guard.is_none(), "{at}: {}", p.display(t));
-                    None
-                }
-            };
-            // Every assignment of the variables the left-hand side uses.
-            let count = 1u128 << (w * used.len() as u32);
-            for n in 0..count {
-                let mut vals = [BvVal::zero(w); 3];
-                let mut env = Assignment::new();
-                for (k, &i) in used.iter().enumerate() {
-                    let bits = (n >> (w * k as u32)) & ((1u128 << w) - 1);
-                    vals[usize::from(i)] = BvVal::new(w, bits);
-                    env.set(vars[usize::from(i)], vals[usize::from(i)]);
-                }
-                let want = method(value(law.lhs[0], &vals, w), value(law.lhs[1], &vals, w));
-                assert_eq!(eval(&p, t, &env).unwrap(), want, "{at} at {vals:?}");
-                if let Some(g) = guard {
-                    guard_false += u64::from(eval(&p, g, &env).unwrap() == Value::Bool(false));
+            // A commutative operator's law matches either operand order.
+            let [sa, sb] = law.lhs;
+            let mut orders = vec![((a, sa), (b, sb))];
+            if op.def().commutes {
+                orders.push(((b, sb), (a, sa)));
+            }
+            let mut fired_here = true;
+            for ((l, sl), (r, sr)) in orders {
+                let before = p.law_firings().get(law.name).copied().unwrap_or(0);
+                let t = ctor(&mut p, l, r);
+                let at = format!(
+                    "{name} {} i{w} ({} {})",
+                    law.name,
+                    p.display(l),
+                    p.display(r)
+                );
+                let fired = p.law_firings().get(law.name).copied().unwrap_or(0) > before;
+                fired_here &= fired;
+                let plain = |t: TermId| {
+                    matches!(p.term(t).op, Op::Bv(o, x, y) if o == op && (x, y) == (l, r))
+                        || matches!(p.term(t).op, Op::Bv(o, x, y) if o == op && (y, x) == (l, r))
+                };
+                // A row earlier in the table may take the instance (at i1,
+                // 1 = ones), but no instance stays the plain term unless a
+                // guard keeps it as the else branch.
+                let guard = match (law.guard, &p.term(t).op) {
+                    (Some(_), &Op::Ite(g, _, e)) if fired => {
+                        assert!(plain(e), "{at}: else branch {}", p.display(e));
+                        Some(g)
+                    }
+                    (Some(_), _) => {
+                        assert!(!fired, "{at}: guarded law built {}", p.display(t));
+                        None
+                    }
+                    (None, _) => {
+                        assert!(!plain(t), "{at}: did not fire");
+                        None
+                    }
+                };
+                // Every assignment of the variables the left-hand side uses.
+                let count = 1u128 << (w * used.len() as u32);
+                for n in 0..count {
+                    let mut vals = [BvVal::zero(w); 3];
+                    let mut env = Assignment::new();
+                    for (k, &i) in used.iter().enumerate() {
+                        let bits = (n >> (w * k as u32)) & ((1u128 << w) - 1);
+                        vals[usize::from(i)] = BvVal::new(w, bits);
+                        env.set(vars[usize::from(i)], vals[usize::from(i)]);
+                    }
+                    let want = method(value(sl, &vals, w), value(sr, &vals, w));
+                    assert_eq!(eval(&p, t, &env).unwrap(), want, "{at} at {vals:?}");
+                    if let Some(g) = guard {
+                        guard_false += u64::from(eval(&p, g, &env).unwrap() == Value::Bool(false));
+                    }
                 }
             }
+            fired_widths += u32::from(fired_here);
         }
+        assert!(fired_widths > 0, "{name} {}: never fired", law.name);
         if law.guard.is_some() {
             assert!(guard_false > 0, "{name} {}: guard never false", law.name);
         }
