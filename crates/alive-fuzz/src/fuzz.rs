@@ -20,7 +20,7 @@ use alive_ir::Transform;
 use alive_trace::sealed::fnv1a64;
 use alive_trace::Tracer;
 use alive_verifier::{
-    run_supervised, run_transforms, DriverConfig, OutcomeKind, PoolConfig, TaskSpec, VerifyConfig,
+    run_supervised, verify_single, DriverConfig, OutcomeKind, PoolConfig, TaskSpec, VerifyConfig,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -175,8 +175,7 @@ fn classify_single(
     ocfg: &OracleConfig,
 ) -> Option<(Signature, String)> {
     reinstall_faults();
-    let report = run_transforms(&[("probe".to_string(), t.clone())], config);
-    let outcome = report.outcomes.first()?;
+    let outcome = verify_single("probe", t, config);
     let audit = paranoid_audit(t, outcome.kind, &outcome.certificates, vcfg, ocfg);
     let (class, detail) = classify(outcome.kind, &outcome.detail, &audit)?;
     Some((Signature::new(class, &detail), detail))

@@ -23,9 +23,9 @@
 //!   to JSON ([`RunReport::to_json`], schema `alive-report/v3`) even when
 //!   it was cancelled halfway.
 //!
-//! The sequential entry point is [`run_transforms`]; the supervised
-//! parallel driver (worker pool, watchdog) lives in
-//! [`crate::pool`] and reuses [`verify_one`] per task.
+//! A corpus runs through the supervised driver (worker pool, watchdog) in
+//! [`crate::pool`], which calls [`verify_one`] per task; one transform runs
+//! on the caller's thread through [`verify_single`].
 
 use crate::verify::{
     panic_message, verify_impl, CheckPoint, PhaseTimes, Verdict, VerifyConfig, VerifyStats,
@@ -37,7 +37,7 @@ use alive_trace::sealed::json_escape;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Settings for [`run_transforms`].
+/// Settings for the resilient driver.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
     /// Underlying verifier settings (type enumeration, CEGIS). The budget
@@ -452,56 +452,7 @@ pub(crate) fn verify_one(
 /// Verifies a single transform under the full resilient-driver treatment
 /// (budgets, panic isolation, escalating retries) and returns its outcome.
 /// This is the per-request entry point `alive serve` uses on a cache miss;
-/// batch runs should prefer [`run_transforms`] or the supervised pool.
+/// batch runs go through the supervised pool.
 pub fn verify_single(name: &str, t: &Transform, config: &DriverConfig) -> TransformOutcome {
     verify_one(name, t, config, &config.cancel, 1, 0, |_| {})
-}
-
-/// Runs the whole corpus through the resilient driver.
-///
-/// Transforms are verified in order. Budget-exhausted transforms are
-/// retried with an escalated conflict budget (up to
-/// [`DriverConfig::max_retries`] times). Without
-/// [`DriverConfig::keep_going`], the first invalid transform or hard error
-/// stops the run, reporting the remainder as skipped; cancellation always
-/// stops it, and the report says so.
-pub fn run_transforms(transforms: &[(String, Transform)], config: &DriverConfig) -> RunReport {
-    run_transforms_with(transforms, config, |_, _| {})
-}
-
-/// Like [`run_transforms`], invoking `observer` with each transform's index
-/// and outcome as soon as it is decided (for incremental CLI output).
-pub fn run_transforms_with(
-    transforms: &[(String, Transform)],
-    config: &DriverConfig,
-    mut observer: impl FnMut(usize, &TransformOutcome),
-) -> RunReport {
-    let mut report = RunReport::default();
-    for (i, (name, t)) in transforms.iter().enumerate() {
-        if config.cancel.is_cancelled() {
-            report.cancelled = true;
-            report.skipped = transforms.len() - i;
-            return report;
-        }
-
-        let outcome = verify_one(name, t, config, &config.cancel, 1, 0, |_| {});
-
-        let kind = outcome.kind;
-        let was_cancelled = config.cancel.is_cancelled()
-            && kind == OutcomeKind::Unknown
-            && outcome.detail.contains("cancelled");
-        observer(i, &outcome);
-        report.outcomes.push(outcome);
-
-        if was_cancelled {
-            report.cancelled = true;
-            report.skipped = transforms.len() - i - 1;
-            return report;
-        }
-        if !config.keep_going && matches!(kind, OutcomeKind::Invalid | OutcomeKind::Error) {
-            report.skipped = transforms.len() - i - 1;
-            return report;
-        }
-    }
-    report
 }

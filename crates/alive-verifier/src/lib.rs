@@ -41,10 +41,7 @@ mod verify;
 
 pub use attrs::{infer_attributes, AttrInferenceResult, FlagPos};
 pub use counterexample::{Counterexample, FailureKind};
-pub use driver::{
-    run_transforms, run_transforms_with, verify_single, Attempt, DriverConfig, OutcomeKind,
-    RunReport, TransformOutcome,
-};
+pub use driver::{verify_single, Attempt, DriverConfig, OutcomeKind, RunReport, TransformOutcome};
 pub use pool::{run_supervised, run_transforms_parallel, PoolConfig, TaskSpec};
 pub use store::{
     compact_store, config_description, config_fingerprint, evicted_path, fingerprint_diff,

@@ -7,7 +7,9 @@
 
 use alive_ir::Transform;
 use alive_smt::CancelToken;
-use alive_verifier::{run_transforms, DriverConfig, OutcomeKind, RunReport, VerifyConfig};
+use alive_verifier::{
+    run_transforms_parallel, DriverConfig, OutcomeKind, PoolConfig, RunReport, VerifyConfig,
+};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -58,7 +60,7 @@ fn driver_classifies_and_reports_json() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert_eq!(kinds(&report), [OutcomeKind::Valid, OutcomeKind::Invalid]);
     assert_eq!(report.exit_code(), 1);
     assert_eq!(report.skipped, 0);
@@ -87,7 +89,7 @@ fn without_keep_going_the_first_failure_stops_the_run() {
         keep_going: false,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert_eq!(kinds(&report), [OutcomeKind::Invalid]);
     assert_eq!(report.skipped, 1);
     assert_eq!(report.exit_code(), 1);
@@ -104,7 +106,7 @@ fn cancellation_before_the_run_skips_everything() {
         cancel,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert!(report.cancelled);
     assert!(report.outcomes.is_empty());
     assert_eq!(report.skipped, 2);
@@ -123,7 +125,7 @@ fn expired_deadline_reports_unknown_with_reason() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert_eq!(kinds(&report), [OutcomeKind::Unknown]);
     assert!(
         report.outcomes[0].detail.contains("deadline"),
@@ -146,7 +148,7 @@ fn escalating_retries_recover_budget_exhaustion() {
         retry_multiplier: 8,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert_eq!(kinds(&report), [OutcomeKind::Valid]);
     assert_eq!(report.outcomes[0].retries, 2);
     assert_eq!(report.exit_code(), 0);
@@ -164,7 +166,7 @@ fn exhausted_retries_stay_unknown() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let report = run_transforms(&corpus, &config);
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     assert_eq!(kinds(&report), [OutcomeKind::Unknown]);
     assert_eq!(report.outcomes[0].retries, 1);
     assert!(
@@ -236,7 +238,9 @@ mod faults {
             max_retries: 0,
             ..DriverConfig::default()
         };
-        let report = with_plan("sat:panic@1", || run_transforms(&corpus, &config));
+        let report = with_plan("sat:panic@1", || {
+            run_transforms_parallel(&corpus, &config, &PoolConfig::default())
+        });
         assert_eq!(kinds(&report), [OutcomeKind::Unknown, OutcomeKind::Valid]);
         assert!(
             report.outcomes[0].detail.contains("internal error"),
@@ -257,7 +261,9 @@ mod faults {
             keep_going: true,
             ..DriverConfig::default()
         };
-        let report = with_plan("sat:unknown@1", || run_transforms(&corpus, &config));
+        let report = with_plan("sat:unknown@1", || {
+            run_transforms_parallel(&corpus, &config, &PoolConfig::default())
+        });
         assert_eq!(kinds(&report), [OutcomeKind::Unknown]);
         assert_eq!(
             report.outcomes[0].retries, 0,
@@ -280,7 +286,9 @@ mod faults {
             max_retries: 0,
             ..DriverConfig::default()
         };
-        let report = with_plan("sat:corrupt-model@1", || run_transforms(&corpus, &config));
+        let report = with_plan("sat:corrupt-model@1", || {
+            run_transforms_parallel(&corpus, &config, &PoolConfig::default())
+        });
         assert_eq!(kinds(&report), [OutcomeKind::Unknown]);
         assert!(
             report.outcomes[0].detail.contains("re-validation"),
@@ -288,7 +296,7 @@ mod faults {
             report.outcomes[0].detail
         );
         // Without the fault the same transform is honestly invalid.
-        let clean = run_transforms(&corpus, &config);
+        let clean = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
         assert_eq!(kinds(&clean), [OutcomeKind::Invalid]);
     }
 
@@ -314,7 +322,7 @@ mod faults {
             ..DriverConfig::default()
         };
         let report = with_plan("sat:panic@2,sat:hang@4", || {
-            run_transforms(&corpus, &config)
+            run_transforms_parallel(&corpus, &config, &PoolConfig::default())
         });
         assert_eq!(
             kinds(&report),
@@ -365,7 +373,9 @@ mod faults {
             std::thread::sleep(Duration::from_millis(100));
             cancel.cancel();
         });
-        let report = with_plan("sat:hang@1", || run_transforms(&corpus, &config));
+        let report = with_plan("sat:hang@1", || {
+            run_transforms_parallel(&corpus, &config, &PoolConfig::default())
+        });
         canceller.join().unwrap();
         assert!(report.cancelled, "{report:?}");
         assert_eq!(kinds(&report), [OutcomeKind::Unknown]);

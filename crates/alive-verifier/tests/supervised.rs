@@ -9,9 +9,9 @@
 use alive_ir::canon::canonical_text;
 use alive_ir::Transform;
 use alive_verifier::{
-    config_fingerprint, plan_resume, run_supervised, run_transforms, run_transforms_parallel,
-    DriverConfig, OutcomeKind, PoolConfig, RunReport, StoreOpen, TaskSpec, TransformOutcome,
-    VerdictStore, VerifyConfig,
+    config_fingerprint, plan_resume, run_supervised, run_transforms_parallel, DriverConfig,
+    OutcomeKind, PoolConfig, RunReport, StoreOpen, TaskSpec, TransformOutcome, VerdictStore,
+    VerifyConfig,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -156,7 +156,7 @@ fn parallel_run_matches_sequential_verdicts() {
         keep_going: true,
         ..DriverConfig::default()
     };
-    let sequential = run_transforms(&corpus, &config);
+    let sequential = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     let parallel = run_transforms_parallel(
         &corpus,
         &config,
@@ -203,7 +203,7 @@ fn preset_outcomes_are_reported_before_fresh_work_in_input_order() {
         ..DriverConfig::default()
     };
     // Pretend transforms 0..4 are already stored; only 4..8 get tasks.
-    let full = run_transforms(&corpus, &config);
+    let full = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
     let preset: Vec<_> = full.outcomes[..4]
         .iter()
         .cloned()
@@ -333,7 +333,14 @@ fn torn_journal_tail_is_discarded_and_the_rest_reused() {
         .collect();
     let resumed = run_journaled(&corpus, missing, preset, &config, &pool, &mut store);
     drop(store);
-    assert_eq!(kinds(&resumed), kinds(&run_transforms(&corpus, &config)));
+    assert_eq!(
+        kinds(&resumed),
+        kinds(&run_transforms_parallel(
+            &corpus,
+            &config,
+            &PoolConfig::default()
+        ))
+    );
     let (store, how) = open_store(&path, &config.verify);
     assert!(
         matches!(how, StoreOpen::Loaded { discarded: 0, .. }),
