@@ -107,4 +107,18 @@ mod tests {
         let out = substitute(&mut p, sum, &map);
         assert_eq!(out, y, "0 + y simplifies to y");
     }
+
+    #[test]
+    fn substituting_into_a_guarded_law_builds_the_law_term() {
+        // `udiv x, (y << c)` is `ite(g, udiv (x >> c), y, udiv x, (y << c))`;
+        // rebuilding the else branch fires the law again, and the
+        // repeated guard must fold rather than nest a second ite.
+        let mut p = TermPool::new();
+        let [x, y, c, z] = ["x", "y", "c", "z"].map(|n| p.var(n, Sort::BitVec(8)));
+        let shl = p.bv_shl(y, c);
+        let t = p.bv_udiv(x, shl);
+        assert!(matches!(p.term(t).op, Op::Ite(..)), "the law fired");
+        let out = substitute(&mut p, t, &HashMap::from([(x, z)]));
+        assert_eq!(out, p.bv_udiv(z, shl));
+    }
 }

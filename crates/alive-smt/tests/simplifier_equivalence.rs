@@ -18,6 +18,10 @@ enum E {
     Neg(Box<E>),
     Bin(u8, Box<E>, Box<E>),
     Ite(Box<E>, Box<E>, Box<E>), // cond: lhs <u rhs of first two children
+    /// `ite(k, a, ite(k, c, d))`, or `ite(k, ite(k, a, c), d)` when the
+    /// flag is set, where `k` is `a <u b`: the inner ite tests `k` again,
+    /// and either nesting is `ite(k, a, d)`.
+    SameCond(Box<E>, Box<E>, Box<E>, Box<E>, bool),
 }
 
 fn expr_strategy(depth: u32) -> BoxedStrategy<E> {
@@ -34,11 +38,25 @@ fn expr_strategy(depth: u32) -> BoxedStrategy<E> {
                 Box::new(a),
                 Box::new(b)
             )),
-            (inner.clone(), inner.clone(), inner).prop_map(|(c, a, b)| E::Ite(
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, a, b)| E::Ite(
                 Box::new(c),
                 Box::new(a),
                 Box::new(b)
             )),
+            (
+                inner.clone(),
+                inner.clone(),
+                inner.clone(),
+                inner,
+                any::<bool>()
+            )
+                .prop_map(|(a, b, c, d, then)| E::SameCond(
+                    Box::new(a),
+                    Box::new(b),
+                    Box::new(c),
+                    Box::new(d),
+                    then
+                )),
         ]
     })
     .boxed()
@@ -80,6 +98,20 @@ fn build_term(pool: &mut TermPool, e: &E, vars: &[TermId], w: u32) -> TermId {
             let bt = build_term(pool, b, vars, w);
             pool.ite(cond, at, bt)
         }
+        E::SameCond(a, b, c, d, then) => {
+            let at = build_term(pool, a, vars, w);
+            let bt = build_term(pool, b, vars, w);
+            let cond = pool.bv_ult(at, bt);
+            let ct = build_term(pool, c, vars, w);
+            let dt = build_term(pool, d, vars, w);
+            if *then {
+                let inner = pool.ite(cond, at, ct);
+                pool.ite(cond, inner, dt)
+            } else {
+                let inner = pool.ite(cond, ct, dt);
+                pool.ite(cond, at, inner)
+            }
+        }
     }
 }
 
@@ -112,6 +144,14 @@ fn shadow_eval(e: &E, inputs: &[BvVal], w: u32) -> BvVal {
                 av
             } else {
                 shadow_eval(b, inputs, w)
+            }
+        }
+        E::SameCond(a, b, _, d, _) => {
+            let av = shadow_eval(a, inputs, w);
+            if av.ult(shadow_eval(b, inputs, w)) {
+                av
+            } else {
+                shadow_eval(d, inputs, w)
             }
         }
     }
