@@ -219,7 +219,7 @@ pub enum Shape {
     Const(Fixed),
     /// A boolean constant; right-hand sides only.
     Bool(bool),
-    /// Bitwise complement.
+    /// Bitwise complement; right-hand sides only.
     Not(&'static Shape),
     /// Two's complement negation.
     Neg(&'static Shape),
@@ -791,16 +791,15 @@ impl TermPool {
     }
 
     /// If-then-else over either sort. A branch that repeats the condition
-    /// folds: `ite(c, t, ite(c, _, e))` is `ite(c, t, e)`, so substituting
-    /// into a guarded [`Law`]'s instance builds the same term as the law.
+    /// takes its own side of it: `ite(c, ite(c, t, _), e)` and
+    /// `ite(c, t, ite(c, _, e))` are `ite(c, t, e)`, so substituting into a
+    /// guarded [`Law`]'s instance builds the same term as the law.
     pub fn ite(&mut self, c: TermId, t: TermId, e: TermId) -> TermId {
         debug_assert_eq!(self.sort(c), Sort::Bool);
         assert_eq!(self.sort(t), self.sort(e), "ite branch sort mismatch");
         if let Some(b) = self.as_bool_const(c) {
             return if b { t } else { e };
         }
-        // A branch that tests `c` again takes its own side of it:
-        // ite(c, ite(c, t, _), e) = ite(c, t, ite(c, _, e)) = ite(c, t, e).
         let t = match self.term(t).op {
             Op::Ite(c2, t2, _) if c2 == c => t2,
             _ => t,

@@ -278,8 +278,8 @@ fn every_law_fires_and_keeps_the_value() {
                 let fired = p.law_firings().get(law.name).copied().unwrap_or(0) > before;
                 fired_here &= fired;
                 let plain = |t: TermId| {
-                    matches!(p.term(t).op, Op::Bv(o, x, y) if o == op && (x, y) == (l, r))
-                        || matches!(p.term(t).op, Op::Bv(o, x, y) if o == op && (y, x) == (l, r))
+                    matches!(p.term(t).op, Op::Bv(o, x, y)
+                        if o == op && ((x, y) == (l, r) || (y, x) == (l, r)))
                 };
                 // A row earlier in the table may take the instance (at i1,
                 // 1 = ones), but no instance stays the plain term unless a
