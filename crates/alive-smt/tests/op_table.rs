@@ -16,7 +16,10 @@
 //! from the shape, not by the pool); an unguarded law's instance must
 //! never stay the plain operator term, a guarded law must keep that term
 //! as its else branch and its guard must be false somewhere, and every law
-//! must fire at one width or more. The law names are pinned.
+//! must fire at one width or more. The law names are pinned. The fold
+//! rows, the unguarded laws over one symbolic operand and constants, are
+//! also checked on their own: each instance must fold away from its
+//! operator and keep the value at every value of the operand.
 
 use alive_smt::{eval, Assignment, BvOp, BvVal, Law, Op, Shape, Sort, TermId, TermPool, Value};
 
@@ -143,6 +146,58 @@ fn one_constant_operand_evaluates_to_the_value_methods() {
             }
         }
     }
+}
+
+/// The operand of a fold law: the symbolic operand x (`None`) or a
+/// constant; `None` for a left-hand side over any other shape.
+fn fold_operand(s: Shape, w: u32) -> Option<Option<BvVal>> {
+    match s {
+        Shape::Var(0) => Some(None),
+        Shape::Const(k) => Some(Some(k.at(w))),
+        _ => None,
+    }
+}
+
+#[test]
+fn every_fold_row_fires_and_keeps_the_value() {
+    // The fold rows are the unguarded laws over one symbolic operand x and
+    // constants: `x op x`, `x op k` and, for a commutative operator, `k op x`.
+    let mut rows = 0;
+    for (op, law) in laws() {
+        let (name, ctor, method) = by_name(op);
+        if law.guard.is_some() {
+            continue;
+        }
+        for w in WIDTHS {
+            let [Some(l), Some(r)] = law.lhs.map(|s| fold_operand(s, w)) else {
+                continue;
+            };
+            let mut p = TermPool::new();
+            let vx = p.var("x", Sort::BitVec(w));
+            let operand = |p: &mut TermPool, k: Option<BvVal>| k.map_or(vx, |k| p.bv_const(k));
+            let (a, b) = (operand(&mut p, l), operand(&mut p, r));
+            // (term, left operand, right operand); `None` stands for x.
+            let mut terms = vec![(ctor(&mut p, a, b), l, r)];
+            if op.def().commutes {
+                terms.push((ctor(&mut p, b, a), r, l));
+            }
+            for (t, l, r) in terms {
+                rows += 1;
+                assert!(
+                    !is_op(&p, t, op),
+                    "{name} {} i{w}: {} did not fold",
+                    law.name,
+                    p.display(t)
+                );
+                for v in values(w) {
+                    let want = method(l.unwrap_or(v), r.unwrap_or(v));
+                    let at = format!("{name} {} i{w} at x = {v:?}", law.name);
+                    assert_eq!(eval_at(&p, t, vx, v), want, "{at}");
+                }
+            }
+        }
+    }
+    assert!(rows > 0, "no fold rows in the table");
 }
 
 /// Every law with the operator it rewrites.
