@@ -6,10 +6,11 @@
 //! The seventeen binary bitvector operators are one [`Op::Bv`] variant, and
 //! each is defined once, by its [`BvOp::def`] row: name, semantics,
 //! commutativity and [`Law`]s — identity and annihilator rewrites such as
-//! `and x, 0 → 0`, and guarded word-level ones (division by a negation, by
-//! a shifted value, and by a quotient). Constant folding, [`crate::eval`],
-//! [`crate::substitute`] and the blaster all read that row; the `op_table`
-//! test checks every law exhaustively at widths 1–6.
+//! `and x, 0 → 0`, and guarded word-level ones (division by a negation or
+//! a shifted value, chains of divisions, a shift or a product divided).
+//! Constant folding, [`crate::eval`], [`crate::substitute`] and the blaster
+//! all read that row; the `op_table` test checks every law exhaustively at
+//! widths 1–6.
 //! Bitvector equality also compares ring normal forms — polynomials over
 //! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
 //! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
@@ -209,12 +210,18 @@ pub struct BvDef {
 
 /// A term shape in a [`Law`]. On the left-hand side it matches an operand
 /// and binds the law's variables; the guard and the right-hand side are
-/// built from it through the pool's constructors.
+/// built from it through the pool's constructors. A commutative operator
+/// on a left-hand side matches its operands in either order.
 #[derive(Clone, Copy, Debug)]
 pub enum Shape {
     /// Law variable `i`: matches any term (one term at every occurrence)
     /// and builds the term it matched.
     Var(u8),
+    /// Law variable `i` on a left-hand side, matching only a free variable
+    /// (an input or an abstract constant), never a computed value: a law
+    /// whose guard a precondition on such variables asserts then leaves
+    /// alone the instances where nothing asserts it.
+    Leaf(u8),
     /// A constant at the operands' width.
     Const(Fixed),
     /// A boolean constant; right-hand sides only.
@@ -231,12 +238,24 @@ pub enum Shape {
     Ne(&'static Shape, &'static Shape),
     /// Conjunction; guards only.
     And(&'static Shape, &'static Shape),
+    /// Disjunction; guards only.
+    Or(&'static Shape, &'static Shape),
+    /// Zero-extension to twice the operands' width; guards only.
+    Zext2(&'static Shape),
 }
 
 /// A rewrite of one operator: a term whose operands match `lhs` becomes
 /// `rhs` where `guard` holds. A guarded law builds `ite(guard, rhs, lhs)`,
 /// so an instance whose guard is false keeps its value. Every law is an
 /// identity of SMT-LIB semantics at every width.
+///
+/// Rewriting terminates. A law does not fire while its own right-hand side
+/// or guard is being built (the pool keeps a stack of the laws it is
+/// applying), so the stack holds each law at most once, it is never deeper
+/// than the table has laws, and each level builds one finite shape. Without
+/// that, `sdiv-shl` would loop: on `sdiv (a << b), (1 << c)` its right-hand
+/// side divides `1 << c` by `1 << b`, which matches it again with `b` and
+/// `c` swapped.
 #[derive(Clone, Copy, Debug)]
 pub struct Law {
     /// Name, `<op>-<operand>`; firings count under the trace counter
@@ -271,6 +290,10 @@ const ONE: Shape = Shape::Const(Fixed::One);
 const ONES: Shape = Shape::Const(Fixed::Ones);
 const MIN: Shape = Shape::Const(Fixed::Min);
 
+/// `c·y` and `1 << c`, shared by the signed division laws.
+const CY: Shape = Shape::Bv(BvOp::Mul, &C, &Y);
+const POW: Shape = Shape::Bv(BvOp::Shl, &ONE, &C);
+
 /// Law variables a matched left-hand side binds.
 type Binding = [Option<TermId>; 3];
 
@@ -289,7 +312,16 @@ const SREM_LAWS: &[Law] = &[
 
 /// `sdiv x, −1 = −x` (sdiv MIN, −1 wraps to MIN = −MIN);
 /// `sdiv x, −c = −(sdiv x, c)`: truncating division is odd in the
-/// divisor, except where −c = c (c = 0 and c = MIN).
+/// divisor, except where −c = c (c = 0 and c = MIN);
+/// `sdiv (sdiv x c), y = sdiv x, c·y` when both divisions are defined
+/// (vcgen's shape: `c ≠ 0`, `y ≠ 0`, not `MIN / −1`) and `c·y` does not
+/// overflow, which dividing it back by either factor shows: truncation
+/// composes over the integers. `c` and `y` must be free variables, so the
+/// guard's multiplier and two dividers are built only for a chain by
+/// abstract constants, which a precondition can constrain;
+/// `sdiv (x << c), y = sdiv x, (sdiv y, 1 << c)` when the shift keeps the
+/// sign (the `shl nsw` form), `1 << c` is a positive power of two and
+/// divides `y`: then `x·2^c / (k·2^c)` truncates like `x / k`.
 const SDIV_LAWS: &[Law] = &[
     law("sdiv-one", [X, ONE], X),
     law("sdiv-ones", [X, ONES], Shape::Neg(&X)),
@@ -299,19 +331,53 @@ const SDIV_LAWS: &[Law] = &[
         guard: Some(Shape::And(&Shape::Ne(&C, &ZERO), &Shape::Ne(&C, &MIN))),
         rhs: Shape::Neg(&Shape::Bv(BvOp::Sdiv, &X, &C)),
     },
+    Law {
+        name: "sdiv-sdiv",
+        lhs: [Shape::Bv(BvOp::Sdiv, &X, &Shape::Leaf(2)), Shape::Leaf(1)],
+        guard: Some(Shape::And(
+            &Shape::And(&Shape::Ne(&C, &ZERO), &Shape::Ne(&Y, &ZERO)),
+            &Shape::And(
+                &Shape::Or(&Shape::Ne(&X, &MIN), &Shape::Ne(&C, &ONES)),
+                &Shape::And(
+                    &Shape::Eq(&Shape::Bv(BvOp::Sdiv, &CY, &C), &Y),
+                    &Shape::Eq(&Shape::Bv(BvOp::Sdiv, &CY, &Y), &C),
+                ),
+            ),
+        )),
+        rhs: Shape::Bv(BvOp::Sdiv, &X, &CY),
+    },
+    Law {
+        name: "sdiv-shl",
+        lhs: [Shape::Bv(BvOp::Shl, &X, &C), Y],
+        guard: Some(Shape::And(
+            &Shape::Eq(
+                &Shape::Bv(BvOp::Ashr, &Shape::Bv(BvOp::Shl, &X, &C), &C),
+                &X,
+            ),
+            &Shape::And(
+                &Shape::Eq(&Shape::Bv(BvOp::Srem, &Y, &POW), &ZERO),
+                &Shape::And(&Shape::Ne(&POW, &ZERO), &Shape::Ne(&POW, &MIN)),
+            ),
+        )),
+        rhs: Shape::Bv(BvOp::Sdiv, &X, &Shape::Bv(BvOp::Sdiv, &Y, &POW)),
+    },
 ];
 
 /// `udiv x, (y << c) = udiv (x >> c), y` when the shift keeps every bit
 /// of `y` (the `shl nuw` form), so `y << c = y·2^c`; a shift by `c ≥ w`
-/// keeps them only for y = 0, where both sides divide by zero;
+/// keeps them only for y = 0, where both sides divide by zero; the amount
+/// must be a free variable, so a computed one (`C1 − C2`) keeps its plain
+/// divider;
 /// `udiv (udiv x c), y = udiv x, c·y` when `c ≠ 0` and `c·y` does not wrap
 /// (⌊⌊x/c⌋/y⌋ = ⌊x/(c·y)⌋ over the integers; both sides are all ones at
-/// y = 0).
+/// y = 0);
+/// `udiv (x·y), y = x` when `y ≠ 0` and `x·y` does not wrap (the `mul nuw`
+/// form), in either operand order of the product.
 const UDIV_LAWS: &[Law] = &[
     law("udiv-one", [X, ONE], X),
     Law {
         name: "udiv-shl",
-        lhs: [X, Shape::Bv(BvOp::Shl, &Y, &C)],
+        lhs: [X, Shape::Bv(BvOp::Shl, &Y, &Shape::Leaf(2))],
         guard: Some(Shape::Eq(
             &Shape::Bv(BvOp::Lshr, &Shape::Bv(BvOp::Shl, &Y, &C), &C),
             &Y,
@@ -329,6 +395,18 @@ const UDIV_LAWS: &[Law] = &[
             ),
         )),
         rhs: Shape::Bv(BvOp::Udiv, &X, &Shape::Bv(BvOp::Mul, &C, &Y)),
+    },
+    Law {
+        name: "udiv-mul",
+        lhs: [Shape::Bv(BvOp::Mul, &X, &Y), Y],
+        guard: Some(Shape::And(
+            &Shape::Ne(&Y, &ZERO),
+            &Shape::Eq(
+                &Shape::Bv(BvOp::Mul, &Shape::Zext2(&X), &Shape::Zext2(&Y)),
+                &Shape::Zext2(&Shape::Bv(BvOp::Mul, &X, &Y)),
+            ),
+        )),
+        rhs: X,
     },
 ];
 
@@ -504,6 +582,9 @@ pub struct TermPool {
     ring_forms: HashMap<TermId, Option<Poly>>,
     ring_folds: u64,
     law_firings: BTreeMap<&'static str, u64>,
+    /// The laws whose right-hand side or guard is being built; none of
+    /// them fires until it is built (see [`Law`]).
+    active_laws: Vec<&'static str>,
 }
 
 impl TermPool {
@@ -872,7 +953,10 @@ impl TermPool {
     /// two constants fold to the operator's value, then the first [`Law`]
     /// whose left-hand side matches rewrites the term. A commutative
     /// operator orders its operands, so `a op b` and `b op a` are one term,
-    /// and its laws match the operands in either order.
+    /// and its laws match the operands in either order. The right operand
+    /// is matched first, so a variable it shares with the left one is
+    /// bound before a commutative operator inside the left one picks its
+    /// order (`udiv (x·y), y`).
     pub fn bv_binop(&mut self, op: BvOp, a: TermId, b: TermId) -> TermId {
         self.check_same_bv(a, b);
         let def = op.def();
@@ -896,9 +980,12 @@ impl TermPool {
         };
         let orders = if def.commutes { 2 } else { 1 };
         for law in def.laws {
+            if self.active_laws.contains(&law.name) {
+                continue;
+            }
             for (l, r) in [(a, b), (b, a)].into_iter().take(orders) {
                 let mut env = [None; 3];
-                if self.matches(law.lhs[0], l, &mut env) && self.matches(law.lhs[1], r, &mut env) {
+                if self.matches(law.lhs[1], r, &mut env) && self.matches(law.lhs[0], l, &mut env) {
                     return self.rewrite(law, &env, term, w);
                 }
             }
@@ -906,14 +993,25 @@ impl TermPool {
         self.intern(term)
     }
 
-    /// Does `t` have the shape? Binds the shape's variables in `env`.
+    /// Does `t` have the shape? Binds the shape's variables in `env`; a
+    /// commutative operator binds them in the first operand order that
+    /// matches.
     fn matches(&self, shape: Shape, t: TermId, env: &mut Binding) -> bool {
         match (shape, &self.term(t).op) {
             (Shape::Var(i), _) => *env[usize::from(i)].get_or_insert(t) == t,
+            (Shape::Leaf(i), Op::Var(_)) => *env[usize::from(i)].get_or_insert(t) == t,
             (Shape::Const(k), Op::BvConst(v)) => *v == k.at(v.width()),
             (Shape::Neg(s), &Op::BvNeg(a)) => self.matches(*s, a, env),
-            (Shape::Bv(op, p, q), &Op::Bv(o, a, b)) => {
-                op == o && self.matches(*p, a, env) && self.matches(*q, b, env)
+            (Shape::Bv(op, p, q), &Op::Bv(o, a, b)) if op == o => {
+                let orders = if op.def().commutes { 2 } else { 1 };
+                [(a, b), (b, a)].into_iter().take(orders).any(|(a, b)| {
+                    let mut tried = *env;
+                    let found = self.matches(*p, a, &mut tried) && self.matches(*q, b, &mut tried);
+                    if found {
+                        *env = tried;
+                    }
+                    found
+                })
             }
             _ => false,
         }
@@ -925,7 +1023,7 @@ impl TermPool {
             (pool.build(*p, env, w), pool.build(*q, env, w))
         };
         match shape {
-            Shape::Var(i) => {
+            Shape::Var(i) | Shape::Leaf(i) => {
                 env[usize::from(i)].expect("a law's variables are bound by its left-hand side")
             }
             Shape::Const(k) => self.bv_const(k.at(w)),
@@ -954,17 +1052,27 @@ impl TermPool {
                 let (a, b) = two(p, q, self);
                 self.and2(a, b)
             }
+            Shape::Or(p, q) => {
+                let (a, b) = two(p, q, self);
+                self.or2(a, b)
+            }
+            Shape::Zext2(s) => {
+                let a = self.build(*s, env, w);
+                self.zext(a, 2 * w)
+            }
         }
     }
 
     /// Applies a law whose left-hand side matched `lhs`, counting the
     /// firing unless the guard folded to false.
     fn rewrite(&mut self, law: &Law, env: &Binding, lhs: Term, w: u32) -> TermId {
+        self.active_laws.push(law.name);
         let rhs = self.build(law.rhs, env, w);
-        let out = match law.guard {
+        let guard = law.guard.map(|guard| self.build(guard, env, w));
+        self.active_laws.pop();
+        let out = match guard {
             None => rhs,
             Some(guard) => {
-                let guard = self.build(guard, env, w);
                 let lhs = self.intern(lhs);
                 if self.as_bool_const(guard) == Some(false) {
                     return lhs;
@@ -1523,6 +1631,56 @@ mod tests {
         assert_eq!(p.trunc(x, 8), x);
         let e = p.extract(x, 7, 0);
         assert_eq!(e, x);
+    }
+
+    #[test]
+    fn a_law_does_not_fire_inside_its_own_rewrite() {
+        // `sdiv-shl` rewrites `sdiv (a << b), (1 << c)` to a quotient whose
+        // divisor `sdiv (1 << c), (1 << b)` matches it again, with `b` and
+        // `c` swapped; it must not fire there.
+        let mut p = TermPool::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| p.var(n, Sort::BitVec(8)));
+        let one = p.bv(8, 1);
+        let ab = p.bv_shl(a, b);
+        let pow = p.bv_shl(one, c);
+        let q = p.bv_sdiv(ab, pow);
+        assert!(matches!(p.term(q).op, Op::Ite(..)), "{}", p.display(q));
+        assert_eq!(p.law_firings().get("sdiv-shl"), Some(&1));
+    }
+
+    #[test]
+    fn udiv_mul_matches_either_factor() {
+        let mut p = TermPool::new();
+        let [x, y] = ["x", "y"].map(|n| p.var(n, Sort::BitVec(8)));
+        let xy = p.bv_mul(x, y);
+        for (divisor, quotient) in [(y, x), (x, y)] {
+            let q = p.bv_udiv(xy, divisor);
+            assert!(
+                matches!(p.term(q).op, Op::Ite(_, t, _) if t == quotient),
+                "{}",
+                p.display(q)
+            );
+        }
+        assert_eq!(p.law_firings().get("udiv-mul"), Some(&2));
+    }
+
+    #[test]
+    fn leaf_laws_skip_computed_operands() {
+        // `sdiv-sdiv` and `udiv-shl` bind their divisor and shift amount
+        // only to free variables.
+        let mut p = TermPool::new();
+        let [x, c, y] = ["x", "c", "y"].map(|n| p.var(n, Sort::BitVec(8)));
+        let yc = p.bv_sub(y, c);
+        let xc = p.bv_sdiv(x, c);
+        let chain = p.bv_sdiv(xc, yc);
+        assert!(matches!(p.term(chain).op, Op::Bv(BvOp::Sdiv, ..)));
+        let shifted = p.bv_shl(y, yc);
+        let q = p.bv_udiv(x, shifted);
+        assert!(matches!(p.term(q).op, Op::Bv(BvOp::Udiv, ..)));
+        assert!(p.law_firings().is_empty(), "{:?}", p.law_firings());
+        let chain = p.bv_sdiv(xc, y);
+        assert!(matches!(p.term(chain).op, Op::Ite(..)));
+        assert_eq!(p.law_firings().get("sdiv-sdiv"), Some(&1));
     }
 
     impl TermPool {

@@ -211,10 +211,14 @@ fn laws() -> Vec<(BvOp, Law)> {
 /// Adds the indices of the law variables in `s` to `used`.
 fn variables(s: Shape, used: &mut Vec<u8>) {
     match s {
-        Shape::Var(i) if !used.contains(&i) => used.push(i),
-        Shape::Var(_) | Shape::Const(_) | Shape::Bool(_) => {}
-        Shape::Not(a) | Shape::Neg(a) => variables(*a, used),
-        Shape::Bv(_, a, b) | Shape::Eq(a, b) | Shape::Ne(a, b) | Shape::And(a, b) => {
+        Shape::Var(i) | Shape::Leaf(i) if !used.contains(&i) => used.push(i),
+        Shape::Var(_) | Shape::Leaf(_) | Shape::Const(_) | Shape::Bool(_) => {}
+        Shape::Not(a) | Shape::Neg(a) | Shape::Zext2(a) => variables(*a, used),
+        Shape::Bv(_, a, b)
+        | Shape::Eq(a, b)
+        | Shape::Ne(a, b)
+        | Shape::And(a, b)
+        | Shape::Or(a, b) => {
             variables(*a, used);
             variables(*b, used);
         }
@@ -224,7 +228,7 @@ fn variables(s: Shape, used: &mut Vec<u8>) {
 /// Builds a left-hand-side shape over `vars` with the public constructors.
 fn instance(p: &mut TermPool, s: Shape, vars: &[TermId; 3], w: u32) -> TermId {
     match s {
-        Shape::Var(i) => vars[usize::from(i)],
+        Shape::Var(i) | Shape::Leaf(i) => vars[usize::from(i)],
         Shape::Const(k) => p.bv_const(k.at(w)),
         Shape::Neg(a) => {
             let a = instance(p, *a, vars, w);
@@ -234,9 +238,13 @@ fn instance(p: &mut TermPool, s: Shape, vars: &[TermId; 3], w: u32) -> TermId {
             let (a, b) = (instance(p, *a, vars, w), instance(p, *b, vars, w));
             by_name(op).1(p, a, b)
         }
-        Shape::Bool(_) | Shape::Not(_) | Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => {
-            panic!("{s:?} on a left-hand side")
-        }
+        Shape::Bool(_)
+        | Shape::Not(_)
+        | Shape::Eq(..)
+        | Shape::Ne(..)
+        | Shape::And(..)
+        | Shape::Or(..)
+        | Shape::Zext2(_) => panic!("{s:?} on a left-hand side"),
     }
 }
 
@@ -247,14 +255,47 @@ fn value(s: Shape, vals: &[BvVal; 3], w: u32) -> BvVal {
         Value::Bool(_) => panic!("{s:?} is boolean"),
     };
     match s {
-        Shape::Var(i) => vals[usize::from(i)],
+        Shape::Var(i) | Shape::Leaf(i) => vals[usize::from(i)],
         Shape::Const(k) => k.at(w),
         Shape::Neg(a) => value(*a, vals, w).neg(),
         Shape::Bv(op, a, b) => bv(by_name(op).2(value(*a, vals, w), value(*b, vals, w))),
-        Shape::Bool(_) | Shape::Not(_) | Shape::Eq(..) | Shape::Ne(..) | Shape::And(..) => {
-            panic!("{s:?} on a left-hand side")
-        }
+        Shape::Bool(_)
+        | Shape::Not(_)
+        | Shape::Eq(..)
+        | Shape::Ne(..)
+        | Shape::And(..)
+        | Shape::Or(..)
+        | Shape::Zext2(_) => panic!("{s:?} on a left-hand side"),
     }
+}
+
+/// Assignments of the law variables `used`, indexed by variable: every
+/// one at widths 1–6. At i8 a three-variable law would take all 2^24, so
+/// its second variable takes the values within 16 of zero, MIN, MIN+1 and
+/// MAX, and its third the edge values 0, 1, 2, −1, MIN, MIN+1 and MAX.
+fn assignments(used: &[u8], w: u32) -> impl Iterator<Item = [BvVal; 3]> {
+    let min = BvVal::int_min(w);
+    let extremes = [min, min.add(BvVal::one(w)), BvVal::int_max(w)];
+    let near_zero = (-16..=16).map(|v| BvVal::from_i128(w, v));
+    let edges = [0, 1, 2, -1].map(|v| BvVal::from_i128(w, v));
+    let domains: Vec<(u8, Vec<BvVal>)> = used
+        .iter()
+        .enumerate()
+        .map(|(k, &i)| match (w, used.len(), k) {
+            (8, 3, 1) => (i, near_zero.clone().chain(extremes).collect()),
+            (8, 3, 2) => (i, edges.into_iter().chain(extremes).collect()),
+            _ => (i, values(w).collect()),
+        })
+        .collect();
+    let count: usize = domains.iter().map(|(_, d)| d.len()).product();
+    (0..count).map(move |mut n| {
+        let mut vals = [BvVal::zero(w); 3];
+        for (i, domain) in &domains {
+            vals[usize::from(*i)] = domain[n % domain.len()];
+            n /= domain.len();
+        }
+        vals
+    })
 }
 
 #[test]
@@ -282,11 +323,14 @@ fn every_law_fires_and_keeps_the_value() {
             "udiv-one",
             "udiv-shl",
             "udiv-udiv",
+            "udiv-mul",
             "urem-self",
             "urem-one",
             "sdiv-one",
             "sdiv-ones",
             "sdiv-neg",
+            "sdiv-sdiv",
+            "sdiv-shl",
             "srem-self",
             "srem-one",
             "srem-ones",
@@ -309,7 +353,7 @@ fn every_law_fires_and_keeps_the_value() {
         let signed = matches!(op, BvOp::Sdiv | BvOp::Srem);
         let widths = WIDTHS.chain(signed.then_some(8));
         let mut fired_widths = 0;
-        let mut guard_false = 0u64;
+        let mut guard_false = false;
         for w in widths {
             let mut p = TermPool::new();
             let vars = ["x", "y", "c"].map(|n| p.var(n, Sort::BitVec(w)));
@@ -353,20 +397,15 @@ fn every_law_fires_and_keeps_the_value() {
                         None
                     }
                 };
-                // Every assignment of the variables the left-hand side uses.
-                let count = 1u128 << (w * used.len() as u32);
-                for n in 0..count {
-                    let mut vals = [BvVal::zero(w); 3];
-                    let mut env = Assignment::new();
-                    for (k, &i) in used.iter().enumerate() {
-                        let bits = (n >> (w * k as u32)) & ((1u128 << w) - 1);
-                        vals[usize::from(i)] = BvVal::new(w, bits);
+                let mut env = Assignment::new();
+                for vals in assignments(&used, w) {
+                    for &i in &used {
                         env.set(vars[usize::from(i)], vals[usize::from(i)]);
                     }
                     let want = method(value(sl, &vals, w), value(sr, &vals, w));
                     assert_eq!(eval(&p, t, &env).unwrap(), want, "{at} at {vals:?}");
-                    if let Some(g) = guard {
-                        guard_false += u64::from(eval(&p, g, &env).unwrap() == Value::Bool(false));
+                    if let Some(g) = guard.filter(|_| !guard_false) {
+                        guard_false = eval(&p, g, &env).unwrap() == Value::Bool(false);
                     }
                 }
             }
@@ -374,7 +413,7 @@ fn every_law_fires_and_keeps_the_value() {
         }
         assert!(fired_widths > 0, "{name} {}: never fired", law.name);
         if law.guard.is_some() {
-            assert!(guard_false > 0, "{name} {}: guard never false", law.name);
+            assert!(guard_false, "{name} {}: guard never false", law.name);
         }
     }
 }
