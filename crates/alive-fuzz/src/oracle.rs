@@ -250,7 +250,7 @@ fn brute_check_typing(
     if !enc.src.undefs.is_empty() || !enc.tgt.undefs.is_empty() {
         return TypingCheck::Skipped("undef semantics are not enumerable pointwise".into());
     }
-    if !enc.mem_consistency.is_empty()
+    if !enc.base_mem.constraints().is_empty()
         || !enc.src.alloca_constraints.is_empty()
         || !enc.tgt.alloca_constraints.is_empty()
     {
