@@ -51,6 +51,6 @@ pub use blast::{Blasted, Blaster};
 pub use eval::{eval, Assignment, EvalError};
 pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult};
 pub use solver::{ProofTranscript, SatResult, SmtSolver};
-pub use subst::{substitute, substitute_assignment};
-pub use term::{BvDef, BvOp, Fixed, Law, Op, Shape, Term, TermId, TermPool};
+pub use subst::{substitute, substitute_assignment, substitute_with};
+pub use term::{BvDef, BvOp, Fixed, GuardedRewrite, Law, Op, Shape, Term, TermId, TermPool};
 pub use value::{BvVal, Sort, Value};

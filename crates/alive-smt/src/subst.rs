@@ -4,26 +4,40 @@ use crate::eval::Assignment;
 use crate::term::{Op, TermId, TermPool};
 use std::collections::HashMap;
 
-/// Replaces variables in `root` according to `map`, rebuilding (and
-/// re-simplifying) the term bottom-up.
+/// Replaces the terms `map` keys (variables, or any subterm) in `root`,
+/// rebuilding (and re-simplifying) the term bottom-up.
 ///
-/// Variables absent from the map are left untouched. The result may be a
+/// A subterm none of whose children changed keeps its id rather than
+/// being rebuilt, so a substitution that replaces nothing below a term
+/// returns the term itself (a rebuild could differ: a term built while its
+/// own law was being applied would fire that law). The result may be a
 /// constant if enough variables are substituted by constants.
 pub fn substitute(pool: &mut TermPool, root: TermId, map: &HashMap<TermId, TermId>) -> TermId {
+    substitute_with(pool, root, |_, t| map.get(&t).copied())
+}
+
+/// [`substitute`] with each replacement computed on demand: `replace` is
+/// asked once about each subterm the walk reaches, parents before
+/// children, and the walk does not descend into a subterm it replaces.
+pub fn substitute_with(
+    pool: &mut TermPool,
+    root: TermId,
+    mut replace: impl FnMut(&mut TermPool, TermId) -> Option<TermId>,
+) -> TermId {
     let mut memo: HashMap<TermId, TermId> = HashMap::new();
     let mut stack = vec![(root, false)];
     while let Some((id, expanded)) = stack.pop() {
         if memo.contains_key(&id) {
             continue;
         }
-        if let Some(&r) = map.get(&id) {
-            memo.insert(id, r);
-            continue;
-        }
-        let op = pool.term(id).op.clone();
+        let children = pool.term(id).op.children();
         if !expanded {
+            if let Some(r) = replace(pool, id) {
+                memo.insert(id, r);
+                continue;
+            }
             stack.push((id, true));
-            for c in op.children() {
+            for c in children {
                 if !memo.contains_key(&c) {
                     stack.push((c, false));
                 }
@@ -31,6 +45,11 @@ pub fn substitute(pool: &mut TermPool, root: TermId, map: &HashMap<TermId, TermI
             continue;
         }
         let g = |t: TermId| memo[&t];
+        if children.into_iter().all(|c| g(c) == c) {
+            memo.insert(id, id);
+            continue;
+        }
+        let op = pool.term(id).op.clone();
         let out = match &op {
             Op::BoolConst(_) | Op::BvConst(_) | Op::Var(_) => id,
             Op::Not(a) => pool.not(g(*a)),
@@ -109,16 +128,16 @@ mod tests {
     }
 
     #[test]
-    fn substituting_into_a_guarded_law_builds_the_law_term() {
-        // `udiv x, (y << c)` is `ite(g, udiv (x >> c), y, udiv x, (y << c))`;
-        // rebuilding the else branch fires the law again, and the
-        // repeated guard must fold rather than nest a second ite.
+    fn a_subterm_with_nothing_replaced_below_keeps_its_id() {
         let mut p = TermPool::new();
-        let [x, y, c, z] = ["x", "y", "c", "z"].map(|n| p.var(n, Sort::BitVec(8)));
-        let shl = p.bv_shl(y, c);
-        let t = p.bv_udiv(x, shl);
-        assert!(matches!(p.term(t).op, Op::Ite(..)), "the law fired");
-        let out = substitute(&mut p, t, &HashMap::from([(x, z)]));
-        assert_eq!(out, p.bv_udiv(z, shl));
+        let [x, y, z] = ["x", "y", "z"].map(|n| p.var(n, Sort::BitVec(8)));
+        let xy = p.bv_mul(x, y);
+        let t = p.bv_add(xy, z);
+        let one = p.bv(8, 1);
+        let len = p.len();
+        assert_eq!(substitute(&mut p, t, &HashMap::from([(one, z)])), t);
+        assert_eq!(p.len(), len, "nothing rebuilt");
+        let out = substitute(&mut p, t, &HashMap::from([(z, one)]));
+        assert!(matches!(p.term(out).op, Op::Bv(_, a, b) if a == xy || b == xy));
     }
 }

@@ -7,12 +7,15 @@
 //! each is defined once, by its [`BvOp::def`] row: name, semantics,
 //! commutativity and [`Law`]s — identity and annihilator rewrites such as
 //! `and x, 0 → 0`, guarded word-level ones (division by a negation or
-//! a shifted value, chains of divisions, a shift or a product divided),
-//! and `add`, `mul` and `xor` distributed over a select.
-//! Constant folding, [`crate::eval`], [`crate::substitute`] and the blaster
-//! all read that row; the `op_table` test checks every law exhaustively at
-//! widths 1–6, except that from i5 up a select law's last variable takes
-//! only the edge values.
+//! a shifted value, chains of divisions, a shift or a product divided,
+//! division, remainder and product by a power of two), and `add`, `mul`
+//! and `xor` distributed over a select. A guarded law whose guard does not
+//! fold keeps the plain term and records its rewrite beside it
+//! ([`TermPool::guarded_rewrites`]), for a caller that knows the guard
+//! holds. Constant folding, [`crate::eval`], [`crate::substitute`] and the
+//! blaster all read that row; the `op_table` test checks every law
+//! exhaustively at widths 1–6, except that from i5 up a select law's last
+//! variable takes only the edge values.
 //! Bitvector equality also compares ring normal forms — polynomials over
 //! opaque atoms with coefficients mod 2^w — so nonlinear identities such as
 //! `(x·C1)·C2 = x·(C1·C2)` fold to `true` at every width without reaching
@@ -177,6 +180,8 @@ pub enum Fixed {
     Ones,
     /// The signed minimum: only the sign bit set.
     Min,
+    /// The width itself, the least shift amount that is not defined.
+    Width,
 }
 
 impl Fixed {
@@ -187,6 +192,7 @@ impl Fixed {
             Fixed::One => BvVal::one(w),
             Fixed::Ones => BvVal::ones(w),
             Fixed::Min => BvVal::int_min(w),
+            Fixed::Width => BvVal::new(w, u128::from(w)),
         }
     }
 }
@@ -234,7 +240,7 @@ pub enum Shape {
     Neg(&'static Shape),
     /// A binary operator of the table (operands in the order written).
     Bv(BvOp, &'static Shape, &'static Shape),
-    /// Equality; guards only.
+    /// Equality; guards and select conditions only.
     Eq(&'static Shape, &'static Shape),
     /// Disequality; guards only.
     Ne(&'static Shape, &'static Shape),
@@ -247,11 +253,17 @@ pub enum Shape {
     Ite(&'static Shape, &'static Shape, &'static Shape),
     /// Zero-extension to twice the operands' width; guards only.
     Zext2(&'static Shape),
+    /// Floor log2 ([`TermPool::log2`]); right-hand sides only.
+    Log2(&'static Shape),
 }
 
 /// A rewrite of one operator: a term whose operands match `lhs` becomes
-/// `rhs` where `guard` holds. A guarded law builds `ite(guard, rhs, lhs)`,
-/// so an instance whose guard is false keeps its value. Every law is an
+/// `rhs` where `guard` holds. An unguarded law, or one whose guard folds to
+/// `true`, returns `rhs`; a guard that folds to `false` keeps the plain
+/// term. Any other guard also keeps the plain term, so other laws, the ring
+/// normal form and the blaster see the operator, and the pool records the
+/// guard and the binding beside it ([`GuardedRewrite`]), building `rhs`
+/// only when a caller that knows the guard holds asks. Every law is an
 /// identity of SMT-LIB semantics at every width.
 ///
 /// Rewriting terminates. A law does not fire while its own right-hand side
@@ -263,8 +275,8 @@ pub enum Shape {
 /// `c` swapped.
 #[derive(Clone, Copy, Debug)]
 pub struct Law {
-    /// Name, `<op>-<operand>`; firings count under the trace counter
-    /// `smt.laws.<name>`.
+    /// Name, `<op>-<operand>`; firings, recorded rewrites included, count
+    /// under the trace counter `smt.laws.<name>`.
     pub name: &'static str,
     /// The shapes of the left and the right operand.
     pub lhs: [Shape; 2],
@@ -296,10 +308,37 @@ const ZERO: Shape = Shape::Const(Fixed::Zero);
 const ONE: Shape = Shape::Const(Fixed::One);
 const ONES: Shape = Shape::Const(Fixed::Ones);
 const MIN: Shape = Shape::Const(Fixed::Min);
+const WIDTH: Shape = Shape::Const(Fixed::Width);
 
 /// `c·y` and `1 << c`, shared by the signed division laws.
 const CY: Shape = Shape::Bv(BvOp::Mul, &C, &Y);
 const POW: Shape = Shape::Bv(BvOp::Shl, &ONE, &C);
+
+/// `c − 1`, `log2 c` and `isPowerOf2(c)` (`c & (c − 1) = 0 ∧ c ≠ 0`), as
+/// a precondition and a target build them ([`TermPool::is_power_of_two`],
+/// [`TermPool::log2`]), so a law's guard is the precondition's term.
+const C_DEC: Shape = Shape::Bv(BvOp::Sub, &C, &ONE);
+const LOG2_C: Shape = Shape::Log2(&C);
+const POW2_C: Shape = Shape::And(
+    &Shape::Eq(&Shape::Bv(BvOp::And, &C, &C_DEC), &ZERO),
+    &Shape::Ne(&C, &ZERO),
+);
+
+/// `x op 2^k → rhs` for a free variable `c = 2^k`: with `k = log2 c < w`,
+/// `udiv x, 2^k = x >> k`, `urem x, 2^k = x & (2^k − 1)` (the low `k`
+/// bits) and `mul x, 2^k = x << k`.
+const fn pow2_law(name: &'static str, rhs: Shape) -> Law {
+    Law {
+        name,
+        lhs: [X, Shape::Leaf(2)],
+        guard: Some(POW2_C),
+        rhs,
+    }
+}
+
+/// `x / x = ite(x = 0, −1, 1)`, signed and unsigned: SMT-LIB divides 0 by
+/// 0 to all ones, and every other value by itself to 1 (MIN too).
+const SELF_QUOTIENT: Shape = Shape::Ite(&Shape::Eq(&X, &ZERO), &ONES, &ONE);
 
 /// Law variables a matched left-hand side binds.
 type Binding = [Option<TermId>; 4];
@@ -349,6 +388,7 @@ const SREM_LAWS: &[Law] = &[
 /// sign (the `shl nsw` form), `1 << c` is a positive power of two and
 /// divides `y`: then `x·2^c / (k·2^c)` truncates like `x / k`.
 const SDIV_LAWS: &[Law] = &[
+    law("sdiv-self", [X, X], SELF_QUOTIENT),
     law("sdiv-one", [X, ONE], X),
     law("sdiv-ones", [X, ONES], Shape::Neg(&X)),
     Law {
@@ -391,7 +431,8 @@ const SDIV_LAWS: &[Law] = &[
 
 /// `udiv x, (y << c) = udiv (x >> c), y` when the shift keeps every bit
 /// of `y` (the `shl nuw` form), so `y << c = y·2^c`; a shift by `c ≥ w`
-/// keeps them only for y = 0, where both sides divide by zero; the amount
+/// keeps them only for y = 0, where both sides divide by zero; `y = 1` with
+/// `c <u w` (a defined shift, vcgen's shape) implies that form; the amount
 /// must be a free variable, so a computed one (`C1 − C2`) keeps its plain
 /// divider;
 /// `udiv (udiv x c), y = udiv x, c·y` when `c ≠ 0` and `c·y` does not wrap
@@ -399,14 +440,20 @@ const SDIV_LAWS: &[Law] = &[
 /// y = 0);
 /// `udiv (x·y), y = x` when `y ≠ 0` and `x·y` does not wrap (the `mul nuw`
 /// form), in either operand order of the product.
+/// The power-of-two row comes last, so a chain or a product divided by a
+/// free variable matches its own row first.
 const UDIV_LAWS: &[Law] = &[
+    law("udiv-self", [X, X], SELF_QUOTIENT),
     law("udiv-one", [X, ONE], X),
     Law {
         name: "udiv-shl",
         lhs: [X, Shape::Bv(BvOp::Shl, &Y, &Shape::Leaf(2))],
-        guard: Some(Shape::Eq(
-            &Shape::Bv(BvOp::Lshr, &Shape::Bv(BvOp::Shl, &Y, &C), &C),
-            &Y,
+        guard: Some(Shape::Or(
+            &Shape::Eq(
+                &Shape::Bv(BvOp::Lshr, &Shape::Bv(BvOp::Shl, &Y, &C), &C),
+                &Y,
+            ),
+            &Shape::And(&Shape::Eq(&Y, &ONE), &Shape::Bv(BvOp::Ult, &C, &WIDTH)),
         )),
         rhs: Shape::Bv(BvOp::Udiv, &Shape::Bv(BvOp::Lshr, &X, &C), &Y),
     },
@@ -434,6 +481,7 @@ const UDIV_LAWS: &[Law] = &[
         )),
         rhs: X,
     },
+    pow2_law("udiv-pow2", Shape::Bv(BvOp::Lshr, &X, &LOG2_C)),
 ];
 
 impl BvOp {
@@ -513,7 +561,13 @@ impl BvOp {
                 ..row("bvadd", |x, y| x.add(y).into())
             },
             BvOp::Sub => BvDef {
-                laws: const { &[law("sub-self", [X, X], ZERO), law("sub-zero", [X, ZERO], X)] },
+                laws: const {
+                    &[
+                        law("sub-self", [X, X], ZERO),
+                        law("sub-zero", [X, ZERO], X),
+                        law("sub-from-zero", [ZERO, X], Shape::Neg(&X)),
+                    ]
+                },
                 ..row("bvsub", |x, y| x.sub(y).into())
             },
             BvOp::Mul => BvDef {
@@ -522,7 +576,9 @@ impl BvOp {
                     &[
                         law("mul-zero", [X, ZERO], ZERO),
                         law("mul-one", [X, ONE], X),
+                        law("mul-ones", [X, ONES], Shape::Neg(&X)),
                         select_law!("mul-ite", BvOp::Mul),
+                        pow2_law("mul-pow2", Shape::Bv(BvOp::Shl, &X, &LOG2_C)),
                     ]
                 },
                 ..row("bvmul", |x, y| x.mul(y).into())
@@ -536,6 +592,7 @@ impl BvOp {
                     &[
                         law("urem-self", [X, X], ZERO),
                         law("urem-one", [X, ONE], ZERO),
+                        pow2_law("urem-pow2", Shape::Bv(BvOp::And, &X, &C_DEC)),
                     ]
                 },
                 ..row("bvurem", |x, y| x.urem(y).into())
@@ -584,6 +641,21 @@ impl BvOp {
     }
 }
 
+/// A guarded [`Law`]'s rewrite of a term its left-hand side matched: the
+/// term equals the law's right-hand side under the binding wherever
+/// `guard` holds. The pool records it where the guard did not fold to a
+/// constant, and keeps the plain term; [`TermPool::rewrite_rhs`] builds the
+/// right-hand side on demand.
+#[derive(Clone, Copy, Debug)]
+pub struct GuardedRewrite {
+    /// The law.
+    pub law: &'static Law,
+    /// Where the rewrite holds.
+    pub guard: TermId,
+    env: Binding,
+    width: u32,
+}
+
 /// A term: operator plus result sort.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Term {
@@ -615,6 +687,9 @@ pub struct TermPool {
     ring_forms: HashMap<TermId, Option<Poly>>,
     ring_folds: u64,
     law_firings: BTreeMap<&'static str, u64>,
+    /// Rewrites of guarded laws, by left-hand side: one per operand order
+    /// of the first law that matched the term.
+    guarded: HashMap<TermId, Vec<GuardedRewrite>>,
     /// The laws whose right-hand side or guard is being built; none of
     /// them fires until it is built (see [`Law`]).
     active_laws: Vec<&'static str>,
@@ -906,8 +981,7 @@ impl TermPool {
 
     /// If-then-else over either sort. A branch that repeats the condition
     /// takes its own side of it: `ite(c, ite(c, t, _), e)` and
-    /// `ite(c, t, ite(c, _, e))` are `ite(c, t, e)`, so substituting into a
-    /// guarded [`Law`]'s instance builds the same term as the law.
+    /// `ite(c, t, ite(c, _, e))` are `ite(c, t, e)`.
     pub fn ite(&mut self, c: TermId, t: TermId, e: TermId) -> TermId {
         debug_assert_eq!(self.sort(c), Sort::Bool);
         assert_eq!(self.sort(t), self.sort(e), "ite branch sort mismatch");
@@ -986,10 +1060,12 @@ impl TermPool {
     /// two constants fold to the operator's value, then the first [`Law`]
     /// whose left-hand side matches rewrites the term. A commutative
     /// operator orders its operands, so `a op b` and `b op a` are one term,
-    /// and its laws match the operands in either order. The right operand
-    /// is matched first, so a variable it shares with the left one is
-    /// bound before a commutative operator inside the left one picks its
-    /// order (`udiv (x·y), y`).
+    /// and its laws match the operands in either order (a guarded law
+    /// records a rewrite for each order that matches: `mul C, x` with
+    /// `isPowerOf2(C)` as well as `mul x, C`). The right operand is matched
+    /// first, so a variable it shares with the left one is bound before a
+    /// commutative operator inside the left one picks its order
+    /// (`udiv (x·y), y`).
     pub fn bv_binop(&mut self, op: BvOp, a: TermId, b: TermId) -> TermId {
         self.check_same_bv(a, b);
         let def = op.def();
@@ -1016,11 +1092,17 @@ impl TermPool {
             if self.active_laws.contains(&law.name) {
                 continue;
             }
-            for (l, r) in [(a, b), (b, a)].into_iter().take(orders) {
-                let mut env = [None; 4];
-                if self.matches(law.lhs[1], r, &mut env) && self.matches(law.lhs[0], l, &mut env) {
-                    return self.rewrite(law, &env, term, w);
-                }
+            let envs: Vec<Binding> = [(a, b), (b, a)]
+                .into_iter()
+                .take(orders)
+                .filter_map(|(l, r)| {
+                    let mut env = [None; 4];
+                    (self.matches(law.lhs[1], r, &mut env) && self.matches(law.lhs[0], l, &mut env))
+                        .then_some(env)
+                })
+                .collect();
+            if !envs.is_empty() {
+                return self.rewrite(law, &envs, term, w);
             }
         }
         self.intern(term)
@@ -1101,28 +1183,67 @@ impl TermPool {
                 let (t, e) = two(p, q, self);
                 self.ite(c, t, e)
             }
+            Shape::Log2(s) => {
+                let a = self.build(*s, env, w);
+                self.log2(a)
+            }
         }
     }
 
-    /// Applies a law whose left-hand side matched `lhs`, counting the
-    /// firing unless the guard folded to false.
-    fn rewrite(&mut self, law: &Law, env: &Binding, lhs: Term, w: u32) -> TermId {
+    /// Applies a law whose left-hand side matched `lhs` under `envs`, one
+    /// binding per operand order, counting the firing unless every guard
+    /// folded to false. An unguarded law rewrites by the first binding, and
+    /// so does a guard that folds to `true`; any other guard keeps the
+    /// plain `lhs` and records the rewrite, building no right-hand side.
+    fn rewrite(&mut self, law: &'static Law, envs: &[Binding], lhs: Term, w: u32) -> TermId {
+        let mut recorded = Vec::new();
+        for &env in envs {
+            let guard = law.guard.map(|guard| {
+                self.active_laws.push(law.name);
+                let guard = self.build(guard, &env, w);
+                self.active_laws.pop();
+                guard
+            });
+            match guard.map(|g| (g, self.as_bool_const(g))) {
+                None | Some((_, Some(true))) => {
+                    *self.law_firings.entry(law.name).or_insert(0) += 1;
+                    return self.build_rhs(law, &env, w);
+                }
+                Some((_, Some(false))) => {}
+                Some((guard, None)) => recorded.push(GuardedRewrite {
+                    law,
+                    guard,
+                    env,
+                    width: w,
+                }),
+            }
+        }
+        let lhs = self.intern(lhs);
+        if !recorded.is_empty() {
+            *self.law_firings.entry(law.name).or_insert(0) += 1;
+            self.guarded.entry(lhs).or_insert(recorded);
+        }
+        lhs
+    }
+
+    /// Builds a law's right-hand side under a binding; the law does not
+    /// fire meanwhile (see [`Law`]).
+    fn build_rhs(&mut self, law: &'static Law, env: &Binding, w: u32) -> TermId {
         self.active_laws.push(law.name);
         let rhs = self.build(law.rhs, env, w);
-        let guard = law.guard.map(|guard| self.build(guard, env, w));
         self.active_laws.pop();
-        let out = match guard {
-            None => rhs,
-            Some(guard) => {
-                let lhs = self.intern(lhs);
-                if self.as_bool_const(guard) == Some(false) {
-                    return lhs;
-                }
-                self.ite(guard, rhs, lhs)
-            }
-        };
-        *self.law_firings.entry(law.name).or_insert(0) += 1;
-        out
+        rhs
+    }
+
+    /// The rewrites guarded laws recorded for `lhs` (none if it has none).
+    pub fn guarded_rewrites(&self, lhs: TermId) -> &[GuardedRewrite] {
+        self.guarded.get(&lhs).map_or(&[], Vec::as_slice)
+    }
+
+    /// Builds a recorded rewrite's right-hand side: the term its left-hand
+    /// side equals wherever the guard holds.
+    pub fn rewrite_rhs(&mut self, rewrite: &GuardedRewrite) -> TermId {
+        self.build_rhs(rewrite.law, &rewrite.env, rewrite.width)
     }
 
     /// The constant term of a value.
@@ -1236,6 +1357,38 @@ impl TermPool {
     /// Signed greater-or-equal (swapped `sle`).
     pub fn bv_sge(&mut self, a: TermId, b: TermId) -> TermId {
         self.bv_sle(b, a)
+    }
+
+    /// Floor log2 of a bitvector as a chain of selects on its bits, from
+    /// the lowest up so the highest set bit wins (0 for input 0).
+    pub fn log2(&mut self, v: TermId) -> TermId {
+        let w = self.width(v);
+        let mut acc = self.bv(w, 0);
+        for i in 0..w {
+            let bit = self.extract(v, i, i);
+            let one1 = self.bv(1, 1);
+            let set = self.eq(bit, one1);
+            let k = self.bv(w, u128::from(i));
+            acc = self.ite(set, k, acc);
+        }
+        acc
+    }
+
+    /// `v & (v − 1) = 0 ∧ v ≠ 0`: `v` is a power of two (or zero, with
+    /// `allow_zero`).
+    pub fn is_power_of_two(&mut self, v: TermId, allow_zero: bool) -> TermId {
+        let w = self.width(v);
+        let zero = self.bv(w, 0);
+        let one = self.bv(w, 1);
+        let vm1 = self.bv_sub(v, one);
+        let and = self.bv_and(v, vm1);
+        let no_straggler = self.eq(and, zero);
+        if allow_zero {
+            no_straggler
+        } else {
+            let nz = self.ne(v, zero);
+            self.and2(no_straggler, nz)
+        }
     }
 
     // ---- width changes ----
@@ -1685,7 +1838,22 @@ mod tests {
         let ab = p.bv_shl(a, b);
         let pow = p.bv_shl(one, c);
         let q = p.bv_sdiv(ab, pow);
-        assert!(matches!(p.term(q).op, Op::Ite(..)), "{}", p.display(q));
+        assert!(
+            matches!(p.term(q).op, Op::Bv(BvOp::Sdiv, ..)),
+            "{}",
+            p.display(q)
+        );
+        let [(law, rhs)] = recorded(&mut p, q)[..] else {
+            panic!("{:?}", p.guarded_rewrites(q));
+        };
+        assert_eq!(law, "sdiv-shl");
+        let Op::Bv(BvOp::Sdiv, x, divisor) = p.term(rhs).op else {
+            panic!("{}", p.display(rhs));
+        };
+        assert_eq!(x, a);
+        let powb = p.bv_shl(one, b);
+        assert!(matches!(p.term(divisor).op, Op::Bv(BvOp::Sdiv, n, d) if (n, d) == (pow, powb)));
+        assert!(p.guarded_rewrites(divisor).is_empty());
         assert_eq!(p.law_firings().get("sdiv-shl"), Some(&1));
     }
 
@@ -1696,11 +1864,8 @@ mod tests {
         let xy = p.bv_mul(x, y);
         for (divisor, quotient) in [(y, x), (x, y)] {
             let q = p.bv_udiv(xy, divisor);
-            assert!(
-                matches!(p.term(q).op, Op::Ite(_, t, _) if t == quotient),
-                "{}",
-                p.display(q)
-            );
+            assert!(matches!(p.term(q).op, Op::Bv(BvOp::Udiv, ..)));
+            assert_eq!(recorded(&mut p, q), [("udiv-mul", quotient)]);
         }
         assert_eq!(p.law_firings().get("udiv-mul"), Some(&2));
     }
@@ -1720,8 +1885,77 @@ mod tests {
         assert!(matches!(p.term(q).op, Op::Bv(BvOp::Udiv, ..)));
         assert!(p.law_firings().is_empty(), "{:?}", p.law_firings());
         let chain = p.bv_sdiv(xc, y);
-        assert!(matches!(p.term(chain).op, Op::Ite(..)));
+        assert!(matches!(p.term(chain).op, Op::Bv(BvOp::Sdiv, ..)));
+        let cy = p.bv_mul(c, y);
+        let quotient = p.bv_sdiv(x, cy);
+        assert_eq!(recorded(&mut p, chain), [("sdiv-sdiv", quotient)]);
         assert_eq!(p.law_firings().get("sdiv-sdiv"), Some(&1));
+    }
+
+    #[test]
+    fn guarded_rows_leave_the_operator_to_the_other_rows() {
+        // The power-of-two rows match any operator by a free variable; the
+        // plain operator they keep must still fold in the ring normal form
+        // and match the chain and product rows.
+        let mut p = TermPool::new();
+        let [x, y, c1, c2] = ["x", "y", "C1", "C2"].map(|n| p.var(n, Sort::BitVec(8)));
+        let xc1 = p.bv_mul(x, c1);
+        assert_eq!(p.guarded_rewrites(xc1)[0].law.name, "mul-pow2");
+        let src = p.bv_mul(xc1, c2);
+        let c1c2 = p.bv_mul(c1, c2);
+        let tgt = p.bv_mul(x, c1c2);
+        let e = p.eq(src, tgt);
+        assert_eq!(p.as_bool_const(e), Some(true), "(x·C1)·C2 = x·(C1·C2)");
+        let inner = p.bv_udiv(x, c1);
+        // The guard and the right-hand side are the terms a precondition
+        // `isPowerOf2(C1)` and a target `lshr x, log2(C1)` build.
+        let pow2 = p.is_power_of_two(c1, false);
+        assert_eq!(p.guarded_rewrites(inner)[0].guard, pow2);
+        let log2 = p.log2(c1);
+        let shifted = p.bv_lshr(x, log2);
+        assert_eq!(recorded(&mut p, inner), [("udiv-pow2", shifted)]);
+        let chain = p.bv_udiv(inner, c2);
+        assert_eq!(recorded(&mut p, chain), [("udiv-udiv", p.bv_udiv(x, c1c2))]);
+        let xy = p.bv_mul(x, y);
+        let q = p.bv_udiv(xy, y);
+        assert_eq!(recorded(&mut p, q), [("udiv-mul", x)]);
+    }
+
+    #[test]
+    fn a_guarded_law_records_each_operand_order() {
+        // `mul C, x` with `C` interned first: `mul-pow2` must record the
+        // rewrite under `isPowerOf2(C)`, not only under `isPowerOf2(x)`.
+        let mut p = TermPool::new();
+        let [c, x] = ["C", "x"].map(|n| p.var(n, Sort::BitVec(8)));
+        let t = p.bv_mul(c, x);
+        assert!(matches!(p.term(t).op, Op::Bv(BvOp::Mul, ..)));
+        let guards: Vec<TermId> = p.guarded_rewrites(t).iter().map(|r| r.guard).collect();
+        let pow2 = [x, c].map(|v| p.is_power_of_two(v, false));
+        assert_eq!(guards, pow2);
+        let [log2_x, log2_c] = [x, c].map(|v| p.log2(v));
+        let want = [
+            ("mul-pow2", p.bv_shl(c, log2_x)),
+            ("mul-pow2", p.bv_shl(x, log2_c)),
+        ];
+        assert_eq!(recorded(&mut p, t), want);
+        assert_eq!(p.law_firings().get("mul-pow2"), Some(&1));
+    }
+
+    #[test]
+    fn a_guard_that_folds_acts_at_once() {
+        // `udiv (udiv x c), y` over constants: the guard folds, to true
+        // where c·y does not wrap (the term is the rewrite) and to false
+        // where it does (the plain term, with nothing recorded).
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::BitVec(8));
+        let [two, three, c200, six] = [2, 3, 200, 6].map(|k| p.bv(8, k));
+        let half = p.bv_udiv(x, two);
+        let q = p.bv_udiv(half, three);
+        assert_eq!(q, p.bv_udiv(x, six));
+        let q = p.bv_udiv(half, c200);
+        assert!(matches!(p.term(q).op, Op::Bv(BvOp::Udiv, a, _) if a == half));
+        assert!(p.guarded_rewrites(q).is_empty());
+        assert_eq!(p.law_firings().get("udiv-udiv"), Some(&1));
     }
 
     #[test]
@@ -1741,10 +1975,20 @@ mod tests {
     #[test]
     fn a_chain_of_selects_grows_linearly() {
         // Each link multiplies a select of a computed value and a free
-        // variable by a free variable: the law binds free variables only,
-        // so it fires on the first link alone and every link adds a
-        // bounded number of terms.
+        // variable by a free variable: the select law binds free variables
+        // only, so it fires on the first link alone, and every link adds a
+        // bounded number of terms. Each product by a free variable also
+        // records a `mul-pow2` rewrite, which builds its guard and nothing
+        // else.
         let depth = 32;
+        let guard = {
+            let mut q = TermPool::new();
+            let v = q.var("v", Sort::BitVec(8));
+            let len = q.len();
+            q.is_power_of_two(v, false);
+            q.len() - len
+        };
+        let cap = 8 + guard;
         let mut p = TermPool::new();
         let mut acc = p.var("x", Sort::BitVec(8));
         let mut sizes = Vec::new();
@@ -1756,9 +2000,19 @@ mod tests {
             sizes.push(p.len());
         }
         let growth: Vec<usize> = sizes.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(growth.iter().all(|&g| g <= 8), "{growth:?}");
+        assert!(growth.iter().all(|&g| g <= cap), "{growth:?}, cap {cap}");
         assert_eq!(p.law_firings().get("mul-ite"), Some(&1));
-        assert!(p.len() <= 8 * depth, "{} terms", p.len());
+        assert_eq!(p.law_firings().get("mul-pow2"), Some(&(depth as u64 + 1)));
+        assert!(p.len() <= cap * depth, "{} terms", p.len());
+    }
+
+    /// The law and the right-hand side of each rewrite recorded for `lhs`.
+    fn recorded(p: &mut TermPool, lhs: TermId) -> Vec<(&'static str, TermId)> {
+        let rewrites = p.guarded_rewrites(lhs).to_vec();
+        rewrites
+            .iter()
+            .map(|r| (r.law.name, p.rewrite_rhs(r)))
+            .collect()
     }
 
     impl TermPool {

@@ -16,9 +16,11 @@
 //! select law's last variable only at the edge values), to the `BvVal`
 //! method applied to the operands' values (computed here from the shape,
 //! not by the pool); an unguarded law's instance must never stay the
-//! plain operator term, a guarded law must keep that term as its else
-//! branch and its guard must be false somewhere, and every law must fire
-//! at one width or more. The law names are pinned. The fold
+//! plain operator term; a guarded law that fires without folding its
+//! guard must keep the plain term and record its rewrite, whose
+//! right-hand side must take that value wherever the guard holds, and the
+//! guard must be false somewhere; and every law must fire at one width or
+//! more. The law names are pinned. The fold
 //! rows, the unguarded laws over one symbolic operand and constants, are
 //! also checked on their own: each instance must fold away from its
 //! operator and keep the value at every value of the operand.
@@ -215,7 +217,7 @@ fn variables(s: Shape, used: &mut Vec<u8>) {
     match s {
         Shape::Var(i) | Shape::Leaf(i) if !used.contains(&i) => used.push(i),
         Shape::Var(_) | Shape::Leaf(_) | Shape::Const(_) | Shape::Bool(_) => {}
-        Shape::Not(a) | Shape::Neg(a) | Shape::Zext2(a) => variables(*a, used),
+        Shape::Not(a) | Shape::Neg(a) | Shape::Zext2(a) | Shape::Log2(a) => variables(*a, used),
         Shape::Ite(c, a, b) => {
             variables(*c, used);
             variables(*a, used);
@@ -256,7 +258,8 @@ fn instance(p: &mut TermPool, s: Shape, vars: &[TermId; 4], w: u32) -> TermId {
         | Shape::Ne(..)
         | Shape::And(..)
         | Shape::Or(..)
-        | Shape::Zext2(_) => panic!("{s:?} on a left-hand side"),
+        | Shape::Zext2(_)
+        | Shape::Log2(_) => panic!("{s:?} on a left-hand side"),
     }
 }
 
@@ -275,7 +278,8 @@ fn value(s: Shape, vals: &[Value; 4], w: u32) -> Value {
         | Shape::Ne(..)
         | Shape::And(..)
         | Shape::Or(..)
-        | Shape::Zext2(_) => panic!("{s:?} on a left-hand side"),
+        | Shape::Zext2(_)
+        | Shape::Log2(_) => panic!("{s:?} on a left-hand side"),
     }
 }
 
@@ -335,15 +339,22 @@ fn every_law_fires_and_keeps_the_value() {
             "add-ite",
             "sub-self",
             "sub-zero",
+            "sub-from-zero",
             "mul-zero",
             "mul-one",
+            "mul-ones",
             "mul-ite",
+            "mul-pow2",
+            "udiv-self",
             "udiv-one",
             "udiv-shl",
             "udiv-udiv",
             "udiv-mul",
+            "udiv-pow2",
             "urem-self",
             "urem-one",
+            "urem-pow2",
+            "sdiv-self",
             "sdiv-one",
             "sdiv-ones",
             "sdiv-neg",
@@ -400,20 +411,26 @@ fn every_law_fires_and_keeps_the_value() {
                         if o == op && ((x, y) == (l, r) || (y, x) == (l, r)))
                 };
                 // A row earlier in the table may take the instance (at i1,
-                // 1 = ones), but no instance stays the plain term unless a
-                // guard keeps it as the else branch.
-                let guard = match (law.guard, &p.term(t).op) {
-                    (Some(_), &Op::Ite(g, _, e)) if fired => {
-                        assert!(plain(e), "{at}: else branch {}", p.display(e));
-                        Some(g)
+                // 1 = ones), and a guard that folds rewrites at once or
+                // not at all; otherwise an unguarded law never leaves the
+                // plain term and a guarded one keeps it with its rewrites,
+                // one per operand order that matched.
+                let rewrites: Vec<(TermId, TermId)> = match law.guard {
+                    Some(_) if fired && plain(t) => {
+                        let recorded = p.guarded_rewrites(t).to_vec();
+                        assert!(
+                            !recorded.is_empty() && recorded.iter().all(|r| r.law.name == law.name),
+                            "{at}: recorded {recorded:?}"
+                        );
+                        recorded
+                            .iter()
+                            .map(|r| (r.guard, p.rewrite_rhs(r)))
+                            .collect()
                     }
-                    (Some(_), _) => {
-                        assert!(!fired, "{at}: guarded law built {}", p.display(t));
-                        None
-                    }
-                    (None, _) => {
+                    Some(_) => vec![],
+                    None => {
                         assert!(!plain(t), "{at}: did not fire");
-                        None
+                        vec![]
                     }
                 };
                 let mut env = Assignment::new();
@@ -423,8 +440,13 @@ fn every_law_fires_and_keeps_the_value() {
                     }
                     let want = method(value(sl, &vals, w).as_bv(), value(sr, &vals, w).as_bv());
                     assert_eq!(eval(&p, t, &env).unwrap(), want, "{at} at {vals:?}");
-                    if let Some(g) = guard.filter(|_| !guard_false) {
-                        guard_false = eval(&p, g, &env).unwrap() == Value::Bool(false);
+                    for &(guard, rhs) in &rewrites {
+                        if eval(&p, guard, &env).unwrap() == Value::Bool(true) {
+                            let got = eval(&p, rhs, &env).unwrap();
+                            assert_eq!(got, want, "{at}: {} at {vals:?}", p.display(rhs));
+                        } else {
+                            guard_false = true;
+                        }
                     }
                 }
             }

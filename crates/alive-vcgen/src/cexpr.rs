@@ -116,7 +116,7 @@ fn encode_cfun(
     match name {
         "log2" => {
             let v = encode_cexpr(pool, expr_arg(args, 0, name)?, width, env)?;
-            Ok(log2_term(pool, v))
+            Ok(pool.log2(v))
         }
         "abs" => {
             let v = encode_cexpr(pool, expr_arg(args, 0, name)?, width, env)?;
@@ -161,21 +161,6 @@ fn encode_cfun(
         }
         other => Err(eerr(format!("unknown constant function {other}()"))),
     }
-}
-
-/// Floor-log2 of a bitvector as a nested-ite term (0 for input 0).
-pub fn log2_term(pool: &mut TermPool, v: TermId) -> TermId {
-    let w = pool.width(v);
-    let mut acc = pool.bv(w, 0);
-    // From LSB to MSB so the highest set bit wins.
-    for i in 0..w {
-        let bit = pool.extract(v, i, i);
-        let one1 = pool.bv(1, 1);
-        let set = pool.eq(bit, one1);
-        let k = pool.bv(w, i as u128);
-        acc = pool.ite(set, k, acc);
-    }
-    acc
 }
 
 /// Count-trailing-zeros term (width for input 0).
@@ -349,11 +334,11 @@ fn encode_pred_fun(
         match name {
             "isPowerOf2" => {
                 let v = arg_value(pool, args, 0, w, env, name)?;
-                Ok(is_power_of_two_term(pool, v, false))
+                Ok(pool.is_power_of_two(v, false))
             }
             "isPowerOf2OrZero" => {
                 let v = arg_value(pool, args, 0, w, env, name)?;
-                Ok(is_power_of_two_term(pool, v, true))
+                Ok(pool.is_power_of_two(v, true))
             }
             "isSignBit" => {
                 let v = arg_value(pool, args, 0, w, env, name)?;
@@ -487,22 +472,6 @@ fn encode_pred_fun(
     }
 }
 
-/// `v != 0 && (v & (v-1)) == 0`, optionally allowing zero.
-pub fn is_power_of_two_term(pool: &mut TermPool, v: TermId, allow_zero: bool) -> TermId {
-    let w = pool.width(v);
-    let zero = pool.bv(w, 0);
-    let one = pool.bv(w, 1);
-    let vm1 = pool.bv_sub(v, one);
-    let and = pool.bv_and(v, vm1);
-    let no_straggler = pool.eq(and, zero);
-    if allow_zero {
-        no_straggler
-    } else {
-        let nz = pool.ne(v, zero);
-        pool.and2(nz, no_straggler)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,7 +518,7 @@ mod tests {
     fn log2_term_is_floor_log2() {
         let mut pool = TermPool::new();
         let v = pool.var("v", Sort::BitVec(8));
-        let l = log2_term(&mut pool, v);
+        let l = pool.log2(v);
         for (input, expect) in [(1u128, 0u128), (2, 1), (3, 1), (64, 6), (255, 7), (0, 0)] {
             let mut a = Assignment::new();
             a.set(v, BvVal::new(8, input));

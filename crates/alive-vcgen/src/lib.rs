@@ -33,7 +33,5 @@ mod cexpr;
 mod encode;
 pub mod semantics;
 
-pub use cexpr::{
-    encode_cexpr, encode_pred, is_power_of_two_term, log2_term, EncodeError, EncodedPred, NameEnv,
-};
+pub use cexpr::{encode_cexpr, encode_pred, EncodeError, EncodedPred, NameEnv};
 pub use encode::{encode_transform, BaseMemory, MemState, StoreEntry, TemplateEnc, TransformEnc};

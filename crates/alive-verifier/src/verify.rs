@@ -17,12 +17,12 @@ use crate::counterexample::{build_counterexample, Counterexample, FailureKind};
 use alive_ir::{validate, Transform};
 use alive_proof::{Certificate, CertificateMeta, Step};
 use alive_smt::{
-    eval, solve_exists_forall, substitute, Assignment, BvVal, EfConfig, EfResult, EvalError, Op,
-    ProofEvent, ProofTranscript, SolverStats, Sort, TermId, TermPool, Value,
+    eval, solve_exists_forall, substitute, substitute_with, Assignment, BvVal, EfConfig, EfResult,
+    EvalError, Op, ProofEvent, ProofTranscript, SolverStats, Sort, TermId, TermPool, Value,
 };
 use alive_typeck::{enumerate_typings, TypeAssignment, TypeckConfig};
 use alive_vcgen::{encode_transform, TransformEnc};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -342,12 +342,13 @@ fn check_one_typing(
 
     // The negated conditions 1–3 share the existential variables; the
     // memory condition adds the quantified address. Each is ψ ∧ Q with Q
-    // simplified under ψ: every conjunct of ψ inside Q becomes `true`.
-    // Under ψ each conjunct holds, so ψ ∧ Q keeps its value at every
-    // assignment, the universal `undef` variables included. A guard that
-    // ψ asserts then folds (Z3's `ctx-simplify` and Bitwuzla's
-    // preprocessing make rewrites of this class), and a guarded law's
-    // `ite(guard, rhs, lhs)` becomes `rhs`, so `lhs` never reaches the
+    // simplified under ψ: every conjunct of ψ inside Q becomes `true`, and
+    // a guarded law's recorded rewrite of a term in Q is taken where ψ
+    // asserts its guard.
+    // Under ψ each conjunct and each such guard holds, so ψ ∧ Q keeps its
+    // value at every assignment, the universal `undef` variables included
+    // (Z3's `ctx-simplify` and Bitwuzla's preprocessing make rewrites of
+    // this class), and a taken rewrite's plain operator never reaches the
     // blaster.
     // Each check keeps its unsimplified ψ ∧ Q for the concrete
     // re-validation of a model, so no rewrite here can make an Invalid.
@@ -454,19 +455,23 @@ fn check_one_typing(
     for (&law, &n) in pool.law_firings() {
         tracer.counter_with("smt.laws", || law.to_string(), n);
     }
+    for (&law, &n) in &under_psi.taken {
+        tracer.counter_with("smt.psi_laws", || law.to_string(), n);
+    }
     outcome
 }
 
-/// The top-level conjuncts of ψ, each to be replaced by `true`, and the
-/// terms already known to contain none of them.
+/// What ψ lets a negated condition drop: each top-level conjunct of ψ
+/// becomes `true`, and a term with a guarded law's recorded rewrite becomes
+/// that rewrite's right-hand side, with the conjuncts replaced there too,
+/// where the guard is `true` once the conjuncts are.
 struct Assumptions {
     holds: HashMap<TermId, TermId>,
-    /// The smallest conjunct. The pool interns a term's children before
-    /// the term, so a term below it contains no conjunct.
-    floor: TermId,
-    /// Terms walked without reaching a conjunct, kept across conditions:
-    /// ¬δ, ¬ρ and `src ≠ tgt` share most of their subterms.
-    free: HashSet<TermId>,
+    /// The terms with recorded rewrites the conditions reached, and what
+    /// each became (`None`: ψ asserts none of their guards).
+    rewritten: HashMap<TermId, Option<TermId>>,
+    /// The terms rewritten, by law.
+    taken: BTreeMap<&'static str, u64>,
 }
 
 impl Assumptions {
@@ -478,33 +483,46 @@ impl Assumptions {
         };
         let tru = pool.tru();
         Assumptions {
-            floor: conjuncts.iter().copied().min().unwrap_or(psi),
             holds: conjuncts.into_iter().map(|c| (c, tru)).collect(),
-            free: HashSet::new(),
+            rewritten: HashMap::new(),
+            taken: BTreeMap::new(),
         }
     }
 
-    /// `q` with every conjunct of ψ replaced by `true`, or `q` itself, not
-    /// rebuilt, when it contains none.
+    /// `q` simplified under ψ; `q` itself when nothing in it changes. A
+    /// rewrite's right-hand side is built only when it is taken.
     fn apply(&mut self, pool: &mut TermPool, q: TermId) -> TermId {
         if self.holds.is_empty() {
             return q;
         }
-        let mut seen = HashSet::new();
-        let mut stack = vec![q];
-        while let Some(t) = stack.pop() {
-            if t < self.floor || self.free.contains(&t) {
-                continue;
+        let Assumptions {
+            holds,
+            rewritten,
+            taken,
+        } = self;
+        substitute_with(pool, q, |pool, t| {
+            if let Some(&r) = holds.get(&t) {
+                return Some(r);
             }
-            if self.holds.contains_key(&t) {
-                return substitute(pool, q, &self.holds);
+            if let Some(&r) = rewritten.get(&t) {
+                return r;
             }
-            if seen.insert(t) {
-                stack.extend(pool.term(t).op.children());
+            let rewrites = pool.guarded_rewrites(t).to_vec();
+            if rewrites.is_empty() {
+                return None;
             }
-        }
-        self.free.extend(seen);
-        q
+            let tru = pool.tru();
+            let taken_rewrite = rewrites
+                .into_iter()
+                .find(|r| substitute(pool, r.guard, holds) == tru);
+            let r = taken_rewrite.map(|rewrite| {
+                *taken.entry(rewrite.law.name).or_insert(0) += 1;
+                let rhs = pool.rewrite_rhs(&rewrite);
+                substitute(pool, rhs, holds)
+            });
+            rewritten.insert(t, r);
+            r
+        })
     }
 }
 
@@ -792,7 +810,7 @@ mod tests {
     /// Does a `bvudiv` term occur in `root`?
     fn has_udiv(pool: &TermPool, root: TermId) -> bool {
         let mut stack = vec![root];
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         while let Some(t) = stack.pop() {
             if matches!(pool.term(t).op, Op::Bv(alive_smt::BvOp::Udiv, ..)) {
                 return true;
@@ -806,9 +824,9 @@ mod tests {
 
     #[test]
     fn the_value_condition_under_psi_has_no_plain_divider() {
-        // `udiv-mul` builds `ite(guard, x, udiv (x·y), y)`; ψ asserts the
-        // guard's conjuncts (`y ≠ 0` and the `mul nuw` form), so under ψ
-        // the condition keeps no divider and folds to false.
+        // `udiv-mul` records `udiv (x·y), y → x` under its guard; ψ asserts
+        // the guard's conjuncts (`y ≠ 0` and the `mul nuw` form), so under
+        // ψ the condition keeps no divider and folds to false.
         let entry = alive_suite::by_name("MulDivRem:MulNuwThenUdiv").unwrap();
         let typings = enumerate_typings(&entry.transform, &TypeckConfig::fast()).unwrap();
         for typing in &typings {
@@ -834,9 +852,92 @@ mod tests {
         let len = pool.len();
         assert_eq!(under_psi.apply(&mut pool, q), q);
         assert_eq!(pool.len(), len, "nothing rebuilt");
-        assert!(under_psi.free.contains(&q));
         let nq = pool.and2(psi, q);
         assert_eq!(under_psi.apply(&mut pool, nq), q);
+    }
+
+    #[test]
+    fn a_rewrite_is_taken_only_where_psi_asserts_its_guard() {
+        // `udiv x, C` records `lshr x, log2 C` under `isPowerOf2(C)`: with
+        // that precondition the value condition folds to false, without it
+        // the divider stays and nothing is taken.
+        let mut pool = TermPool::new();
+        let [x, c] = ["x", "C"].map(|n| pool.var(n, Sort::BitVec(8)));
+        let zero = pool.bv(8, 0);
+        let defined = pool.ne(c, zero);
+        let pow2 = pool.is_power_of_two(c, false);
+        let psi = pool.and2(pow2, defined);
+        let mut without = Assumptions::new(&mut pool, defined);
+        let mut with = Assumptions::new(&mut pool, psi);
+        // Terms built after the assumptions are simplified too.
+        let q = pool.bv_udiv(x, c);
+        let log2 = pool.log2(c);
+        let shifted = pool.bv_lshr(x, log2);
+        let neq = pool.ne(q, shifted);
+        let kept = without.apply(&mut pool, neq);
+        assert!(has_udiv(&pool, kept), "{}", pool.display(kept));
+        assert!(without.taken.is_empty());
+        let assumed = with.apply(&mut pool, neq);
+        assert_eq!(pool.as_bool_const(assumed), Some(false));
+        assert_eq!(with.taken.get("udiv-pow2"), Some(&1));
+        // A rewrite counts where it replaces a term, once per term.
+        let rem = pool.bv_urem(x, c);
+        assert_eq!(with.apply(&mut pool, neq), assumed);
+        assert_eq!(with.taken.len(), 1, "{:?}", with.taken);
+        let rem_ne = pool.ne(rem, zero);
+        with.apply(&mut pool, rem_ne);
+        assert_eq!(with.taken.get("urem-pow2"), Some(&1));
+    }
+
+    #[test]
+    fn a_product_by_a_power_of_two_is_rewritten_in_either_order() {
+        // `mul C, x` with `C` interned first binds `x` as the power of two
+        // in one operand order; ψ asserts `isPowerOf2(C)`, the other one.
+        let mut pool = TermPool::new();
+        let [c, x] = ["C", "x"].map(|n| pool.var(n, Sort::BitVec(8)));
+        let psi = pool.is_power_of_two(c, false);
+        let product = pool.bv_mul(c, x);
+        let log2 = pool.log2(c);
+        let shifted = pool.bv_shl(x, log2);
+        let neq = pool.ne(product, shifted);
+        let mut under_psi = Assumptions::new(&mut pool, psi);
+        let assumed = under_psi.apply(&mut pool, neq);
+        assert_eq!(
+            pool.as_bool_const(assumed),
+            Some(false),
+            "{}",
+            pool.display(assumed)
+        );
+        assert_eq!(under_psi.taken.get("mul-pow2"), Some(&1));
+    }
+
+    #[test]
+    fn rebuilding_a_corpus_condition_keeps_its_id() {
+        // A substitution that changes nothing below a term keeps the term,
+        // so rebuilding each fast-profile condition through an empty map
+        // returns it, and builds nothing.
+        let mut checked = 0;
+        for entry in alive_suite::full_corpus() {
+            let Ok(typings) = enumerate_typings(&entry.transform, &TypeckConfig::fast()) else {
+                continue;
+            };
+            for typing in &typings {
+                let mut pool = TermPool::new();
+                let enc = encode_transform(&mut pool, &entry.transform, typing).unwrap();
+                let psi = enc.psi(&mut pool);
+                let not_def = pool.not(enc.tgt.defined[&enc.root]);
+                let not_poison = pool.not(enc.tgt.poison_free[&enc.root]);
+                let neq = pool.ne(enc.src.values[&enc.root], enc.tgt.values[&enc.root]);
+                let len = pool.len();
+                for q in [psi, not_def, not_poison, neq] {
+                    let rebuilt = substitute(&mut pool, q, &HashMap::new());
+                    assert_eq!(rebuilt, q, "{}: {}", entry.name, pool.display(q));
+                }
+                assert_eq!(pool.len(), len, "{}", entry.name);
+                checked += 1;
+            }
+        }
+        assert!(checked > 224, "{checked} typings");
     }
 
     fn check_certified(src: &str) -> (Verdict, VerifyStats, Vec<Certificate>) {
