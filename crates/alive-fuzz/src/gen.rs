@@ -5,7 +5,7 @@
 //! carry explicit `iN` annotations, so type enumeration stays small and the
 //! paranoid oracle can afford to brute-force the result. Templates are
 //! built as expression trees emitted in post-order, which satisfies the
-//! SSA/scoping rules of [`alive_ir::validate`] by construction:
+//! SSA/scoping rules of [`alive_ir::validate()`] by construction:
 //!
 //! * every temporary is defined before its (unique) use,
 //! * the root is the last source statement,
@@ -363,7 +363,7 @@ fn annotate(op: Operand, w: u32) -> Operand {
 
 /// Generates one random, well-formed transform.
 ///
-/// The result always passes [`alive_ir::validate`]; a debug assertion
+/// The result always passes [`alive_ir::validate()`]; a debug assertion
 /// enforces this, and the fuzz driver re-checks in release builds.
 pub fn gen_transform(rng: &mut StdRng, cfg: &GenConfig) -> Transform {
     let root_width = rng.gen_range(1..=cfg.max_width);

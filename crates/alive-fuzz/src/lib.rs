@@ -3,13 +3,13 @@
 //! This crate turns the verifier on itself:
 //!
 //! * [`gen`] — a seeded generator of well-typed random transforms;
-//! * [`lower`] — lowering of a typed transform to the mini-LLVM IR so the
+//! * [`mod@lower`] — lowering of a typed transform to the mini-LLVM IR so the
 //!   concrete interpreter can execute it;
 //! * [`oracle`] — the paranoid differential oracle: SAT counterexamples
 //!   replayed concretely, UNSAT answers re-checked against their
 //!   refutation certificates, and small-width verdicts cross-checked by
 //!   brute-force enumeration;
-//! * [`minimize`] — a delta-debugging minimizer that shrinks a failing
+//! * [`mod@minimize`] — a delta-debugging minimizer that shrinks a failing
 //!   transform while preserving its failure signature;
 //! * [`corpus`] — a crash corpus with failure-signature dedup;
 //! * [`fuzz`] — the driver tying it all together (`alive fuzz`).

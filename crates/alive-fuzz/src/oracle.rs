@@ -10,7 +10,7 @@
 //! * **Brute force** — at small widths the entire input space is
 //!   enumerable. For each type assignment, every point of the input/
 //!   constant space is executed through the concrete interpreter in
-//!   `alive-opt` (via [`crate::lower`]) and checked against the paper's
+//!   `alive-opt` (via [`crate::lower()`]) and checked against the paper's
 //!   refinement conditions: under ψ (precondition ∧ source defined ∧
 //!   source poison-free), the target must be defined, poison-free, and
 //!   equal to the source. A `Valid` verdict with a concrete violation, or

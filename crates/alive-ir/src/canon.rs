@@ -81,8 +81,8 @@ const MAX_ORBIT_BITS: usize = 8;
 /// `add %y, %x` can land on *different* fixed points when `%x` and `%y`
 /// play asymmetric roles elsewhere. The canonical form is instead the
 /// lexicographically **minimal printed text over the commutation orbit**:
-/// each choice of operand order over the commutative sites (up to
-/// [`MAX_ORBIT_BITS`] sites) is alpha-renamed and structurally
+/// each choice of operand order over the commutative sites (up to eight
+/// sites, `MAX_ORBIT_BITS`) is alpha-renamed and structurally
 /// normalized, and the smallest text wins. The orbit of a transform and
 /// of any commuted variant are the same candidate set, so the minimum —
 /// and hence the hash — agrees.

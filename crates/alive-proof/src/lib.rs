@@ -8,7 +8,7 @@
 //! purpose is to remove trust from hand-reasoned compiler transforms.
 //!
 //! This crate removes the solver from the trusted base. The solver, when
-//! asked (see `alive_sat::Solver::set_proof_logger`), emits a DRAT-style
+//! asked (see `alive_sat::Solver::enable_proof_log`), emits a DRAT-style
 //! transcript of its run: the original clauses, every clause it learned, and
 //! every clause it deleted. For unsatisfiable formulas the transcript ends
 //! with the empty clause and constitutes a *refutation proof* that this

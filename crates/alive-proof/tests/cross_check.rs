@@ -2,11 +2,11 @@
 //! accepted by the independent checker, and mutations of them rejected.
 //!
 //! These tests are the contract between `alive-sat`'s proof logging and
-//! `alive-proof`'s checking: every Unsat answer the solver gives without
-//! assumptions must come with a transcript the checker accepts.
+//! `alive-proof`'s checking: every Unsat answer the solver gives must come
+//! with a transcript the checker accepts.
 
 use alive_proof::{check_refutation, CheckError, Step};
-use alive_sat::{Lit, ProofEvent, SharedDratRecorder, SolveResult, Solver, Var};
+use alive_sat::{Lit, ProofEvent, SolveResult, Solver, Var};
 
 /// Converts a solver transcript into checker steps.
 fn to_steps(events: &[ProofEvent]) -> Vec<Step> {
@@ -20,12 +20,11 @@ fn to_steps(events: &[ProofEvent]) -> Vec<Step> {
         .collect()
 }
 
-/// Builds a solver with proof logging installed.
-fn logging_solver() -> (Solver, SharedDratRecorder) {
-    let handle = SharedDratRecorder::new();
+/// Builds a solver with its proof log on.
+fn logging_solver() -> Solver {
     let mut solver = Solver::new();
-    solver.set_proof_logger(Some(Box::new(handle.clone())));
-    (solver, handle)
+    solver.enable_proof_log();
+    solver
 }
 
 /// Encodes the pigeonhole principle PHP(n+1, n) — always unsatisfiable.
@@ -48,10 +47,10 @@ fn pigeonhole(solver: &mut Solver, pigeons: usize, holes: usize) {
 #[test]
 fn pigeonhole_transcripts_check() {
     for n in 2..=5 {
-        let (mut solver, handle) = logging_solver();
+        let mut solver = logging_solver();
         pigeonhole(&mut solver, n + 1, n);
         assert_eq!(solver.solve(), SolveResult::Unsat, "php({}, {n})", n + 1);
-        let steps = to_steps(&handle.snapshot());
+        let steps = to_steps(solver.proof());
         let num_vars = solver.num_vars();
         let report = check_refutation(num_vars, &steps)
             .unwrap_or_else(|e| panic!("php({}, {n}) transcript rejected: {e}", n + 1));
@@ -64,11 +63,11 @@ fn transcript_across_clause_db_reductions_checks() {
     // PHP(8, 7) takes thousands of conflicts, enough for several
     // learned-clause reductions and arena compactions: the transcript's
     // deletions must name exactly the clauses the solver dropped.
-    let (mut solver, handle) = logging_solver();
+    let mut solver = logging_solver();
     pigeonhole(&mut solver, 8, 7);
     assert_eq!(solver.solve(), SolveResult::Unsat);
     assert!(solver.stats().deleted_clauses > 0, "no clause was deleted");
-    let steps = to_steps(&handle.snapshot());
+    let steps = to_steps(solver.proof());
     assert!(steps.iter().any(|s| matches!(s, Step::Delete(_))));
     let report = check_refutation(solver.num_vars(), &steps)
         .unwrap_or_else(|e| panic!("php(8, 7) transcript rejected: {e}"));
@@ -103,7 +102,7 @@ fn random_unsat_cnf_transcripts_check() {
     for _ in 0..40 {
         let num_vars = 12 + rng.below(8) as usize;
         let num_clauses = num_vars * 26 / 5;
-        let (mut solver, handle) = logging_solver();
+        let mut solver = logging_solver();
         let vars: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
         for _ in 0..num_clauses {
             let mut clause = Vec::with_capacity(3);
@@ -118,12 +117,12 @@ fn random_unsat_cnf_transcripts_check() {
         match solver.solve() {
             SolveResult::Unsat => {
                 refuted += 1;
-                let steps = to_steps(&handle.snapshot());
+                let steps = to_steps(solver.proof());
                 check_refutation(num_vars, &steps)
                     .unwrap_or_else(|e| panic!("random transcript rejected: {e}"));
             }
             SolveResult::Sat => {
-                assert!(!handle.has_refutation());
+                assert!(!solver.proof().iter().any(ProofEvent::is_refutation));
             }
             SolveResult::Unknown => unreachable!("no budget configured"),
         }
@@ -135,7 +134,7 @@ fn random_unsat_cnf_transcripts_check() {
 fn incremental_transcripts_check() {
     // Clauses added between solve calls land in the same transcript, and
     // the final refutation covers the accumulated formula.
-    let (mut solver, handle) = logging_solver();
+    let mut solver = logging_solver();
     let a = solver.new_var();
     let b = solver.new_var();
     let c = solver.new_var();
@@ -146,16 +145,16 @@ fn incremental_transcripts_check() {
     assert_eq!(solver.solve(), SolveResult::Sat);
     solver.add_clause([c.negative()]);
     assert_eq!(solver.solve(), SolveResult::Unsat);
-    let steps = to_steps(&handle.snapshot());
+    let steps = to_steps(solver.proof());
     assert!(check_refutation(solver.num_vars(), &steps).is_ok());
 }
 
 #[test]
 fn mutated_solver_transcripts_are_rejected() {
-    let (mut solver, handle) = logging_solver();
+    let mut solver = logging_solver();
     pigeonhole(&mut solver, 5, 4);
     assert_eq!(solver.solve(), SolveResult::Unsat);
-    let steps = to_steps(&handle.snapshot());
+    let steps = to_steps(solver.proof());
     let num_vars = solver.num_vars();
     assert!(check_refutation(num_vars, &steps).is_ok());
 
@@ -220,7 +219,7 @@ fn deletion_heavy_transcripts_check() {
     // Force clause-database reductions so Deleted events appear, then make
     // the formula unsat and validate the full transcript.
     let mut rng = XorShift(0xdead_beef_0bad_cafe);
-    let (mut solver, handle) = logging_solver();
+    let mut solver = logging_solver();
     let num_vars = 60;
     let vars: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
     // A hard-ish satisfiable portion to generate learning and reduction…
@@ -244,7 +243,7 @@ fn deletion_heavy_transcripts_check() {
         }
     }
     assert_eq!(solver.solve(), SolveResult::Unsat);
-    let steps = to_steps(&handle.snapshot());
+    let steps = to_steps(solver.proof());
     assert!(check_refutation(num_vars, &steps).is_ok());
 }
 
@@ -259,7 +258,7 @@ fn binary_heavy_transcripts_check() {
     let (mut refuted, mut satisfied) = (0, 0);
     for _ in 0..40 {
         let n = 20 + rng.below(16) as usize;
-        let (mut solver, handle) = logging_solver();
+        let mut solver = logging_solver();
         let chains: Vec<Vec<Var>> = (0..n)
             .map(|_| (0..4).map(|_| solver.new_var()).collect())
             .collect();
@@ -288,7 +287,7 @@ fn binary_heavy_transcripts_check() {
         match solver.solve() {
             SolveResult::Unsat => {
                 refuted += 1;
-                let steps = to_steps(&handle.snapshot());
+                let steps = to_steps(solver.proof());
                 check_refutation(solver.num_vars(), &steps)
                     .unwrap_or_else(|e| panic!("binary-heavy transcript rejected: {e}"));
             }

@@ -10,14 +10,13 @@
 //! healthy query.
 //!
 //! Plans are written `site:kind@n` (1-based), comma-separated:
-//! `sat:panic@3,sat:hang@7`. Sites are `sat` (every
-//! `Solver::solve_with_assumptions`), `smt` (every `SmtSolver` check),
-//! `store` (every verdict-store append), and `serve` (every daemon
-//! verify/batch request). Kinds are `unknown`, `panic`, `hang`,
-//! `hang-hard`, `corrupt-model`, `io-error`, and `torn` — the last two
-//! model disk/socket failures and only make sense at the `store`/`serve`
-//! sites, where the handlers map them to a failed or half-completed
-//! write.
+//! `sat:panic@3,sat:hang@7`. Sites are `sat` (every `Solver::solve`, so
+//! every `SmtSolver::check` that reaches the SAT solver), `store` (every
+//! verdict-store append), and `serve` (every daemon verify/batch request).
+//! Kinds are `unknown`, `panic`, `hang`, `hang-hard`, `corrupt-model`,
+//! `io-error`, and `torn` — the last two model disk/socket failures and
+//! only make sense at the `store`/`serve` sites, where the handlers map
+//! them to a failed or half-completed write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -52,10 +51,8 @@ pub enum FaultKind {
 /// Which layer's query counter a fault is keyed to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultSite {
-    /// `alive-sat`: one count per `solve`/`solve_with_assumptions` call.
+    /// `alive-sat`: one count per `solve` call.
     Sat,
-    /// `alive-smt`: one count per `check` call.
-    Smt,
     /// `alive-verifier::store`: one count per verdict-store append.
     Store,
     /// `alive-serve`: one count per daemon `verify`/`batch` request.
@@ -98,7 +95,6 @@ impl FailurePlan {
                 .ok_or_else(|| format!("fault '{part}': expected site:kind@n"))?;
             let site = match site_s {
                 "sat" => FaultSite::Sat,
-                "smt" => FaultSite::Smt,
                 "store" => FaultSite::Store,
                 "serve" => FaultSite::Serve,
                 other => return Err(format!("fault '{part}': unknown site '{other}'")),
@@ -130,7 +126,6 @@ impl FailurePlan {
 
 static PLAN: Mutex<Option<FailurePlan>> = Mutex::new(None);
 static SAT_QUERIES: AtomicU64 = AtomicU64::new(0);
-static SMT_QUERIES: AtomicU64 = AtomicU64::new(0);
 static STORE_QUERIES: AtomicU64 = AtomicU64::new(0);
 static SERVE_QUERIES: AtomicU64 = AtomicU64::new(0);
 
@@ -140,7 +135,6 @@ static SERVE_QUERIES: AtomicU64 = AtomicU64::new(0);
 pub fn install(plan: Option<FailurePlan>) {
     let mut slot = PLAN.lock().unwrap_or_else(|e| e.into_inner());
     SAT_QUERIES.store(0, Ordering::SeqCst);
-    SMT_QUERIES.store(0, Ordering::SeqCst);
     STORE_QUERIES.store(0, Ordering::SeqCst);
     SERVE_QUERIES.store(0, Ordering::SeqCst);
     *slot = plan;
@@ -154,7 +148,6 @@ pub fn fire(site: FaultSite) -> Option<FaultKind> {
     let plan = slot.as_ref()?;
     let counter = match site {
         FaultSite::Sat => &SAT_QUERIES,
-        FaultSite::Smt => &SMT_QUERIES,
         FaultSite::Store => &STORE_QUERIES,
         FaultSite::Serve => &SERVE_QUERIES,
     };
@@ -169,7 +162,6 @@ pub fn fire(site: FaultSite) -> Option<FaultKind> {
 pub fn queries_seen(site: FaultSite) -> u64 {
     match site {
         FaultSite::Sat => SAT_QUERIES.load(Ordering::SeqCst),
-        FaultSite::Smt => SMT_QUERIES.load(Ordering::SeqCst),
         FaultSite::Store => STORE_QUERIES.load(Ordering::SeqCst),
         FaultSite::Serve => SERVE_QUERIES.load(Ordering::SeqCst),
     }
@@ -206,7 +198,7 @@ mod tests {
 
     #[test]
     fn plan_parsing_round_trips() {
-        let plan = FailurePlan::parse("sat:panic@3, smt:corrupt-model@1,sat:hang@9").unwrap();
+        let plan = FailurePlan::parse("sat:panic@3, sat:corrupt-model@1,sat:hang@9").unwrap();
         assert_eq!(
             plan.faults,
             vec![
@@ -216,7 +208,7 @@ mod tests {
                     at: 3
                 },
                 Fault {
-                    site: FaultSite::Smt,
+                    site: FaultSite::Sat,
                     kind: FaultKind::CorruptModel,
                     at: 1
                 },
@@ -238,6 +230,7 @@ mod tests {
             "sat:oops@1",
             "sat:panic@0",
             "disk:panic@1",
+            "smt:panic@1",
         ] {
             assert!(FailurePlan::parse(bad).is_err(), "{bad}");
         }

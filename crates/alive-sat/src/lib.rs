@@ -19,13 +19,15 @@
 //! * VSIDS branching with phase saving,
 //! * Luby-sequence restarts,
 //! * activity-based learned-clause database reduction,
-//! * incremental solving under assumptions with unsat-core extraction, and
+//! * incremental clause addition between `solve` calls,
+//! * an optional DRAT-style proof log ([`Solver::enable_proof_log`]) whose
+//!   refutations the `alive-proof` crate re-checks, and
 //! * a resource governor ([`Budget`]/[`CancelToken`]) polled throughout the
 //!   search loop, so deadlines, the conflict limit, and cooperative
 //!   cancellation all degrade a solve to [`SolveResult::Unknown`] (with the
 //!   cause in [`Solver::exhaustion`]) instead of running away.
 //!
-//! With the `fault-injection` feature the [`fault`] module adds
+//! With the `fault-injection` feature the `fault` module adds
 //! deterministic failure hooks used by resilience tests.
 //!
 //! # Examples
@@ -60,7 +62,7 @@ mod solver;
 
 pub use budget::{Budget, CancelToken, Exhaustion};
 pub use lit::{LBool, Lit, Var};
-pub use proof::{DratRecorder, ProofEvent, ProofLogger, SharedDratRecorder};
+pub use proof::ProofEvent;
 pub use solver::{SolveResult, Solver, SolverStats};
 
 // Re-exported so callers can install a tracer without depending on

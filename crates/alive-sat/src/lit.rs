@@ -89,12 +89,6 @@ impl Lit {
         self.0 as usize
     }
 
-    /// Reconstructs a literal from [`Lit::code`].
-    #[inline]
-    pub fn from_code(code: usize) -> Lit {
-        Lit(code as u32)
-    }
-
     /// The DIMACS representation of this literal: `±(index + 1)`.
     ///
     /// Proof transcripts use this convention so they are meaningful without
@@ -107,18 +101,6 @@ impl Lit {
         } else {
             -magnitude
         }
-    }
-
-    /// Reconstructs a literal from its DIMACS representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0`, which DIMACS reserves as a clause terminator.
-    #[inline]
-    pub fn from_dimacs(d: i32) -> Lit {
-        assert_ne!(d, 0, "0 is the DIMACS clause terminator, not a literal");
-        let var = Var(d.unsigned_abs() - 1);
-        var.lit(d > 0)
     }
 }
 
@@ -159,22 +141,6 @@ pub enum LBool {
 }
 
 impl LBool {
-    /// Converts a concrete boolean.
-    #[inline]
-    pub fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
-    /// `true` if assigned (either polarity).
-    #[inline]
-    pub fn is_assigned(self) -> bool {
-        !matches!(self, LBool::Undef)
-    }
-
     /// Negation; `Undef` stays `Undef`.
     #[inline]
     pub fn negate(self) -> LBool {
@@ -209,7 +175,7 @@ mod tests {
         assert!(!v.negative().is_positive());
         assert_eq!(!v.positive(), v.negative());
         assert_eq!(!!v.positive(), v.positive());
-        assert_eq!(Lit::from_code(v.positive().code()), v.positive());
+        assert_eq!(v.positive().code() ^ 1, v.negative().code());
     }
 
     #[test]
@@ -217,15 +183,7 @@ mod tests {
         let v = Var::from_index(4);
         assert_eq!(v.positive().to_dimacs(), 5);
         assert_eq!(v.negative().to_dimacs(), -5);
-        assert_eq!(Lit::from_dimacs(5), v.positive());
-        assert_eq!(Lit::from_dimacs(-5), v.negative());
         assert_eq!(Var::from_index(0).positive().to_dimacs(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dimacs_zero_rejected() {
-        let _ = Lit::from_dimacs(0);
     }
 
     #[test]
@@ -237,13 +195,9 @@ mod tests {
 
     #[test]
     fn lbool_lattice() {
-        assert_eq!(LBool::from_bool(true), LBool::True);
-        assert_eq!(LBool::from_bool(false), LBool::False);
         assert_eq!(LBool::True.negate(), LBool::False);
         assert_eq!(LBool::Undef.negate(), LBool::Undef);
         assert_eq!(LBool::True.to_bool(), Some(true));
         assert_eq!(LBool::Undef.to_bool(), None);
-        assert!(LBool::False.is_assigned());
-        assert!(!LBool::Undef.is_assigned());
     }
 }

@@ -1,14 +1,14 @@
-//! DRAT-style proof logging.
+//! DRAT-style proof events.
 //!
-//! When a [`ProofLogger`] is installed via
-//! [`Solver::set_proof_logger`](crate::Solver::set_proof_logger), the solver
-//! emits one [`ProofEvent`] per original clause, learned clause, and deleted
-//! clause, in chronological order. Every learned clause is a reverse unit
-//! propagation (RUP) consequence of the clauses recorded before it, so a
-//! transcript ending in an empty learned clause is a checkable refutation of
-//! the conjunction of the original clauses. The `alive-proof` crate re-checks
-//! such transcripts with an independent propagation engine that shares no
-//! code with this solver.
+//! Once [`Solver::enable_proof_log`](crate::Solver::enable_proof_log) has
+//! turned the log on, the solver records one [`ProofEvent`] per original
+//! clause, learned clause, and deleted clause, in chronological order, and
+//! [`Solver::proof`](crate::Solver::proof) reads them back. Every learned
+//! clause is a reverse unit propagation (RUP) consequence of the clauses
+//! recorded before it, so a transcript ending in an empty learned clause is
+//! a checkable refutation of the conjunction of the original clauses. The
+//! `alive-proof` crate re-checks such transcripts with an independent
+//! propagation engine that shares no code with this solver.
 //!
 //! Literals are recorded in DIMACS convention — `±(var_index + 1)` — so a
 //! transcript is meaningful without access to the solver's internal literal
@@ -18,10 +18,7 @@
 //!
 //! Logging is designed to cost nothing when disabled: every hook first
 //! branches on an `Option` that is `None` by default, and no literal
-//! conversion or allocation happens unless a logger is present.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! conversion or allocation happens unless the log is on.
 
 /// One step of a solver run, in DIMACS literals.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -54,135 +51,21 @@ impl ProofEvent {
     }
 }
 
-/// Sink for proof events.
-///
-/// The solver holds the logger as `Option<Box<dyn ProofLogger>>`; when the
-/// option is `None` (the default) every logging site reduces to a single
-/// predictable branch, so proof support adds no measurable overhead to
-/// solving without a logger.
-pub trait ProofLogger: std::fmt::Debug {
-    /// Records one event. Events arrive in chronological order.
-    fn log(&mut self, event: ProofEvent);
-}
-
-/// An in-memory [`ProofLogger`] that stores the transcript.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct DratRecorder {
-    events: Vec<ProofEvent>,
-}
-
-impl DratRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> DratRecorder {
-        DratRecorder::default()
-    }
-
-    /// The recorded transcript so far.
-    pub fn events(&self) -> &[ProofEvent] {
-        &self.events
-    }
-
-    /// Removes and returns the transcript, leaving the recorder empty.
-    pub fn take_events(&mut self) -> Vec<ProofEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// `true` if the transcript contains an empty learned clause, i.e. a
-    /// complete refutation of the original clauses.
-    pub fn has_refutation(&self) -> bool {
-        self.events.iter().any(ProofEvent::is_refutation)
-    }
-}
-
-impl ProofLogger for DratRecorder {
-    fn log(&mut self, event: ProofEvent) {
-        self.events.push(event);
-    }
-}
-
-/// A cloneable handle to a shared [`DratRecorder`].
-///
-/// [`Solver::set_proof_logger`](crate::Solver::set_proof_logger) takes
-/// ownership of its logger, so a caller that wants to read the transcript
-/// afterwards installs one clone of this handle and keeps another.
-#[derive(Clone, Debug, Default)]
-pub struct SharedDratRecorder(Rc<RefCell<DratRecorder>>);
-
-impl SharedDratRecorder {
-    /// Creates a handle to a fresh empty recorder.
-    pub fn new() -> SharedDratRecorder {
-        SharedDratRecorder::default()
-    }
-
-    /// Copies out the transcript recorded so far.
-    pub fn snapshot(&self) -> Vec<ProofEvent> {
-        self.0.borrow().events().to_vec()
-    }
-
-    /// Removes and returns the transcript, leaving the recorder empty.
-    pub fn take_events(&self) -> Vec<ProofEvent> {
-        self.0.borrow_mut().take_events()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
-    }
-
-    /// `true` if the transcript contains a complete refutation.
-    pub fn has_refutation(&self) -> bool {
-        self.0.borrow().has_refutation()
-    }
-}
-
-impl ProofLogger for SharedDratRecorder {
-    fn log(&mut self, event: ProofEvent) {
-        self.0.borrow_mut().log(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn recorder_accumulates_in_order() {
-        let mut r = DratRecorder::new();
-        r.log(ProofEvent::Original(vec![1, 2]));
-        r.log(ProofEvent::Learned(vec![1]));
-        r.log(ProofEvent::Deleted(vec![1, 2]));
-        assert_eq!(r.len(), 3);
-        assert!(!r.has_refutation());
-        r.log(ProofEvent::Learned(vec![]));
-        assert!(r.has_refutation());
-        let events = r.take_events();
-        assert_eq!(events.len(), 4);
-        assert!(r.is_empty());
+    fn event_payloads_and_refutation() {
+        let events = [
+            ProofEvent::Original(vec![1, 2]),
+            ProofEvent::Learned(vec![1]),
+            ProofEvent::Deleted(vec![1, 2]),
+            ProofEvent::Learned(vec![]),
+        ];
         assert_eq!(events[0].lits(), &[1, 2]);
-        assert!(events[3].is_refutation());
-    }
-
-    #[test]
-    fn shared_recorder_sees_logger_writes() {
-        let handle = SharedDratRecorder::new();
-        let mut logger = handle.clone();
-        logger.log(ProofEvent::Original(vec![-3]));
-        assert_eq!(handle.len(), 1);
-        assert_eq!(handle.snapshot(), vec![ProofEvent::Original(vec![-3])]);
+        assert_eq!(events[2].lits(), &[1, 2]);
+        let refutations: Vec<bool> = events.iter().map(ProofEvent::is_refutation).collect();
+        assert_eq!(refutations, [false, false, false, true]);
     }
 }

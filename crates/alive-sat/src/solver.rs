@@ -3,14 +3,14 @@
 //! A MiniSat-lineage solver: two-watched-literal propagation, first-UIP
 //! conflict analysis with clause minimization, VSIDS branching with phase
 //! saving, Luby restarts, and activity-based learned-clause reduction.
-//! Solving under assumptions makes the solver incremental, which the SMT
-//! layer uses for model enumeration and CEGIS.
+//! Clauses may be added between `solve` calls, which the SMT layer uses to
+//! refine a CEGIS candidate query round after round.
 
 use crate::budget::{Budget, Exhaustion};
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
-use crate::proof::{ProofEvent, ProofLogger};
+use crate::proof::ProofEvent;
 use alive_trace::Tracer;
 
 /// Result of a [`Solver::solve`] call.
@@ -18,7 +18,7 @@ use alive_trace::Tracer;
 pub enum SolveResult {
     /// A satisfying assignment was found; read it with [`Solver::value`].
     Sat,
-    /// The formula (under the given assumptions) is unsatisfiable.
+    /// The formula is unsatisfiable.
     Unsat,
     /// The configured [`Budget`] was exhausted (or the solve was cancelled);
     /// [`Solver::exhaustion`] says which limit tripped.
@@ -161,16 +161,15 @@ pub struct Solver {
     /// Scratch buffer in which `add_clause` sorts and simplifies.
     add_buf: Vec<Lit>,
 
-    /// Final conflict clause (in terms of assumptions) after Unsat-under-assumptions.
-    conflict: Vec<Lit>,
     /// Snapshot of the assignment taken when `Sat` is returned.
     model: Vec<LBool>,
 
     max_learnts: f64,
 
-    /// Optional DRAT-style proof sink; `None` (the default) keeps every
-    /// logging site down to one branch, so solving is unaffected.
-    proof: Option<Box<dyn ProofLogger>>,
+    /// The DRAT-style proof log, once [`Solver::enable_proof_log`] turned it
+    /// on; `None` (the default) keeps every logging site down to one
+    /// branch, so solving is unaffected.
+    proof: Option<Vec<ProofEvent>>,
 
     /// Structured-trace handle; disabled (one branch per site) by default.
     tracer: Tracer,
@@ -220,7 +219,6 @@ impl Solver {
             level_stamps: Vec::new(),
             lbd_stamp: 0,
             add_buf: Vec::new(),
-            conflict: Vec::new(),
             model: Vec::new(),
             max_learnts: 1000.0,
             proof: None,
@@ -229,8 +227,8 @@ impl Solver {
     }
 
     /// Installs a structured-trace handle. The disabled tracer (the
-    /// default) keeps every emission site down to one branch, mirroring
-    /// [`Solver::set_proof_logger`]. While enabled, each solve emits a
+    /// default) keeps every emission site down to one branch, like a proof
+    /// log that is off. While enabled, each solve emits a
     /// `sat.solve` span plus `sat.conflicts`/`sat.propagations`/
     /// `sat.decisions` counter deltas, restarts and DB reductions emit
     /// as they happen, and learned-clause lengths are sampled into the
@@ -239,37 +237,35 @@ impl Solver {
         self.tracer = tracer;
     }
 
-    /// The installed trace handle (disabled unless [`Solver::set_tracer`]
-    /// was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Installs (or removes) a DRAT-style proof logger.
+    /// Turns on the DRAT-style proof log.
     ///
-    /// While a logger is installed, every original clause, learned clause,
-    /// and deleted clause is reported as a [`ProofEvent`] in DIMACS literals.
-    /// Transcripts of runs that end in [`SolveResult::Unsat`] *without
-    /// assumptions* conclude with an empty learned clause and form a complete
-    /// refutation; Unsat-under-assumptions answers depend on the assumption
-    /// literals and do not produce an empty clause.
+    /// From then on every original clause, learned clause, and deleted
+    /// clause is recorded as a [`ProofEvent`] in DIMACS literals, readable
+    /// with [`Solver::proof`]. A run that ends in [`SolveResult::Unsat`]
+    /// concludes with an empty learned clause, so the log is a complete
+    /// refutation of the original clauses.
     ///
-    /// Install the logger before adding clauses — clauses added earlier are
-    /// not retroactively recorded.
-    pub fn set_proof_logger(&mut self, logger: Option<Box<dyn ProofLogger>>) {
-        self.proof = logger;
+    /// Turn the log on before adding clauses: clauses added earlier would go
+    /// unrecorded, so debug builds assert that none were.
+    pub fn enable_proof_log(&mut self) {
+        debug_assert!(
+            self.db.live_words() == 0 && self.trail.is_empty() && self.ok,
+            "enable_proof_log after clauses were added: they would go unrecorded"
+        );
+        self.proof.get_or_insert_with(Vec::new);
     }
 
-    /// `true` if a proof logger is currently installed.
-    pub fn is_proof_logging(&self) -> bool {
-        self.proof.is_some()
+    /// The proof log recorded so far; empty unless
+    /// [`Solver::enable_proof_log`] was called.
+    pub fn proof(&self) -> &[ProofEvent] {
+        self.proof.as_deref().unwrap_or_default()
     }
 
-    /// Logs one clause event if a logger is installed; free otherwise.
+    /// Logs one clause event if the proof log is on; free otherwise.
     #[inline]
     fn proof_log(&mut self, make: fn(Vec<i32>) -> ProofEvent, lits: &[Lit]) {
         if let Some(p) = &mut self.proof {
-            p.log(make(lits.iter().map(|l| l.to_dimacs()).collect()));
+            p.push(make(lits.iter().map(|l| l.to_dimacs()).collect()));
         }
     }
 
@@ -408,12 +404,6 @@ impl Solver {
             Some(b) => b == l.is_positive(),
             None => !l.is_positive(),
         }
-    }
-
-    /// After a `solve` under assumptions returned `Unsat`, the subset of
-    /// assumption literals involved in the contradiction (negated).
-    pub fn unsat_core(&self) -> &[Lit] {
-        &self.conflict
     }
 
     #[inline]
@@ -793,16 +783,8 @@ impl Solver {
         lbd
     }
 
-    /// Solves the formula without assumptions.
+    /// Solves the formula of every clause added so far.
     pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Solves under the given assumption literals.
-    ///
-    /// On `Unsat`, [`Solver::unsat_core`] lists the subset of assumptions
-    /// (negated) that participated in the contradiction.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         #[cfg(feature = "fault-injection")]
         {
             let injected = crate::fault::fire(crate::fault::FaultSite::Sat);
@@ -834,7 +816,7 @@ impl Solver {
                     }
                 }
                 Some(crate::fault::FaultKind::CorruptModel) => {
-                    let r = self.solve_inner(assumptions);
+                    let r = self.solve_inner();
                     if r == SolveResult::Sat {
                         self.corrupt_model();
                     }
@@ -846,29 +828,28 @@ impl Solver {
                 | None => {}
             }
         }
-        self.solve_inner(assumptions)
+        self.solve_inner()
     }
 
     /// Flips every assigned value in the stored model — a deliberately
     /// wrong answer used by fault-injection tests to prove downstream
-    /// model re-validation catches solver defects. Public so higher
-    /// layers (the SMT solver's own fault site) can reuse it.
+    /// model re-validation catches solver defects.
     #[cfg(feature = "fault-injection")]
-    pub fn corrupt_model(&mut self) {
+    fn corrupt_model(&mut self) {
         for v in &mut self.model {
             *v = v.negate();
         }
     }
 
-    fn solve_inner(&mut self, assumptions: &[Lit]) -> SolveResult {
+    fn solve_inner(&mut self) -> SolveResult {
         self.stats.sat_calls += 1;
         if !self.tracer.enabled() {
-            return self.solve_loop(assumptions);
+            return self.solve_loop();
         }
         let tracer = self.tracer.clone();
         let _span = tracer.span("sat.solve");
         let before = self.stats;
-        let r = self.solve_loop(assumptions);
+        let r = self.solve_loop();
         tracer.counter("sat.conflicts", self.stats.conflicts - before.conflicts);
         tracer.counter(
             "sat.propagations",
@@ -878,8 +859,7 @@ impl Solver {
         r
     }
 
-    fn solve_loop(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.conflict.clear();
+    fn solve_loop(&mut self) -> SolveResult {
         self.exhaustion = None;
         if !self.ok {
             return SolveResult::Unsat;
@@ -905,7 +885,7 @@ impl Solver {
         loop {
             let restart_limit = 100 * luby(luby_idx);
             luby_idx += 1;
-            match self.search(assumptions, restart_limit, conflicts_at_start) {
+            match self.search(restart_limit, conflicts_at_start) {
                 Some(r) => {
                     self.cancel_until(0);
                     return r;
@@ -940,12 +920,7 @@ impl Solver {
 
     /// Runs the CDCL loop until sat/unsat/restart/budget.
     /// `None` means "restart requested".
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        restart_limit: u64,
-        conflicts_at_start: u64,
-    ) -> Option<SolveResult> {
+    fn search(&mut self, restart_limit: u64, conflicts_at_start: u64) -> Option<SolveResult> {
         let mut conflicts_this_run = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -958,16 +933,10 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                // Conflict below/at assumption levels: extract the core.
                 let bt_level = self.analyze(confl);
                 let learnt_len = self.learnt.len();
                 self.stats.learned_literals += learnt_len as u64;
                 self.tracer.sample("sat.learned_len", learnt_len as u64);
-                let assumption_level = self.num_assumption_levels(assumptions);
-                if self.decision_level() <= assumption_level {
-                    self.analyze_final(confl);
-                    return Some(SolveResult::Unsat);
-                }
                 let learnt = std::mem::take(&mut self.learnt);
                 self.proof_log(ProofEvent::Learned, &learnt);
                 self.learnt = learnt;
@@ -1016,27 +985,7 @@ impl Solver {
                     self.exhaustion = Some(e);
                     return Some(SolveResult::Unknown);
                 }
-                // Extend with assumptions, then decide.
-                let dl = self.decision_level() as usize;
-                if dl < assumptions.len() {
-                    let a = assumptions[dl];
-                    match self.lit_value(a) {
-                        LBool::True => {
-                            // Already satisfied: create a pseudo level so the
-                            // indexing over assumptions advances.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        LBool::False => {
-                            // Conflicting assumption.
-                            self.final_core_for(a);
-                            return Some(SolveResult::Unsat);
-                        }
-                        LBool::Undef => {
-                            self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(a, ClauseRef::UNDEF);
-                        }
-                    }
-                } else if let Some(l) = self.pick_branch_lit() {
+                if let Some(l) = self.pick_branch_lit() {
                     self.trail_lim.push(self.trail.len());
                     self.unchecked_enqueue(l, ClauseRef::UNDEF);
                 } else {
@@ -1046,60 +995,6 @@ impl Solver {
                     return Some(SolveResult::Sat);
                 }
             }
-        }
-    }
-
-    fn num_assumption_levels(&self, assumptions: &[Lit]) -> u32 {
-        (assumptions.len() as u32).min(self.decision_level())
-    }
-
-    /// Builds the unsat core into `self.conflict` when a conflict happened
-    /// within assumption levels.
-    fn analyze_final(&mut self, confl: ClauseRef) {
-        self.conflict.clear();
-        for k in 0..self.db.len(confl) {
-            let v = self.db.lit(confl, k).var();
-            if self.level(v) > 0 {
-                self.seen[v.index()] = true;
-            }
-        }
-        self.collect_core(None);
-    }
-
-    /// Builds the unsat core into `self.conflict` when assumption `a` was
-    /// directly falsified by earlier assumptions.
-    fn final_core_for(&mut self, a: Lit) {
-        self.conflict.clear();
-        self.conflict.push(!a);
-        self.seen[a.var().index()] = true;
-        self.collect_core(Some(!a));
-    }
-
-    /// Walks the trail backwards, expanding the reason of each variable
-    /// marked in `seen` and adding the negation of each marked decision
-    /// literal above level 0 (other than `skip`) to `self.conflict`. Leaves
-    /// `seen` clear: every marked variable is on the trail.
-    fn collect_core(&mut self, skip: Option<Lit>) {
-        for idx in (0..self.trail.len()).rev() {
-            let l = self.trail[idx];
-            let v = l.var();
-            if !self.seen[v.index()] {
-                continue;
-            }
-            let r = self.reason(v);
-            if r == ClauseRef::UNDEF {
-                if self.level(v) > 0 && Some(l) != skip {
-                    self.conflict.push(!l); // decision/assumption literal
-                }
-            } else {
-                for k in self.antecedents(r, v) {
-                    let w = self.db.lit(r, k).var();
-                    if self.level(w) > 0 {
-                        self.seen[w.index()] = true;
-                    }
-                }
-            }
-            self.seen[v.index()] = false;
         }
     }
 }
@@ -1194,112 +1089,29 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_are_respected() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause([a.negative(), b.positive()]);
-        assert_eq!(s.solve_with_assumptions(&[a.positive()]), SolveResult::Sat);
-        assert_eq!(s.value(b), Some(true));
-        // Solver stays reusable; opposite assumption also sat.
-        assert_eq!(s.solve_with_assumptions(&[a.negative()]), SolveResult::Sat);
-        assert_eq!(s.value(a), Some(false));
-    }
-
-    #[test]
-    fn unsat_under_assumptions_reports_core() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause([a.negative(), b.negative()]);
-        assert_eq!(
-            s.solve_with_assumptions(&[a.positive(), b.positive()]),
-            SolveResult::Unsat
-        );
-        assert!(!s.unsat_core().is_empty());
-        // Still satisfiable without assumptions.
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn unsat_core_is_sufficient_for_unsat() {
-        // (!a | !b) makes {a, b} contradictory; c and d are irrelevant
-        // padding assumptions that must not be required by the core.
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let c = s.new_var();
-        let d = s.new_var();
-        s.add_clause([a.negative(), b.negative()]);
-        s.add_clause([c.positive(), d.positive()]);
-        let assumptions = [c.positive(), a.positive(), d.positive(), b.positive()];
-        assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
-        let core: Vec<Lit> = s.unsat_core().to_vec();
-        assert!(!core.is_empty());
-        // Each core literal is the negation of one of the assumptions.
-        for l in &core {
-            assert!(
-                assumptions.contains(&!*l),
-                "core lit {l} not from assumptions"
-            );
-        }
-        // The core alone must reproduce the contradiction.
-        let core_assumptions: Vec<Lit> = core.iter().map(|l| !*l).collect();
-        assert_eq!(
-            s.solve_with_assumptions(&core_assumptions),
-            SolveResult::Unsat
-        );
-        // Dropping any single core literal must make the query satisfiable —
-        // i.e. for this formula the core is minimal, not just sufficient.
-        for skip in 0..core_assumptions.len() {
-            let weakened: Vec<Lit> = core_assumptions
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != skip)
-                .map(|(_, l)| *l)
-                .collect();
-            assert_eq!(s.solve_with_assumptions(&weakened), SolveResult::Sat);
-        }
-    }
-
-    #[test]
-    fn unsat_core_remains_valid_across_incremental_additions() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let e = s.new_var();
-        s.add_clause([a.negative(), b.negative()]);
-        assert_eq!(
-            s.solve_with_assumptions(&[a.positive(), b.positive()]),
-            SolveResult::Unsat
-        );
-        let core_assumptions: Vec<Lit> = s.unsat_core().iter().map(|l| !*l).collect();
-        // Clause addition only strengthens the formula, so the old core must
-        // still be contradictory after more constraints arrive.
-        s.add_clause([e.positive(), a.positive()]);
-        s.add_clause([e.negative(), b.positive()]);
-        assert_eq!(
-            s.solve_with_assumptions(&core_assumptions),
-            SolveResult::Unsat
-        );
-        // And the solver stays usable for satisfiable queries afterwards.
-        assert_eq!(s.solve_with_assumptions(&[a.positive()]), SolveResult::Sat);
-        assert_eq!(s.value(b), Some(false));
-    }
-
-    #[test]
     fn proof_logging_is_off_by_default() {
-        let s = Solver::new();
-        assert!(!s.is_proof_logging());
+        let mut s = Solver::new();
+        let a = s.new_var();
+        s.add_clause([a.positive()]);
+        assert!(!s.add_clause([a.negative()]));
+        assert!(s.proof().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "would go unrecorded")]
+    fn enabling_the_proof_log_after_a_clause_panics() {
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        s.add_clause([a.positive(), b.positive()]);
+        s.enable_proof_log();
     }
 
     #[test]
     fn proof_transcript_refutes_pigeonhole() {
-        use crate::proof::{ProofEvent, SharedDratRecorder};
-        let handle = SharedDratRecorder::new();
         let mut s = Solver::new();
-        s.set_proof_logger(Some(Box::new(handle.clone())));
-        assert!(s.is_proof_logging());
+        s.enable_proof_log();
         let mut p = [[Var(0); 2]; 3];
         for row in p.iter_mut() {
             for slot in row.iter_mut() {
@@ -1320,64 +1132,39 @@ mod tests {
             }
         }
         assert_eq!(s.solve(), SolveResult::Unsat);
-        let events = handle.snapshot();
-        assert!(handle.has_refutation());
+        let events = s.proof();
+        assert!(events.last().is_some_and(ProofEvent::is_refutation));
         let originals = events
             .iter()
             .filter(|e| matches!(e, ProofEvent::Original(_)))
             .count();
         assert_eq!(originals, num_original);
         // Every original clause is recorded in DIMACS with no zeros.
-        for e in &events {
+        for e in events {
             assert!(e.lits().iter().all(|&l| l != 0));
         }
     }
 
     #[test]
     fn sat_run_produces_no_refutation() {
-        use crate::proof::SharedDratRecorder;
-        let handle = SharedDratRecorder::new();
         let mut s = Solver::new();
-        s.set_proof_logger(Some(Box::new(handle.clone())));
+        s.enable_proof_log();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause([a.positive(), b.positive()]);
         assert_eq!(s.solve(), SolveResult::Sat);
-        assert!(!handle.has_refutation());
-        assert_eq!(handle.len(), 1); // just the original clause
+        // Just the original clause.
+        assert_eq!(s.proof(), [ProofEvent::Original(vec![1, 2])]);
     }
 
     #[test]
     fn add_clause_contradiction_logs_empty_clause() {
-        use crate::proof::SharedDratRecorder;
-        let handle = SharedDratRecorder::new();
         let mut s = Solver::new();
-        s.set_proof_logger(Some(Box::new(handle.clone())));
+        s.enable_proof_log();
         let a = s.new_var();
         assert!(s.add_clause([a.positive()]));
         assert!(!s.add_clause([a.negative()]));
-        assert!(handle.has_refutation());
-    }
-
-    #[test]
-    fn unsat_under_assumptions_yields_no_refutation() {
-        // Assumption-dependent Unsat is not a refutation of the formula, so
-        // the transcript must not end with an empty clause.
-        use crate::proof::SharedDratRecorder;
-        let handle = SharedDratRecorder::new();
-        let mut s = Solver::new();
-        s.set_proof_logger(Some(Box::new(handle.clone())));
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause([a.negative(), b.negative()]);
-        assert_eq!(
-            s.solve_with_assumptions(&[a.positive(), b.positive()]),
-            SolveResult::Unsat
-        );
-        assert!(!handle.has_refutation());
-        // The formula itself is satisfiable and must stay so.
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert!(!handle.has_refutation());
+        assert!(s.proof().iter().any(ProofEvent::is_refutation));
     }
 
     #[test]

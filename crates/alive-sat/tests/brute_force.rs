@@ -58,34 +58,28 @@ proptest! {
     }
 
     #[test]
-    fn assumptions_agree_with_conditioned_formula(
+    fn units_after_solve_agree_with_conditioned_formula(
         (nvars, cnf) in cnf_strategy(6, 16),
-        assume_bits in any::<u8>(),
+        unit_bits in any::<u8>(),
     ) {
-        // Assume the first two variables to fixed values; compare against the
-        // formula with those units added.
-        let a0 = assume_bits & 1 == 1;
-        let a1 = assume_bits & 2 == 2;
-        let mut conditioned = cnf.clone();
-        conditioned.push(vec![(0, a0)]);
-        conditioned.push(vec![(1, a1)]);
-        let expect = brute_force_sat(nvars, &conditioned);
-
+        // Solve the formula, then fix the first two variables with units on
+        // the same solver; each answer must match brute force on the CNF
+        // conditioned so far.
         let mut s = Solver::new();
         let vars: Vec<Var> = (0..nvars).map(|_| s.new_var()).collect();
         for clause in &cnf {
             s.add_clause(clause.iter().map(|&(v, sign)| vars[v].lit(sign)));
         }
-        let r = s.solve_with_assumptions(&[vars[0].lit(a0), vars[1].lit(a1)]);
-        prop_assert_eq!(
-            r,
-            if expect { SolveResult::Sat } else { SolveResult::Unsat }
-        );
-        // The solver must remain reusable afterwards.
-        let unconditioned = brute_force_sat(nvars, &cnf);
-        prop_assert_eq!(
-            s.solve(),
-            if unconditioned { SolveResult::Sat } else { SolveResult::Unsat }
-        );
+        let expect = |cnf: &Cnf| {
+            if brute_force_sat(nvars, cnf) { SolveResult::Sat } else { SolveResult::Unsat }
+        };
+        let mut conditioned = cnf.clone();
+        prop_assert_eq!(s.solve(), expect(&conditioned));
+        for (v, &var) in vars.iter().enumerate().take(2) {
+            let sign = (unit_bits >> v) & 1 == 1;
+            conditioned.push(vec![(v, sign)]);
+            s.add_clause([var.lit(sign)]);
+            prop_assert_eq!(s.solve(), expect(&conditioned));
+        }
     }
 }

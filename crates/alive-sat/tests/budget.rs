@@ -51,8 +51,8 @@ fn stats_accumulate() {
     assert!(st.propagations > 0);
 }
 
-/// A long implication chain seeded with a unit: solved by propagation
-/// alone, without a single conflict or decision beyond the chain.
+/// A long implication chain: once seeded with a unit on its first variable,
+/// solved by propagation alone, without a single conflict or decision.
 fn propagation_chain(s: &mut Solver, n: usize) -> Vec<Var> {
     let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
     for w in vars.windows(2) {
@@ -103,16 +103,12 @@ fn raising_the_budget_after_unknown_gives_correct_answers() {
     // retried under a fresh budget on the same solver instance.
     let mut s = Solver::new();
     let vars = propagation_chain(&mut s, 3000);
+    s.add_clause([vars[0].positive()]);
     s.set_budget(Budget::default().deadline_in(Duration::ZERO));
-    assert_eq!(
-        s.solve_with_assumptions(&[vars[0].positive()]),
-        SolveResult::Unknown
-    );
+    assert_eq!(s.solve(), SolveResult::Unknown);
+    assert_eq!(s.exhaustion(), Some(Exhaustion::Deadline));
     s.set_budget(Budget::default().with_conflicts(1_000_000));
-    assert_eq!(
-        s.solve_with_assumptions(&[vars[0].positive()]),
-        SolveResult::Sat
-    );
+    assert_eq!(s.solve(), SolveResult::Sat);
     for v in &vars {
         assert_eq!(s.value(*v), Some(true));
     }

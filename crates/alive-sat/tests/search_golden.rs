@@ -1,5 +1,4 @@
-//! Pins the CDCL search itself: exact solver counters and unsat cores on
-//! fixed instances.
+//! Pins the CDCL search itself: exact solver counters on fixed instances.
 //!
 //! A change that only makes a conflict cheaper (data layout, buffer reuse,
 //! watch representation) must leave every number here as it is. A change
@@ -45,11 +44,6 @@ fn summary(s: &Solver, r: SolveResult) -> String {
         st.deleted_clauses,
         st.learned_literals
     )
-}
-
-/// The unsat core as DIMACS literals, in the order the solver reports it.
-fn core(s: &Solver) -> Vec<i32> {
-    s.unsat_core().iter().map(|l| l.to_dimacs()).collect()
 }
 
 fn new_vars(s: &mut Solver, n: usize) -> Vec<Var> {
@@ -134,37 +128,6 @@ fn half_binary_cnf() {
             "Sat conflicts=1412 decisions=1779 propagations=182922 restarts=9 deleted=479 learned_lits=12358",
             "Sat conflicts=618 decisions=818 propagations=87850 restarts=5 deleted=0 learned_lits=7204",
             "Unsat conflicts=2165 decisions=2652 propagations=267515 restarts=13 deleted=1025 learned_lits=20231",
-        ]);
-}
-
-#[test]
-fn solves_under_assumptions() {
-    let mut rng = XorShift(0xa55_0e5);
-    let mut s = Solver::new();
-    let vars = new_vars(&mut s, 120);
-    for i in 0..330 {
-        let c = rng.clause(&vars, if i % 4 == 0 { 2 } else { 3 });
-        s.add_clause(c);
-    }
-    let mut got = Vec::new();
-    for _ in 0..12 {
-        let assumptions = rng.clause(&vars, 6);
-        let r = s.solve_with_assumptions(&assumptions);
-        got.push(format!("{} core={:?}", summary(&s, r), core(&s)));
-    }
-    check(&got, &[
-            "Unsat conflicts=1 decisions=0 propagations=15 restarts=0 deleted=0 learned_lits=2 core=[-106, 74]",
-            "Sat conflicts=2 decisions=21 propagations=142 restarts=0 deleted=0 learned_lits=7 core=[]",
-            "Sat conflicts=2 decisions=55 propagations=262 restarts=0 deleted=0 learned_lits=7 core=[]",
-            "Sat conflicts=2 decisions=91 propagations=382 restarts=0 deleted=0 learned_lits=7 core=[]",
-            "Unsat conflicts=4 decisions=92 propagations=458 restarts=0 deleted=0 learned_lits=15 core=[77, -113, 102, 22]",
-            "Unsat conflicts=5 decisions=92 propagations=499 restarts=0 deleted=0 learned_lits=17 core=[6, 11]",
-            "Sat conflicts=8 decisions=113 propagations=738 restarts=0 deleted=0 learned_lits=42 core=[]",
-            "Sat conflicts=15 decisions=150 propagations=1000 restarts=0 deleted=0 learned_lits=73 core=[]",
-            "Unsat conflicts=16 decisions=150 propagations=1075 restarts=0 deleted=0 learned_lits=75 core=[107, -33, 96, 102]",
-            "Unsat conflicts=18 decisions=151 propagations=1174 restarts=0 deleted=0 learned_lits=86 core=[-6, -113, -49, -119]",
-            "Sat conflicts=21 decisions=175 propagations=1344 restarts=0 deleted=0 learned_lits=101 core=[]",
-            "Unsat conflicts=23 decisions=177 propagations=1408 restarts=0 deleted=0 learned_lits=109 core=[-94, 89, -62, -51]",
         ]);
 }
 

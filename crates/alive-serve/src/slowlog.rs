@@ -7,7 +7,7 @@
 //! question the telemetry percentiles cannot — *which* transforms are
 //! the slow tail — and `alive slowlog` ranks them.
 //!
-//! The file is a [sealed](alive_trace::sealed) log written through one
+//! The file is a [sealed] log written through one
 //! [`SealedLog`], like the verdict store, under the same recovery
 //! policy: a torn tail from a crash is dropped on read and truncated when
 //! the daemon reopens the log, and a bad line with lines after it is

@@ -127,14 +127,16 @@ pub fn solve_exists_forall(
     let mut sat = SolverStats::default();
     let mut rounds = 0;
     let mut candidates = sub_solver(config);
-    let handle = want_proof.then(|| candidates.enable_proof_logging());
+    if want_proof {
+        candidates.enable_proof_logging();
+    }
     let (result, transcript) = if univ_vars.is_empty() {
         // Quantifier-free: the one candidate query decides.
         candidates.assert_term(pool, matrix);
         match candidates.check() {
             SatResult::Sat => (EfResult::Sat(candidates.model(pool, exist_vars)), None),
             SatResult::Unsat => {
-                let transcript = handle.as_ref().map(|h| candidates.proof_transcript(h));
+                let transcript = want_proof.then(|| candidates.proof_transcript());
                 (EfResult::Unsat, transcript)
             }
             SatResult::Unknown => {
@@ -176,7 +178,7 @@ pub fn solve_exists_forall(
                 }
                 match candidates.check() {
                     SatResult::Unsat => {
-                        let transcript = handle.as_ref().map(|h| candidates.proof_transcript(h));
+                        let transcript = want_proof.then(|| candidates.proof_transcript());
                         break 'cegis (EfResult::Unsat, transcript);
                     }
                     SatResult::Unknown => {

@@ -6,9 +6,7 @@ use crate::blast::Blaster;
 use crate::eval::Assignment;
 use crate::term::{TermId, TermPool};
 use crate::value::{Sort, Value};
-use alive_sat::{
-    Budget, Exhaustion, ProofEvent, SharedDratRecorder, SolveResult, Solver, SolverStats, Tracer,
-};
+use alive_sat::{Budget, Exhaustion, ProofEvent, SolveResult, Solver, SolverStats, Tracer};
 
 /// Result of an SMT `check`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,12 +64,6 @@ pub struct SmtSolver {
     /// then missing an assertion, so every later `check` must answer
     /// `Unknown` rather than reason about the truncated formula.
     blast_exhausted: Option<Exhaustion>,
-    /// Per-call exhaustion that did not reach the SAT solver (an injected
-    /// hang); cleared at each check.
-    #[cfg(feature = "fault-injection")]
-    call_exhausted: Option<Exhaustion>,
-    #[cfg(feature = "fault-injection")]
-    injected: bool,
     /// Structured-trace handle; disabled (one branch per site) by default.
     tracer: Tracer,
 }
@@ -100,11 +92,6 @@ impl SmtSolver {
         self.sat.set_budget(budget);
     }
 
-    /// The currently installed budget.
-    pub fn budget(&self) -> &Budget {
-        self.sat.budget()
-    }
-
     /// Cumulative statistics of the underlying SAT solver.
     pub fn sat_stats(&self) -> SolverStats {
         self.sat.stats()
@@ -113,44 +100,37 @@ impl SmtSolver {
     /// Why the most recent `check` returned
     /// [`SatResult::Unknown`] (`None` after a decisive answer).
     pub fn exhaustion(&self) -> Option<Exhaustion> {
-        #[cfg(feature = "fault-injection")]
-        {
-            if self.injected {
-                return Some(Exhaustion::Injected);
-            }
-            if let Some(e) = self.blast_exhausted.or(self.call_exhausted) {
-                return Some(e);
-            }
-        }
         self.blast_exhausted.or_else(|| self.sat.exhaustion())
     }
 
-    /// Turns on DRAT-style proof logging in the underlying SAT solver and
-    /// returns a handle to the transcript.
+    /// Turns on DRAT-style proof logging in the underlying SAT solver.
     ///
-    /// Call before asserting anything — clauses blasted earlier are not
-    /// retroactively recorded. Use [`SmtSolver::proof_transcript`] with the
-    /// returned handle to extract a checkable transcript after an `Unsat`
-    /// answer.
-    pub fn enable_proof_logging(&mut self) -> SharedDratRecorder {
-        let handle = SharedDratRecorder::new();
-        self.sat.set_proof_logger(Some(Box::new(handle.clone())));
-        handle
+    /// Call before asserting anything — clauses blasted earlier would go
+    /// unrecorded. Use [`SmtSolver::proof_transcript`] to extract a
+    /// checkable transcript after an `Unsat` answer.
+    pub fn enable_proof_logging(&mut self) {
+        self.sat.enable_proof_log();
     }
 
-    /// Extracts the proof transcript recorded by `handle` after a `check`
-    /// that returned [`SatResult::Unsat`].
+    /// Extracts the proof transcript after a `check` that returned
+    /// [`SatResult::Unsat`].
     ///
     /// The transcript covers the bit-blasted CNF of everything asserted so
     /// far. A constant-false assertion never reaches the SAT solver, so in
     /// that case the transcript is completed with an explicit empty axiom
-    /// (the formula contains `false`) and an empty learned clause.
-    pub fn proof_transcript(&self, handle: &SharedDratRecorder) -> ProofTranscript {
-        let mut events = handle.snapshot();
+    /// (the formula contains `false`) and an empty learned clause. Debug
+    /// builds assert that the transcript holds that empty learned clause:
+    /// it is what makes the transcript a refutation.
+    pub fn proof_transcript(&self) -> ProofTranscript {
+        let mut events = self.sat.proof().to_vec();
         if self.trivially_false {
             events.push(ProofEvent::Original(Vec::new()));
             events.push(ProofEvent::Learned(Vec::new()));
         }
+        debug_assert!(
+            events.iter().any(ProofEvent::is_refutation),
+            "proof transcript without an empty learned clause: not an Unsat refutation"
+        );
         ProofTranscript {
             num_vars: self.sat.num_vars(),
             events,
@@ -209,70 +189,16 @@ impl SmtSolver {
 
     /// Checks satisfiability of the asserted formula.
     pub fn check(&mut self) -> SatResult {
-        self.clear_call_state();
         if self.trivially_false {
             return SatResult::Unsat;
         }
         if self.blast_exhausted.is_some() {
             return SatResult::Unknown;
         }
-        #[cfg(feature = "fault-injection")]
-        if let Some(r) = self.fire_fault() {
-            return r;
-        }
-        Self::lift(self.sat.solve())
-    }
-
-    fn lift(r: SolveResult) -> SatResult {
-        match r {
+        match self.sat.solve() {
             SolveResult::Sat => SatResult::Sat,
             SolveResult::Unsat => SatResult::Unsat,
             SolveResult::Unknown => SatResult::Unknown,
-        }
-    }
-
-    fn clear_call_state(&mut self) {
-        #[cfg(feature = "fault-injection")]
-        {
-            self.call_exhausted = None;
-            self.injected = false;
-        }
-    }
-
-    /// Consults the installed [`alive_sat::fault::FailurePlan`] at the SMT
-    /// query site. `Some` short-circuits the check; `None` proceeds (with
-    /// `CorruptModel` having already run the solve and flipped the model).
-    #[cfg(feature = "fault-injection")]
-    fn fire_fault(&mut self) -> Option<SatResult> {
-        use alive_sat::fault::{self, FaultKind, FaultSite};
-        match fault::fire(FaultSite::Smt)? {
-            FaultKind::ForceUnknown => {
-                self.injected = true;
-                Some(SatResult::Unknown)
-            }
-            FaultKind::Panic => panic!("injected fault: panic in alive_smt::SmtSolver::check"),
-            FaultKind::Hang => loop {
-                if let Some(e) = self.sat.budget().check_soft() {
-                    self.call_exhausted = Some(e);
-                    return Some(SatResult::Unknown);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            },
-            FaultKind::HangHard => loop {
-                // Ignores budget and cancellation alike; only a watchdog
-                // detach (or process exit) ends this thread.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            },
-            FaultKind::CorruptModel => {
-                let r = Self::lift(self.sat.solve());
-                if r == SatResult::Sat {
-                    self.sat.corrupt_model();
-                }
-                Some(r)
-            }
-            // I/O fault kinds model disk/socket failures; an SMT check has
-            // no I/O to fail, so they are inert here.
-            FaultKind::IoError | FaultKind::TornWrite => None,
         }
     }
 

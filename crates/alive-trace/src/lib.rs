@@ -14,9 +14,9 @@
 //!
 //! # Zero cost when off
 //!
-//! [`Tracer`] mirrors the `ProofLogger` pattern from the SAT solver: the
-//! default tracer is *disabled* and every instrumentation site costs one
-//! branch on an `Option` — no clock read, no allocation, no formatting.
+//! [`Tracer`] mirrors the SAT solver's proof log: the default tracer is
+//! *disabled* and every instrumentation site costs one branch on an
+//! `Option` — no clock read, no allocation, no formatting.
 //! Arguments that would allocate are passed as closures and only invoked
 //! when a sink is installed.
 //!

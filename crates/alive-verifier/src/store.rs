@@ -5,7 +5,7 @@
 //! home: an append-only JSONL file mapping the **canonical content hash**
 //! of a transform (see [`alive_ir::canon`]) to its verdict, written as
 //! [sealed lines](alive_trace::sealed) through one
-//! [`SealedLog`](crate::durable::SealedLog) so a torn tail after `kill -9`
+//! [`SealedLog`] so a torn tail after `kill -9`
 //! is truncated, never trusted.
 //!
 //! # Record format (`alive-store/v1`)
