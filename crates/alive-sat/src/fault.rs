@@ -1,22 +1,34 @@
 //! Deterministic fault injection for resilience testing.
 //!
 //! Compiled only with the `fault-injection` cargo feature. A process-wide
-//! [`FailurePlan`] lists faults to fire at the Nth query reaching a given
-//! [`FaultSite`]; the solver layers call [`fire`] at their query entry
-//! points and act on the returned [`FaultKind`]. Counters are plain atomics,
-//! so a plan is exactly reproducible for a fixed workload — the integration
-//! tests rely on this to prove the verification driver survives panics,
-//! hangs, forced Unknowns, and corrupted models without lying about any
-//! healthy query.
+//! [`FailurePlan`] lists faults to fire at the Nth operation reaching a
+//! given [`FaultSite`]; each site's hook calls [`fire`] and acts on the
+//! returned [`FaultKind`]. Counters are plain atomics, so a plan is exactly
+//! reproducible for a fixed workload — the integration tests rely on this
+//! to prove the verification driver survives panics, hangs, forced
+//! Unknowns, and corrupted models without lying about any healthy query,
+//! and the torture sweeps rely on it to crash the process at every
+//! durable operation in turn.
 //!
 //! Plans are written `site:kind@n` (1-based), comma-separated:
-//! `sat:panic@3,sat:hang@7`. Sites are `sat` (every `Solver::solve`, so
-//! every `SmtSolver::check` that reaches the SAT solver), `store` (every
-//! verdict-store append), and `serve` (every daemon verify/batch request).
-//! Kinds are `unknown`, `panic`, `hang`, `hang-hard`, `corrupt-model`,
-//! `io-error`, and `torn` — the last two model disk/socket failures and
-//! only make sense at the `store`/`serve` sites, where the handlers map
-//! them to a failed or half-completed write.
+//! `sat:panic@3,durable:abort@7`. The CLI reads one from `ALIVE_FAULT`.
+//! Sites:
+//!
+//! * `sat` — every `Solver::solve`, so every `SmtSolver::check` that
+//!   reaches the SAT solver;
+//! * `durable` — every operation of `alive-verifier`'s durable-I/O seam
+//!   (`create`, `append`, `sync`, `truncate`, `rename`, `fsync_parent`),
+//!   whichever file it writes;
+//! * `serve` — every daemon verify/batch request.
+//!
+//! Kinds are `unknown`, `panic`, `hang`, `hang-hard` and `corrupt-model`
+//! (meaningful at `sat`), `abort` (at `durable`), and `io-error` and
+//! `torn` (at `durable` and `serve`). At `durable`, `io-error` fails the
+//! operation without performing it and `torn` lands half an append's
+//! bytes, then kills the process (any other operation just dies). At
+//! `serve`, `io-error` fails the response write and `torn` lands a
+//! partial response line, then fails the write. A kind is inert at a site
+//! it has no meaning for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,26 +52,30 @@ pub enum FaultKind {
     /// exercising the verifier's concrete model re-validation.
     CorruptModel,
     /// Fail an I/O operation cleanly (nothing written), simulating a full
-    /// disk on a store append or a broken pipe on a response write.
+    /// disk or a failed fsync on a durable operation, or a broken pipe on
+    /// a response write.
     IoError,
-    /// Complete an I/O operation *partially* — half a record hits the file
-    /// or socket, then the error fires — simulating a torn write the way
-    /// `kill -9` mid-append produces one.
+    /// Complete an I/O operation *partially*: half an append lands and the
+    /// process dies (the torn write `kill -9` mid-`write` leaves), or a
+    /// partial response line goes out and the write fails.
     TornWrite,
+    /// Kill the process before the durable operation performs — the power
+    /// cut at that exact durability boundary.
+    Abort,
 }
 
-/// Which layer's query counter a fault is keyed to.
+/// Which hook's operation counter a fault is keyed to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultSite {
     /// `alive-sat`: one count per `solve` call.
     Sat,
-    /// `alive-verifier::store`: one count per verdict-store append.
-    Store,
+    /// `alive-verifier::durable`: one count per durable operation.
+    Durable,
     /// `alive-serve`: one count per daemon `verify`/`batch` request.
     Serve,
 }
 
-/// One scheduled fault: fire `kind` at the `at`-th (1-based) query
+/// One scheduled fault: fire `kind` at the `at`-th (1-based) operation
 /// reaching `site`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fault {
@@ -67,7 +83,7 @@ pub struct Fault {
     pub site: FaultSite,
     /// The behavior to inject.
     pub kind: FaultKind,
-    /// 1-based query ordinal at `site`.
+    /// 1-based operation ordinal at `site`.
     pub at: u64,
 }
 
@@ -95,7 +111,7 @@ impl FailurePlan {
                 .ok_or_else(|| format!("fault '{part}': expected site:kind@n"))?;
             let site = match site_s {
                 "sat" => FaultSite::Sat,
-                "store" => FaultSite::Store,
+                "durable" => FaultSite::Durable,
                 "serve" => FaultSite::Serve,
                 other => return Err(format!("fault '{part}': unknown site '{other}'")),
             };
@@ -107,6 +123,7 @@ impl FailurePlan {
                 "corrupt-model" => FaultKind::CorruptModel,
                 "io-error" => FaultKind::IoError,
                 "torn" => FaultKind::TornWrite,
+                "abort" => FaultKind::Abort,
                 other => return Err(format!("fault '{part}': unknown kind '{other}'")),
             };
             let at: u64 = at_s
@@ -125,46 +142,36 @@ impl FailurePlan {
 }
 
 static PLAN: Mutex<Option<FailurePlan>> = Mutex::new(None);
-static SAT_QUERIES: AtomicU64 = AtomicU64::new(0);
-static STORE_QUERIES: AtomicU64 = AtomicU64::new(0);
-static SERVE_QUERIES: AtomicU64 = AtomicU64::new(0);
+/// One operation counter per [`FaultSite`], indexed by the site.
+static COUNTS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
-/// Installs a plan (or clears it with `None`) and resets every query
+/// Installs a plan (or clears it with `None`) and resets every site's
 /// counter. The plan is process-global; concurrent tests sharing one
 /// process must serialize around it.
 pub fn install(plan: Option<FailurePlan>) {
     let mut slot = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    SAT_QUERIES.store(0, Ordering::SeqCst);
-    STORE_QUERIES.store(0, Ordering::SeqCst);
-    SERVE_QUERIES.store(0, Ordering::SeqCst);
+    for count in &COUNTS {
+        count.store(0, Ordering::SeqCst);
+    }
     *slot = plan;
 }
 
-/// Counts one query at `site` and returns the fault scheduled for that
-/// ordinal, if any. Called by the solver layers; cheap when no plan is
-/// installed beyond one mutex lock per query.
+/// Counts one operation at `site` and returns the fault scheduled for
+/// that ordinal, if any. Called by each site's hook; cheap when no plan
+/// is installed beyond one mutex lock per operation.
 pub fn fire(site: FaultSite) -> Option<FaultKind> {
     let slot = PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let plan = slot.as_ref()?;
-    let counter = match site {
-        FaultSite::Sat => &SAT_QUERIES,
-        FaultSite::Store => &STORE_QUERIES,
-        FaultSite::Serve => &SERVE_QUERIES,
-    };
-    let ordinal = counter.fetch_add(1, Ordering::SeqCst) + 1;
+    let ordinal = COUNTS[site as usize].fetch_add(1, Ordering::SeqCst) + 1;
     plan.faults
         .iter()
         .find(|f| f.site == site && f.at == ordinal)
         .map(|f| f.kind)
 }
 
-/// Number of queries counted at `site` since the last [`install`].
+/// Number of operations counted at `site` since the last [`install`].
 pub fn queries_seen(site: FaultSite) -> u64 {
-    match site {
-        FaultSite::Sat => SAT_QUERIES.load(Ordering::SeqCst),
-        FaultSite::Store => STORE_QUERIES.load(Ordering::SeqCst),
-        FaultSite::Serve => SERVE_QUERIES.load(Ordering::SeqCst),
-    }
+    COUNTS[site as usize].load(Ordering::SeqCst)
 }
 
 #[cfg(test)]
@@ -173,19 +180,26 @@ mod tests {
 
     #[test]
     fn io_sites_and_kinds_parse() {
-        let plan = FailurePlan::parse("store:io-error@1,store:torn@2,serve:hang@3").unwrap();
+        let plan =
+            FailurePlan::parse("durable:io-error@1,durable:torn@2,durable:abort@4,serve:hang@3")
+                .unwrap();
         assert_eq!(
             plan.faults,
             vec![
                 Fault {
-                    site: FaultSite::Store,
+                    site: FaultSite::Durable,
                     kind: FaultKind::IoError,
                     at: 1
                 },
                 Fault {
-                    site: FaultSite::Store,
+                    site: FaultSite::Durable,
                     kind: FaultKind::TornWrite,
                     at: 2
+                },
+                Fault {
+                    site: FaultSite::Durable,
+                    kind: FaultKind::Abort,
+                    at: 4
                 },
                 Fault {
                     site: FaultSite::Serve,
@@ -231,6 +245,8 @@ mod tests {
             "sat:panic@0",
             "disk:panic@1",
             "smt:panic@1",
+            "store:io-error@1",
+            "durable:sync-fail@1",
         ] {
             assert!(FailurePlan::parse(bad).is_err(), "{bad}");
         }

@@ -822,9 +822,13 @@ impl Solver {
                     }
                     return r;
                 }
-                // I/O fault kinds model disk/socket failures; a solver call
-                // has no I/O to fail, so they are inert here.
-                Some(crate::fault::FaultKind::IoError | crate::fault::FaultKind::TornWrite)
+                // I/O and process-death kinds belong to the durable and
+                // serve sites; a solver call has no I/O, so they are inert.
+                Some(
+                    crate::fault::FaultKind::IoError
+                    | crate::fault::FaultKind::TornWrite
+                    | crate::fault::FaultKind::Abort,
+                )
                 | None => {}
             }
         }

@@ -109,8 +109,10 @@ fn header_body() -> String {
     format!("{{\"slowlog\":\"{SLOWLOG_SCHEMA}\"")
 }
 
+/// Whether `line` is the schema header: exactly the sealed header body,
+/// not any sealed line that merely mentions the schema.
 fn is_header(line: &str) -> bool {
-    unseal(line).is_some_and(|body| body.contains(SLOWLOG_SCHEMA))
+    unseal(line) == Some(header_body().as_str())
 }
 
 fn parse_record(line: &str) -> Option<SlowRecord> {
@@ -387,6 +389,14 @@ mod tests {
     fn missing_header_is_fatal() {
         let path = temp("noheader.slowlog");
         std::fs::write(&path, "{\"rid\":\"x\"}\n").unwrap();
+        assert!(read_slowlog(&path).unwrap_err().contains("header"));
+    }
+
+    #[test]
+    fn a_sealed_line_that_only_mentions_the_schema_is_not_a_header() {
+        let path = temp("mention.slowlog");
+        let line = seal(&format!("{{\"rid\":\"{SLOWLOG_SCHEMA}\""));
+        std::fs::write(&path, format!("{line}\n")).unwrap();
         assert!(read_slowlog(&path).unwrap_err().contains("header"));
     }
 

@@ -1,6 +1,6 @@
 //! Fault-injection tests for the daemon (`--features fault-injection`):
-//! store appends that fail or tear mid-write, and request handling that
-//! hangs or dies mid-response. The crash-only contract under test: the
+//! store appends and syncs that fail (the `durable` site), and request
+//! handling that hangs or dies mid-response (the `serve` site). The crash-only contract under test: the
 //! requester still gets an answer (or a clean close), the daemon
 //! survives, and the store never replays a damaged record.
 
@@ -55,7 +55,8 @@ const OTHER: &str = "%r = sub %x, 0\n=>\n%r = %x";
 
 /// The disk-full path: the store append fails, but the requester still
 /// gets its verdict — losing persistence must not lose the answer. The
-/// next daemon start simply re-verifies.
+/// next daemon start simply re-verifies. The plan is installed after
+/// `Server::open`, so durable op 1 is the record's append.
 #[test]
 fn failed_store_append_still_serves_the_verdict() {
     let _g = serial();
@@ -65,7 +66,7 @@ fn failed_store_append_still_serves_the_verdict() {
     {
         let (server, _) = Server::open(metered_config(store.clone(), &sink)).unwrap();
         let t = parse_transform(GOOD).unwrap();
-        let answer = with_plan("store:io-error@1", || server.check("good", &t));
+        let answer = with_plan("durable:io-error@1", || server.check("good", &t));
         assert_eq!(answer.verdict, OutcomeKind::Valid, "verdict survives");
         let s = server.stats();
         assert_eq!(s.errors, 1, "the lost append is counted");
@@ -91,26 +92,30 @@ fn failed_store_append_still_serves_the_verdict() {
     assert_eq!(again.verdict, OutcomeKind::Valid);
 }
 
-/// A torn append (power loss mid-write) is rolled back in place: the
-/// store stays clean, later appends land, and a restart replays only
-/// the intact record.
+/// The fsyncgate path: the record's bytes land but their sync fails. The
+/// requester still gets its verdict, and the store refuses that insert and
+/// every later one until a reopen re-validates the file — which then
+/// replays the record intact and serves the same verdict from it.
 #[test]
-fn torn_store_append_is_rolled_back_and_later_appends_land() {
+fn failed_store_sync_poisons_until_reopen() {
     let _g = serial();
-    let dir = temp_dir("torn");
+    let dir = temp_dir("sync-fail");
     let store = dir.join("store.jsonl");
     let sink = Arc::new(StatsSink::new());
     {
         let (server, _) = Server::open(metered_config(store.clone(), &sink)).unwrap();
-        let torn = with_plan("store:torn@1", || {
-            server.check("good", &parse_transform(GOOD).unwrap())
+        // Durable op 1 is the record's append, op 2 its sync.
+        let (first, second) = with_plan("durable:io-error@2", || {
+            (
+                server.check("good", &parse_transform(GOOD).unwrap()),
+                server.check("other", &parse_transform(OTHER).unwrap()),
+            )
         });
-        assert_eq!(torn.verdict, OutcomeKind::Valid);
-        let ok = server.check("other", &parse_transform(OTHER).unwrap());
-        assert_eq!(ok.verdict, OutcomeKind::Valid);
+        assert_eq!(first.verdict, OutcomeKind::Valid, "verdict survives");
+        assert_eq!(second.verdict, OutcomeKind::Valid);
         let s = server.stats();
-        assert_eq!(s.errors, 1, "the torn append is counted");
-        assert_eq!(s.stored, 1, "the clean append landed after the tear");
+        assert_eq!(s.errors, 2, "the failed sync and the refused insert");
+        assert_eq!(s.stored, 0, "a poisoned store persists nothing");
     }
     let (server, how) = Server::open(metered_config(store, &sink)).unwrap();
     assert_eq!(
@@ -119,11 +124,13 @@ fn torn_store_append_is_rolled_back_and_later_appends_land() {
             records: 1,
             discarded: 0
         },
-        "the rolled-back tear leaves no torn line to discard"
+        "the unsynced record is intact; the refused one never landed"
     );
-    assert!(!server.check("good", &parse_transform(GOOD).unwrap()).cached);
+    let again = server.check("good", &parse_transform(GOOD).unwrap());
+    assert!(again.cached, "the reopened store answers from the record");
+    assert_eq!(again.verdict, OutcomeKind::Valid);
     assert!(
-        server
+        !server
             .check("other", &parse_transform(OTHER).unwrap())
             .cached
     );

@@ -20,7 +20,7 @@
 //! Prove that `x + x == 2*x` at width 8 by refutation:
 //!
 //! ```
-//! use alive_smt::{TermPool, SmtSolver, SatResult, Sort};
+//! use alive_smt::{TermPool, SmtSolver, SolveResult, Sort};
 //!
 //! let mut pool = TermPool::new();
 //! let x = pool.var("x", Sort::BitVec(8));
@@ -31,7 +31,7 @@
 //!
 //! let mut solver = SmtSolver::new();
 //! solver.assert_term(&pool, neq);
-//! assert_eq!(solver.check(), SatResult::Unsat); // no counterexample
+//! assert_eq!(solver.check(), SolveResult::Unsat); // no counterexample
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,11 +46,13 @@ mod subst;
 mod term;
 mod value;
 
-pub use alive_sat::{Budget, CancelToken, Exhaustion, ProofEvent, SolverStats, Tracer};
+pub use alive_sat::{
+    Budget, CancelToken, Exhaustion, ProofEvent, SolveResult, SolverStats, Tracer,
+};
 pub use blast::{Blasted, Blaster};
 pub use eval::{eval, Assignment, EvalError};
 pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult};
-pub use solver::{ProofTranscript, SatResult, SmtSolver};
+pub use solver::{ProofTranscript, SmtSolver};
 pub use subst::{substitute, substitute_assignment, substitute_with};
 pub use term::{BvDef, BvOp, Fixed, GuardedRewrite, Law, Op, Shape, Term, TermId, TermPool};
 pub use value::{BvVal, Sort, Value};

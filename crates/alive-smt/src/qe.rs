@@ -15,10 +15,10 @@
 //! counterexample `u*` removes at least `x*` from the candidate space).
 
 use crate::eval::Assignment;
-use crate::solver::{ProofTranscript, SatResult, SmtSolver};
+use crate::solver::{ProofTranscript, SmtSolver};
 use crate::subst::substitute_assignment;
 use crate::term::{TermId, TermPool};
-use alive_sat::{Budget, SolverStats, Tracer};
+use alive_sat::{Budget, SolveResult, SolverStats, Tracer};
 
 /// Result of an exists-forall query.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,12 +134,12 @@ pub fn solve_exists_forall(
         // Quantifier-free: the one candidate query decides.
         candidates.assert_term(pool, matrix);
         match candidates.check() {
-            SatResult::Sat => (EfResult::Sat(candidates.model(pool, exist_vars)), None),
-            SatResult::Unsat => {
+            SolveResult::Sat => (EfResult::Sat(candidates.model(pool, exist_vars)), None),
+            SolveResult::Unsat => {
                 let transcript = want_proof.then(|| candidates.proof_transcript());
                 (EfResult::Unsat, transcript)
             }
-            SatResult::Unknown => {
+            SolveResult::Unknown => {
                 let reason = unknown_reason(&candidates, "quantifier-free query");
                 (EfResult::Unknown(reason), None)
             }
@@ -177,15 +177,15 @@ pub fn solve_exists_forall(
                     break 'cegis (EfResult::Unknown(reason), None);
                 }
                 match candidates.check() {
-                    SatResult::Unsat => {
+                    SolveResult::Unsat => {
                         let transcript = want_proof.then(|| candidates.proof_transcript());
                         break 'cegis (EfResult::Unsat, transcript);
                     }
-                    SatResult::Unknown => {
+                    SolveResult::Unknown => {
                         let reason = unknown_reason(&candidates, "candidate search");
                         break 'cegis (EfResult::Unknown(reason), None);
                     }
-                    SatResult::Sat => {}
+                    SolveResult::Sat => {}
                 }
                 let x_star = candidates.model(pool, exist_vars);
 
@@ -196,12 +196,12 @@ pub fn solve_exists_forall(
                 let verdict = verifier.check();
                 sat += verifier.sat_stats();
                 match verdict {
-                    SatResult::Unsat => break 'cegis (EfResult::Sat(x_star), None),
-                    SatResult::Unknown => {
+                    SolveResult::Unsat => break 'cegis (EfResult::Sat(x_star), None),
+                    SolveResult::Unknown => {
                         let reason = unknown_reason(&verifier, "counterexample search");
                         break 'cegis (EfResult::Unknown(reason), None);
                     }
-                    SatResult::Sat => {
+                    SolveResult::Sat => {
                         let u_star = verifier.model(pool, univ_vars);
                         let refined = substitute_assignment(pool, matrix, &u_star);
                         candidates.assert_term(pool, refined);

@@ -8,17 +8,6 @@ use crate::term::{TermId, TermPool};
 use crate::value::{Sort, Value};
 use alive_sat::{Budget, Exhaustion, ProofEvent, SolveResult, Solver, SolverStats, Tracer};
 
-/// Result of an SMT `check`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SatResult {
-    /// Satisfiable; a model is available.
-    Sat,
-    /// Unsatisfiable.
-    Unsat,
-    /// Resource limit reached.
-    Unknown,
-}
-
 /// The DRAT transcript of one solver's run over its bit-blasted CNF.
 ///
 /// Produced by [`SmtSolver::proof_transcript`]; the `alive-proof` crate's
@@ -41,7 +30,7 @@ pub struct ProofTranscript {
 /// # Examples
 ///
 /// ```
-/// use alive_smt::{SmtSolver, TermPool, SatResult, Sort, BvVal};
+/// use alive_smt::{SmtSolver, TermPool, SolveResult, Sort, BvVal};
 ///
 /// let mut pool = TermPool::new();
 /// let x = pool.var("x", Sort::BitVec(8));
@@ -52,7 +41,7 @@ pub struct ProofTranscript {
 ///
 /// let mut solver = SmtSolver::new();
 /// solver.assert_term(&pool, eq);
-/// assert_eq!(solver.check(), SatResult::Sat);
+/// assert_eq!(solver.check(), SolveResult::Sat);
 /// assert_eq!(solver.model_bv(&pool, x), BvVal::new(8, 2));
 /// ```
 #[derive(Debug, Default)]
@@ -98,7 +87,7 @@ impl SmtSolver {
     }
 
     /// Why the most recent `check` returned
-    /// [`SatResult::Unknown`] (`None` after a decisive answer).
+    /// [`SolveResult::Unknown`] (`None` after a decisive answer).
     pub fn exhaustion(&self) -> Option<Exhaustion> {
         self.blast_exhausted.or_else(|| self.sat.exhaustion())
     }
@@ -113,7 +102,7 @@ impl SmtSolver {
     }
 
     /// Extracts the proof transcript after a `check` that returned
-    /// [`SatResult::Unsat`].
+    /// [`SolveResult::Unsat`].
     ///
     /// The transcript covers the bit-blasted CNF of everything asserted so
     /// far. A constant-false assertion never reaches the SAT solver, so in
@@ -142,7 +131,7 @@ impl SmtSolver {
     /// Blasting polls the installed budget; if the deadline passes or the
     /// cancellation token is raised mid-blast the assertion is dropped and
     /// the solver is poisoned — every later `check` answers
-    /// [`SatResult::Unknown`] (the CNF would otherwise be silently missing
+    /// [`SolveResult::Unknown`] (the CNF would otherwise be silently missing
     /// a conjunct).
     ///
     /// # Panics
@@ -156,26 +145,25 @@ impl SmtSolver {
             }
             return;
         }
-        if !self.tracer.enabled() {
-            match self.blaster.try_blast_bool(pool, &mut self.sat, t) {
-                Ok(l) => {
-                    self.sat.add_clause([l]);
-                }
-                Err(e) => self.blast_exhausted = Some(e),
-            }
-            return;
-        }
         let tracer = self.tracer.clone();
         let _span = tracer.span("blast");
-        let nodes_before = self.blaster.nodes_encoded();
-        let gates_before = self.blaster.gates_by_op().clone();
-        let hits_before = self.blaster.gate_hits();
+        // Counter baselines, taken only when a tracer will read them.
+        let before = tracer.enabled().then(|| {
+            (
+                self.blaster.nodes_encoded(),
+                self.blaster.gates_by_op().clone(),
+                self.blaster.gate_hits(),
+            )
+        });
         match self.blaster.try_blast_bool(pool, &mut self.sat, t) {
             Ok(l) => {
                 self.sat.add_clause([l]);
             }
             Err(e) => self.blast_exhausted = Some(e),
         }
+        let Some((nodes_before, gates_before, hits_before)) = before else {
+            return;
+        };
         tracer.counter("blast.nodes", self.blaster.nodes_encoded() - nodes_before);
         let mut total = 0u64;
         for (&kind, &gates) in self.blaster.gates_by_op() {
@@ -188,18 +176,14 @@ impl SmtSolver {
     }
 
     /// Checks satisfiability of the asserted formula.
-    pub fn check(&mut self) -> SatResult {
+    pub fn check(&mut self) -> SolveResult {
         if self.trivially_false {
-            return SatResult::Unsat;
+            return SolveResult::Unsat;
         }
         if self.blast_exhausted.is_some() {
-            return SatResult::Unknown;
+            return SolveResult::Unknown;
         }
-        match self.sat.solve() {
-            SolveResult::Sat => SatResult::Sat,
-            SolveResult::Unsat => SatResult::Unsat,
-            SolveResult::Unknown => SatResult::Unknown,
-        }
+        self.sat.solve()
     }
 
     /// Reads a bitvector variable (or any blasted bv term) from the model.
@@ -248,7 +232,7 @@ mod tests {
         let eq = p.eq(dbl, c);
         let mut s = SmtSolver::new();
         s.assert_term(&p, eq);
-        assert_eq!(s.check(), SatResult::Sat);
+        assert_eq!(s.check(), SolveResult::Sat);
         let v = s.model_bv(&p, x);
         assert_eq!(v.mul(BvVal::new(8, 2)), BvVal::new(8, 100));
     }
@@ -263,7 +247,7 @@ mod tests {
         let eq = p.eq(inc, x);
         let mut s = SmtSolver::new();
         s.assert_term(&p, eq);
-        assert_eq!(s.check(), SatResult::Unsat);
+        assert_eq!(s.check(), SolveResult::Unsat);
     }
 
     #[test]
@@ -272,6 +256,6 @@ mod tests {
         let f = p.fls();
         let mut s = SmtSolver::new();
         s.assert_term(&p, f);
-        assert_eq!(s.check(), SatResult::Unsat);
+        assert_eq!(s.check(), SolveResult::Unsat);
     }
 }

@@ -6,7 +6,7 @@
 //! Because inputs go through *variables*, the term simplifier cannot
 //! constant-fold the operator away — the circuit itself is exercised.
 
-use alive_smt::{BvVal, SatResult, SmtSolver, Sort, TermId, TermPool};
+use alive_smt::{BvVal, SmtSolver, SolveResult, Sort, TermId, TermPool};
 use proptest::prelude::*;
 
 type BinOp = (
@@ -74,7 +74,7 @@ fn check_binop(op: &BinOp, width: u32, a: u128, b: u128) {
     s.assert_term(&p, agree);
     assert_eq!(
         s.check(),
-        SatResult::Sat,
+        SolveResult::Sat,
         "{name}(i{width}: {a}, {b}) circuit disagrees with reference {expect:?}"
     );
 
@@ -86,7 +86,7 @@ fn check_binop(op: &BinOp, width: u32, a: u128, b: u128) {
     s2.assert_term(&p, differ);
     assert_eq!(
         s2.check(),
-        SatResult::Unsat,
+        SolveResult::Unsat,
         "{name}(i{width}: {a}, {b}) circuit nondeterministic vs {expect:?}"
     );
 }
@@ -113,7 +113,7 @@ fn check_cmpop(op: &CmpOp, width: u32, a: u128, b: u128) {
     s.assert_term(&p, agree);
     assert_eq!(
         s.check(),
-        SatResult::Sat,
+        SolveResult::Sat,
         "{name}(i{width}: {a}, {b}) != reference {expect}"
     );
     let differ = p.ne(r, want);
@@ -121,7 +121,7 @@ fn check_cmpop(op: &CmpOp, width: u32, a: u128, b: u128) {
     s2.assert_term(&p, bind_x);
     s2.assert_term(&p, bind_y);
     s2.assert_term(&p, differ);
-    assert_eq!(s2.check(), SatResult::Unsat, "{name} nondeterministic");
+    assert_eq!(s2.check(), SolveResult::Unsat, "{name} nondeterministic");
 }
 
 proptest! {
@@ -160,7 +160,7 @@ proptest! {
         s.assert_term(&p, bind);
         let neg = p.not(both);
         s.assert_term(&p, neg);
-        prop_assert_eq!(s.check(), SatResult::Unsat);
+        prop_assert_eq!(s.check(), SolveResult::Unsat);
     }
 
     #[test]
@@ -185,7 +185,7 @@ proptest! {
         s.assert_term(&p, bh);
         s.assert_term(&p, bl);
         s.assert_term(&p, bad);
-        prop_assert_eq!(s.check(), SatResult::Unsat);
+        prop_assert_eq!(s.check(), SolveResult::Unsat);
     }
 }
 
@@ -281,13 +281,17 @@ fn shared_dividers_exhaustive_width3() {
             s.assert_term(&p, bind_x);
             s.assert_term(&p, bind_y);
             s.assert_term(&p, all);
-            assert_eq!(s.check(), SatResult::Sat, "div/rem of ({a}, {b}) at i3");
+            assert_eq!(s.check(), SolveResult::Sat, "div/rem of ({a}, {b}) at i3");
             let some_differ = p.not(all);
             let mut s2 = SmtSolver::new();
             s2.assert_term(&p, bind_x);
             s2.assert_term(&p, bind_y);
             s2.assert_term(&p, some_differ);
-            assert_eq!(s2.check(), SatResult::Unsat, "div/rem of ({a}, {b}) at i3");
+            assert_eq!(
+                s2.check(),
+                SolveResult::Unsat,
+                "div/rem of ({a}, {b}) at i3"
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! must evaluate to the shadow result — and the same equivalence must hold
 //! through the bit-blaster via an SMT query.
 
-use alive_smt::{eval, Assignment, BvVal, SatResult, SmtSolver, Sort, TermId, TermPool};
+use alive_smt::{eval, Assignment, BvVal, SmtSolver, SolveResult, Sort, TermId, TermPool};
 use proptest::prelude::*;
 
 /// A tiny expression AST for generating random terms.
@@ -206,7 +206,7 @@ proptest! {
         let ce = pool.bv_const(expect);
         let differs = pool.ne(term, ce);
         solver.assert_term(&pool, differs);
-        prop_assert_eq!(solver.check(), SatResult::Unsat);
+        prop_assert_eq!(solver.check(), SolveResult::Unsat);
     }
 }
 

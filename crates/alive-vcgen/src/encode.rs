@@ -811,7 +811,7 @@ mod tests {
         for &c in enc.base_mem.constraints() {
             s.assert_term(&pool, c);
         }
-        assert_eq!(s.check(), alive_smt::SatResult::Unsat);
+        assert_eq!(s.check(), alive_smt::SolveResult::Unsat);
         // Definedness requires a non-null pointer.
         let zero = pool.bv(32, 0);
         let null = pool.eq(p, zero);
@@ -819,7 +819,7 @@ mod tests {
         let mut s2 = alive_smt::SmtSolver::new();
         s2.assert_term(&pool, null);
         s2.assert_term(&pool, defined);
-        assert_eq!(s2.check(), alive_smt::SatResult::Unsat);
+        assert_eq!(s2.check(), alive_smt::SolveResult::Unsat);
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //!   automatically, so a crash can neither forget a newly created store
 //!   nor resurrect the pre-rename file after an atomic rewrite.
 //! * **Every durable operation is a numbered crash point.** With the
-//!   `fault-injection` feature, `ALIVE_CRASH_AT=N[:kind]` makes the Nth
-//!   durable operation process-wide misbehave: `abort` (the default)
-//!   kills the process on the spot the way a power cut would, `torn`
-//!   first lands half of an append's bytes, and `sync-fail` makes the
-//!   operation return an injected I/O error instead of performing —
-//!   exercising the propagation/poisoning path in-process. The torture
-//!   harness (`crates/alive/tests/torture.rs`) sweeps N across whole
-//!   daemon and batch (`--journal`) store workloads through the real
+//!   `fault-injection` feature, each operation here fires the `durable`
+//!   site of the one fault plan (`ALIVE_FAULT=durable:kind@N`, see
+//!   `alive_sat::fault`), so the Nth durable operation process-wide can
+//!   misbehave: `abort` kills the process on the spot the way a power cut
+//!   would, `torn` first lands half of an append's bytes, and `io-error`
+//!   makes the operation return an injected I/O error instead of
+//!   performing — exercising the propagation/poisoning path in-process.
+//!   The torture harness (`crates/alive/tests/torture.rs`) sweeps N across
+//!   whole daemon and batch (`--journal`) store workloads through the real
 //!   binaries and asserts recovery after every single crash point.
 //!   Without the feature the hooks do not exist and cost nothing.
 
@@ -41,118 +42,33 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Deterministic crash-point injection (`ALIVE_CRASH_AT=N[:kind]`).
-///
-/// Counts every durable operation process-globally; at the Nth one the
-/// scheduled [`CrashKind`] fires. Mirrors the `ALIVE_FAULT` machinery in
-/// `alive-sat` but lives here because the ops being counted are the
-/// durability seam's own.
-#[cfg(feature = "fault-injection")]
-pub mod crash {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, Once};
-
-    /// What the Nth durable operation does instead of its job.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum CrashKind {
-        /// Abort the process before the operation performs — the moral
-        /// equivalent of a power cut at this exact durability boundary.
-        Abort,
-        /// For an append: land half the bytes, then abort — the torn
-        /// write `kill -9` mid-`write` produces. For any other
-        /// operation, identical to [`CrashKind::Abort`].
-        Torn,
-        /// Return an injected I/O error instead of performing, leaving
-        /// the process alive — exercises error propagation and the
-        /// fsyncgate poisoning path.
-        SyncFail,
-    }
-
-    /// One scheduled crash: fire `kind` at the `at`-th (1-based) durable
-    /// operation.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub struct CrashPlan {
-        /// 1-based ordinal of the durable operation to sabotage.
-        pub at: u64,
-        /// The sabotage.
-        pub kind: CrashKind,
-    }
-
-    impl CrashPlan {
-        /// Parses `N` or `N:kind` (kinds: `abort`, `torn`, `sync-fail`).
-        ///
-        /// # Errors
-        ///
-        /// Returns a human-readable message for malformed specs.
-        pub fn parse(spec: &str) -> Result<CrashPlan, String> {
-            let (at_s, kind_s) = match spec.split_once(':') {
-                Some((a, k)) => (a, Some(k)),
-                None => (spec, None),
-            };
-            let at: u64 = at_s
-                .trim()
-                .parse()
-                .map_err(|_| format!("crash point '{spec}': bad ordinal '{}'", at_s.trim()))?;
-            if at == 0 {
-                return Err(format!("crash point '{spec}': ordinals are 1-based"));
-            }
-            let kind = match kind_s.map(str::trim) {
-                None | Some("abort") => CrashKind::Abort,
-                Some("torn") => CrashKind::Torn,
-                Some("sync-fail") => CrashKind::SyncFail,
-                Some(other) => {
-                    return Err(format!("crash point '{spec}': unknown kind '{other}'"));
-                }
-            };
-            Ok(CrashPlan { at, kind })
-        }
-    }
-
-    static PLAN: Mutex<Option<CrashPlan>> = Mutex::new(None);
-    static OPS: AtomicU64 = AtomicU64::new(0);
-    static ENV: Once = Once::new();
-
-    /// Installs a plan (or clears it with `None`) and resets the op
-    /// counter. Also disarms the one-shot `ALIVE_CRASH_AT` environment
-    /// load, so tests installing plans directly cannot be clobbered.
-    pub fn install(plan: Option<CrashPlan>) {
-        ENV.call_once(|| {});
-        OPS.store(0, Ordering::SeqCst);
-        *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-    }
-
-    /// Counts one durable operation and returns the scheduled crash for
-    /// that ordinal, if any. A malformed `ALIVE_CRASH_AT` spec is ignored
-    /// here — binaries validate it at startup where they can exit 64.
-    pub(super) fn fire() -> Option<CrashKind> {
-        ENV.call_once(|| {
-            if let Ok(spec) = std::env::var("ALIVE_CRASH_AT") {
-                if let Ok(plan) = CrashPlan::parse(&spec) {
-                    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-                }
-            }
-        });
-        let plan = (*PLAN.lock().unwrap_or_else(|e| e.into_inner()))?;
-        let ordinal = OPS.fetch_add(1, Ordering::SeqCst) + 1;
-        (ordinal == plan.at).then_some(plan.kind)
-    }
-}
-
-#[cfg(feature = "fault-injection")]
-fn injected() -> io::Error {
-    io::Error::other("injected durable-op failure (ALIVE_CRASH_AT sync-fail)")
-}
-
-/// Crash hook for every durable op except appends (which tear). Returns
-/// the injected error for `sync-fail`, aborts for the other kinds, and is
-/// a no-op when no crash point is armed (or the feature is off).
+/// The `durable` fault site, fired once by every durable operation before
+/// it performs: `io-error` fails the operation with an injected error,
+/// `abort` kills the process, and `torn` lands `torn`'s bytes (half an
+/// append; `None` for every other operation) and then kills the process.
+/// A no-op when no fault is scheduled (or the feature is off).
 #[inline]
-fn crash_point() -> io::Result<()> {
+#[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
+fn crash_point(torn: Option<(&mut File, &[u8])>) -> io::Result<()> {
     #[cfg(feature = "fault-injection")]
-    match crash::fire() {
-        Some(crash::CrashKind::SyncFail) => return Err(injected()),
-        Some(_) => std::process::abort(),
-        None => {}
+    {
+        use alive_sat::fault::{fire, FaultKind, FaultSite};
+        match fire(FaultSite::Durable) {
+            Some(FaultKind::IoError) => {
+                return Err(io::Error::other("injected fault: durable io-error"))
+            }
+            Some(FaultKind::TornWrite) => {
+                if let Some((file, half)) = torn {
+                    // The bytes reach the page cache (a syscall, not a
+                    // userspace buffer), so the torn prefix is visible to the
+                    // recovering process even though this one dies here.
+                    let _ = file.write_all(half);
+                }
+                std::process::abort()
+            }
+            Some(FaultKind::Abort) => std::process::abort(),
+            _ => {}
+        }
     }
     Ok(())
 }
@@ -167,7 +83,7 @@ fn crash_point() -> io::Result<()> {
 ///
 /// Propagates the underlying `open`, plus any armed crash point.
 pub fn create(path: &Path) -> io::Result<File> {
-    crash_point()?;
+    crash_point(None)?;
     OpenOptions::new()
         .write(true)
         .create(true)
@@ -183,19 +99,7 @@ pub fn create(path: &Path) -> io::Result<File> {
 /// `torn` kind lands half the bytes before aborting — exactly the state
 /// `kill -9` mid-`write` leaves behind).
 pub fn append(file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    #[cfg(feature = "fault-injection")]
-    match crash::fire() {
-        Some(crash::CrashKind::Torn) => {
-            // The bytes reach the page cache (a syscall, not a userspace
-            // buffer), so the torn prefix is visible to the recovering
-            // process even though this one dies before returning.
-            let _ = file.write_all(&bytes[..bytes.len() / 2]);
-            std::process::abort();
-        }
-        Some(crash::CrashKind::SyncFail) => return Err(injected()),
-        Some(crash::CrashKind::Abort) => std::process::abort(),
-        None => {}
-    }
+    crash_point(Some((&mut *file, &bytes[..bytes.len() / 2])))?;
     file.write_all(bytes)
 }
 
@@ -207,7 +111,7 @@ pub fn append(file: &mut File, bytes: &[u8]) -> io::Result<()> {
 ///
 /// Propagates the underlying `sync_data`, plus any armed crash point.
 pub fn sync(file: &File) -> io::Result<()> {
-    crash_point()?;
+    crash_point(None)?;
     file.sync_data()
 }
 
@@ -219,7 +123,7 @@ pub fn sync(file: &File) -> io::Result<()> {
 /// Propagates `set_len`/`sync_data`, plus any armed crash point (the
 /// truncate and its sync are separate crash points).
 pub fn truncate(file: &File, len: u64) -> io::Result<()> {
-    crash_point()?;
+    crash_point(None)?;
     file.set_len(len)?;
     sync(file)
 }
@@ -232,7 +136,7 @@ pub fn truncate(file: &File, len: u64) -> io::Result<()> {
 ///
 /// Propagates the rename or directory sync, plus any armed crash point.
 pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
-    crash_point()?;
+    crash_point(None)?;
     std::fs::rename(from, to)?;
     fsync_parent(to)
 }
@@ -246,7 +150,7 @@ pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
 /// non-unix platforms directories cannot be opened for syncing; the call
 /// degrades to the armed-crash-point check only.
 pub fn fsync_parent(path: &Path) -> io::Result<()> {
-    crash_point()?;
+    crash_point(None)?;
     #[cfg(unix)]
     {
         let parent = match path.parent() {
@@ -375,21 +279,6 @@ impl SealedLog {
         Ok(line.len() as u64)
     }
 
-    /// Fault injection: fails an append the way a full disk (`torn` off)
-    /// or a crash mid-write (`torn` on: half of `body`'s sealed line lands
-    /// first) would, then rolls it back like any failed write.
-    #[cfg(feature = "fault-injection")]
-    pub fn fail_append(&mut self, body: &str, torn: bool) {
-        if torn {
-            // The half-write may itself fail (an even shorter tear); the
-            // sync pushes the torn bytes to disk so recovery sees them.
-            let line = seal(body);
-            let _ = append(&mut self.file, &line.as_bytes()[..line.len() / 2]);
-            self.poisoned = sync(&self.file).is_err();
-        }
-        self.roll_back();
-    }
-
     /// Truncates back to the last intact line; a failed repair poisons.
     fn roll_back(&mut self) {
         self.poisoned = self.poisoned || truncate(&self.file, self.bytes).is_err();
@@ -469,33 +358,24 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), before, "no write landed");
     }
 
-    #[cfg(feature = "fault-injection")]
+    /// A torn append (half a sealed line on disk, as `kill -9` mid-write
+    /// leaves it) is rolled back in place: a later append lands, and replay
+    /// reads the one intact record with nothing discarded.
     #[test]
-    fn crash_plan_parses_and_rejects() {
-        use crash::{CrashKind, CrashPlan};
-        assert_eq!(
-            CrashPlan::parse("7").unwrap(),
-            CrashPlan {
-                at: 7,
-                kind: CrashKind::Abort
-            }
-        );
-        assert_eq!(
-            CrashPlan::parse("3:torn").unwrap(),
-            CrashPlan {
-                at: 3,
-                kind: CrashKind::Torn
-            }
-        );
-        assert_eq!(
-            CrashPlan::parse("12:sync-fail").unwrap(),
-            CrashPlan {
-                at: 12,
-                kind: CrashKind::SyncFail
-            }
-        );
-        for bad in ["", "x", "0", "1:boom", ":torn"] {
-            assert!(CrashPlan::parse(bad).is_err(), "{bad}");
-        }
+    fn torn_append_is_rolled_back_and_later_appends_land() {
+        let path = tmp("torn.bin");
+        let mut log = SealedLog::create(&path, "{\"h\":1").unwrap();
+        let line = seal("{\"x\":1");
+        append(&mut log.file, &line.as_bytes()[..line.len() / 2]).unwrap();
+        log.roll_back();
+        assert!(!log.poisoned(), "a successful repair does not poison");
+        log.append("{\"y\":2").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let replay = alive_trace::sealed::replay(&text, true, |l| {
+            alive_trace::sealed::unseal(l).map(str::to_string)
+        })
+        .unwrap();
+        assert_eq!(replay.records, vec!["{\"y\":2".to_string()]);
+        assert_eq!(replay.discarded, 0, "no torn line left to discard");
     }
 }

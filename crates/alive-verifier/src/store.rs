@@ -528,29 +528,10 @@ impl VerdictStore {
             wall_ms,
             cert: cert.to_string(),
         };
-        self.append(&rec.body())?;
+        self.log.append(&rec.body())?;
         self.index.insert(h, self.records.len());
         self.records.push(rec);
         Ok(())
-    }
-
-    fn append(&mut self, body: &str) -> std::io::Result<()> {
-        #[cfg(feature = "fault-injection")]
-        match alive_sat::fault::fire(alive_sat::fault::FaultSite::Store) {
-            Some(alive_sat::fault::FaultKind::IoError) => {
-                self.log.fail_append(body, false);
-                return Err(io::Error::other("injected fault: store append io-error"));
-            }
-            Some(alive_sat::fault::FaultKind::TornWrite) => {
-                // Land half the sealed line, then fail — the same on-disk
-                // state a `kill -9` mid-append produces. The rollback must
-                // erase it.
-                self.log.fail_append(body, true);
-                return Err(io::Error::other("injected fault: store append torn"));
-            }
-            _ => {}
-        }
-        self.log.append(body).map(drop)
     }
 
     /// Records replayed from disk at open plus records appended since —

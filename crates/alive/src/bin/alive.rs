@@ -199,6 +199,10 @@ const COMMANDS: &[(&str, &str, Run)] = &[
 ];
 
 fn main() -> ExitCode {
+    #[cfg(feature = "fault-injection")]
+    if !install_fault_plan_from_env() {
+        return ExitCode::from(64);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = COMMANDS
         .iter()
@@ -594,14 +598,12 @@ fn read_transforms(files: &[String], tracer: &Tracer) -> (Vec<(String, Transform
     (transforms, failures)
 }
 
-/// Installs the fault plan named by `ALIVE_FAULT` and the crash plan
-/// named by `ALIVE_CRASH_AT` (fault-injection builds only). Returns
-/// `false` when either spec fails to parse — the library layer ignores a
-/// malformed spec, so binaries validate it here where exit 64 is
-/// possible.
+/// Installs the fault plan named by `ALIVE_FAULT` (fault-injection builds
+/// only), for every subcommand. Returns `false` when the spec fails to
+/// parse, so a malformed plan exits 64 before any work starts.
 #[cfg(feature = "fault-injection")]
 fn install_fault_plan_from_env() -> bool {
-    let fault_ok = match std::env::var("ALIVE_FAULT") {
+    match std::env::var("ALIVE_FAULT") {
         Ok(spec) if !spec.is_empty() => match alive::sat::fault::FailurePlan::parse(&spec) {
             Ok(plan) => {
                 alive::sat::fault::install(Some(plan));
@@ -613,23 +615,7 @@ fn install_fault_plan_from_env() -> bool {
             }
         },
         _ => true,
-    };
-    let crash_ok = match std::env::var("ALIVE_CRASH_AT") {
-        Ok(spec) if !spec.is_empty() => {
-            match alive_verifier::durable::crash::CrashPlan::parse(&spec) {
-                Ok(plan) => {
-                    alive_verifier::durable::crash::install(Some(plan));
-                    true
-                }
-                Err(e) => {
-                    eprintln!("error: bad ALIVE_CRASH_AT spec: {e}");
-                    false
-                }
-            }
-        }
-        _ => true,
-    };
-    fault_ok && crash_ok
+    }
 }
 
 /// Budget escalation factor applied to stored `unknown`/`hung` verdicts
@@ -730,10 +716,6 @@ fn run_fuzz_cmd(c: &mut Cursor) -> Result<ExitCode, String> {
             "--trace" => trace_path = Some(c.value(arg, "a file argument")?),
             _ => return Err(unexpected(arg)),
         }
-    }
-    #[cfg(feature = "fault-injection")]
-    if !install_fault_plan_from_env() {
-        return Ok(ExitCode::from(64));
     }
     let Some(tracing) = Tracing::open(trace_path.as_deref(), false) else {
         return Ok(ExitCode::FAILURE);
@@ -889,12 +871,6 @@ fn run_serve(c: &mut Cursor) -> Result<ExitCode, String> {
         &[],
     )?;
 
-    // The daemon honours ALIVE_FAULT too: `store:*` and `serve:*` sites
-    // live on this side of the wire.
-    #[cfg(feature = "fault-injection")]
-    if !install_fault_plan_from_env() {
-        return Ok(ExitCode::from(64));
-    }
     let Some(tracing) = Tracing::open(flags.trace.as_deref(), flags.metrics) else {
         return Ok(ExitCode::FAILURE);
     };
@@ -1452,11 +1428,6 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
             "{path} is an alive-journal/v1 file, a format this version no longer reads; \
              --journal and --resume now keep an alive-store/v1 verdict store — name a new file"
         ));
-    }
-
-    #[cfg(feature = "fault-injection")]
-    if !install_fault_plan_from_env() {
-        return Ok(ExitCode::from(64));
     }
 
     if let Some(dir) = &proof_dir {

@@ -7,7 +7,7 @@
 //! identical config. Zero wrong verdicts, zero hangs.
 //!
 //! The non-ignored test runs a small corpus slice so `cargo test` stays
-//! fast; the full 224-entry sweep (plus `ALIVE_FAULT` serve/store
+//! fast; the full 224-entry sweep (plus `ALIVE_FAULT` durable/serve
 //! faults, which need `--features fault-injection`) runs under
 //! `-- --ignored` in the CI `serve-chaos` job.
 
@@ -217,17 +217,23 @@ fn client_fleet_survives_daemon_kills_on_a_corpus_slice() {
     run_chaos("smoke", entries, None, 2);
 }
 
-/// The full 224-entry corpus with serve/store faults injected into every
-/// daemon incarnation (the ordinals re-fire after each restart). Run in
-/// CI as `cargo test -p alive --features fault-injection --test chaos
-/// -- --ignored`. Only verdict-preserving fault kinds are injected: a
-/// lost append, a torn append, a torn response, a response write error —
-/// never a corrupted verdict.
+/// The full 224-entry corpus with durable/serve faults injected into
+/// every daemon incarnation (the ordinals re-fire after each restart). Run
+/// in CI as `cargo test -p alive --features fault-injection --test chaos
+/// -- --ignored`. Only verdict-preserving fault kinds are injected: a lost
+/// record append, a failed record sync (the store refuses every later
+/// append until the next incarnation reopens it), a torn response, a
+/// response write error — never a corrupted verdict, and never a process
+/// death the harness did not schedule. A fresh store costs 4 durable
+/// operations (create, header append, sync, directory sync), reopening an
+/// intact one none (truncating a torn tail 2), and each record 2 (append,
+/// sync), so ordinal 9 lands on a record's append and ordinal 18 on a
+/// record's sync.
 #[test]
 #[ignore = "minutes-long full-corpus sweep; run by the serve-chaos CI job"]
 fn full_corpus_with_faults_and_kills_yields_zero_wrong_verdicts() {
     let fault = if cfg!(feature = "fault-injection") {
-        Some("store:io-error@3,store:torn@7,serve:torn@5,serve:io-error@9")
+        Some("durable:io-error@9,durable:io-error@18,serve:torn@5,serve:io-error@9")
     } else {
         None
     };

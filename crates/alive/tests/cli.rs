@@ -1311,6 +1311,19 @@ mod faults {
         assert_eq!(out.status.code(), Some(64));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("ALIVE_FAULT"), "{stderr}");
+        // The plan is validated once for every subcommand, those that only
+        // touch the store's durable operations included.
+        let store = dir.join("store.jsonl");
+        for cmd in ["compact", "scrub"] {
+            let out = alive_bin()
+                .env("ALIVE_FAULT", "durable:boom@1")
+                .args([cmd, store.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(64), "alive {cmd}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("ALIVE_FAULT"), "alive {cmd}: {stderr}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Crash-point torture: the SQLite-style sweep over the durable-I/O seam.
 //!
-//! Every fsync, create, rename, truncate, and directory sync in the
-//! system is a numbered crash point (`ALIVE_CRASH_AT=N`, fault-injection
-//! builds). These tests run a real serve workload and a real `--journal`
-//! batch workload through the real binaries, crashing the process at durable
-//! operation 1, then 2, then 3, ... until a run completes with no crash
-//! left to fire — so *every* reachable crash point in the workload is
-//! exercised, not a sampled few. After each crash the harness asserts the
-//! three durability promises:
+//! Every create, append, fsync, truncate, rename, and directory sync in
+//! the system is a numbered crash point: the `durable` site of the one
+//! fault plan (`ALIVE_FAULT=durable:abort@N` or `durable:torn@N`,
+//! fault-injection builds). These tests run a real serve workload and a
+//! real `--journal` batch workload through the real binaries, crashing the
+//! process at durable operation 1, then 2, then 3, ... until a run
+//! completes with no crash left to fire — so *every* reachable crash point
+//! in the workload is exercised, not a sampled few. After each crash the
+//! harness asserts the three durability promises:
 //!
 //! * **recovery succeeds** — a fresh daemon opens the store (evicting a
 //!   header-torn file, truncating a torn tail), or `alive scrub` salvages
@@ -118,7 +119,7 @@ fn spawn_daemon(sock: &Path, store: &Path, crash: Option<&str>) -> Result<Daemon
         .stdout(Stdio::null())
         .stderr(Stdio::null());
     if let Some(spec) = crash {
-        cmd.env("ALIVE_CRASH_AT", spec);
+        cmd.env("ALIVE_FAULT", spec);
     }
     let mut child = cmd.spawn().expect("daemon spawns");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -179,15 +180,15 @@ fn check_verdicts(
     }
 }
 
-/// Sweeps `ALIVE_CRASH_AT = 1{kind}, 2{kind}, ...` over the serve
-/// workload until a run completes with no crash fired, asserting the
-/// full recovery contract after every crash. Returns the first clean
-/// crash point (one past the workload's durable-op count).
+/// Sweeps `ALIVE_FAULT = durable:{kind}@1, durable:{kind}@2, ...` over
+/// the serve workload until a run completes with no crash fired,
+/// asserting the full recovery contract after every crash. Returns the
+/// first clean crash point (one past the workload's durable-op count).
 fn sweep_serve(name: &str, kind: &str) -> u64 {
     let entries = workload();
     let expected = reference(&entries);
     for n in 1..=MAX_CRASH_POINT {
-        let spec = format!("{n}{kind}");
+        let spec = format!("durable:{kind}@{n}");
         let ctx = format!("{name} crash point {spec}");
         let dir = temp_dir(&format!("{name}-{n}"));
         let sock = dir.join("serve.sock");
@@ -310,7 +311,7 @@ fn sweep_journal(name: &str, kind: &str) -> u64 {
         corpus.push('\n');
     }
     for n in 1..=MAX_CRASH_POINT {
-        let spec = format!("{n}{kind}");
+        let spec = format!("durable:{kind}@{n}");
         let ctx = format!("{name} crash point {spec}");
         let dir = temp_dir(&format!("{name}-{n}"));
         let opt = dir.join("corpus.opt");
@@ -321,7 +322,7 @@ fn sweep_journal(name: &str, kind: &str) -> u64 {
             .args(["--fast", "--journal"])
             .arg(&journal)
             .arg(&opt)
-            .env("ALIVE_CRASH_AT", &spec)
+            .env("ALIVE_FAULT", &spec)
             .stdin(Stdio::null())
             .output()
             .unwrap();
@@ -417,14 +418,14 @@ fn assert_swept(clean_at: u64, what: &str) {
 /// Abort at every durable op of a serve workload, one op per run.
 #[test]
 fn serve_workload_survives_every_crash_point() {
-    let clean_at = sweep_serve("serve-abort", "");
+    let clean_at = sweep_serve("serve-abort", "abort");
     assert_swept(clean_at, "serve abort sweep");
 }
 
 /// Abort at every durable op of a `--journal` run; recover via `--resume`.
 #[test]
 fn journal_workload_survives_every_crash_point() {
-    let clean_at = sweep_journal("journal-abort", "");
+    let clean_at = sweep_journal("journal-abort", "abort");
     assert_swept(clean_at, "journal abort sweep");
 }
 
@@ -434,7 +435,7 @@ fn journal_workload_survives_every_crash_point() {
 #[test]
 #[ignore = "full torn-write sweep; run by the CI durability job"]
 fn serve_workload_survives_torn_writes_at_every_crash_point() {
-    let clean_at = sweep_serve("serve-torn", ":torn");
+    let clean_at = sweep_serve("serve-torn", "torn");
     assert_swept(clean_at, "serve torn sweep");
 }
 
@@ -442,6 +443,6 @@ fn serve_workload_survives_torn_writes_at_every_crash_point() {
 #[test]
 #[ignore = "full torn-write sweep; run by the CI durability job"]
 fn journal_workload_survives_torn_writes_at_every_crash_point() {
-    let clean_at = sweep_journal("journal-torn", ":torn");
+    let clean_at = sweep_journal("journal-torn", "torn");
     assert_swept(clean_at, "journal torn sweep");
 }
