@@ -20,7 +20,8 @@ use alive_ir::Transform;
 use alive_trace::sealed::fnv1a64;
 use alive_trace::Tracer;
 use alive_verifier::{
-    run_supervised, verify_single, DriverConfig, OutcomeKind, PoolConfig, TaskSpec, VerifyConfig,
+    run_supervised, verify_single, DriverConfig, OutcomeKind, PoolConfig, TaskSpec,
+    TransformOutcome, UnknownReason, VerifyConfig,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -96,7 +97,7 @@ pub struct FuzzReport {
     pub valid: u64,
     /// Invalid (counterexample found) verdicts.
     pub invalid: u64,
-    /// Unknown (budget/timeout) verdicts, excluding panics.
+    /// Unknown (budget, deadline, panic) and hung verdicts.
     pub unknown: u64,
     /// Pipeline errors.
     pub errors: u64,
@@ -124,19 +125,6 @@ impl FuzzReport {
     }
 }
 
-/// Re-installs the `ALIVE_FAULT` plan so injected faults re-fire (their
-/// trigger counters reset). No-op without the `fault-injection` feature.
-fn reinstall_faults() {
-    #[cfg(feature = "fault-injection")]
-    if let Ok(spec) = std::env::var("ALIVE_FAULT") {
-        if !spec.is_empty() {
-            if let Ok(plan) = alive_sat::fault::FailurePlan::parse(&spec) {
-                alive_sat::fault::install(Some(plan));
-            }
-        }
-    }
-}
-
 /// FNV-1a over the parts that must be reproducible across runs.
 fn case_hash(index: usize, kind: OutcomeKind, detail: &str) -> u64 {
     let mut bytes = (index as u64).to_le_bytes().to_vec();
@@ -146,22 +134,19 @@ fn case_hash(index: usize, kind: OutcomeKind, detail: &str) -> u64 {
 }
 
 /// Classifies one verified outcome (with its audit) into a failure.
-fn classify(
-    kind: OutcomeKind,
-    detail: &str,
-    audit: &AuditResult,
-) -> Option<(FailureClass, String)> {
-    if kind == OutcomeKind::Unknown && detail.contains("internal error") {
-        return Some((FailureClass::Panic, detail.to_string()));
+fn classify(outcome: &TransformOutcome, audit: &AuditResult) -> Option<(FailureClass, String)> {
+    let detail = outcome.detail.clone();
+    if matches!(outcome.reason, Some(UnknownReason::Panic { .. })) {
+        return Some((FailureClass::Panic, detail));
     }
-    if kind == OutcomeKind::Hung {
-        return Some((FailureClass::Hang, detail.to_string()));
+    if outcome.kind == OutcomeKind::Hung {
+        return Some((FailureClass::Hang, detail));
     }
     if !audit.is_clean() {
         return Some((FailureClass::Disagreement, audit.disagreements.join("; ")));
     }
-    if kind == OutcomeKind::Error {
-        return Some((FailureClass::Error, detail.to_string()));
+    if outcome.kind == OutcomeKind::Error {
+        return Some((FailureClass::Error, detail));
     }
     None
 }
@@ -174,10 +159,12 @@ fn classify_single(
     vcfg: &VerifyConfig,
     ocfg: &OracleConfig,
 ) -> Option<(Signature, String)> {
-    reinstall_faults();
+    // Each probe re-fires the installed fault plan from its first operation.
+    #[cfg(feature = "fault-injection")]
+    alive_sat::fault::rearm();
     let outcome = verify_single("probe", t, config);
     let audit = paranoid_audit(t, outcome.kind, &outcome.certificates, vcfg, ocfg);
-    let (class, detail) = classify(outcome.kind, &outcome.detail, &audit)?;
+    let (class, detail) = classify(&outcome, &audit)?;
     Some((Signature::new(class, &detail), detail))
 }
 
@@ -226,7 +213,8 @@ pub fn replay_corpus(dir: &Path, cfg: &FuzzConfig, tracer: &Tracer) -> io::Resul
 /// supervised pool, audit each verdict, classify/shrink/persist failures.
 fn campaign(transforms: &[(String, Transform)], cfg: &FuzzConfig, tracer: &Tracer) -> FuzzReport {
     let started = Instant::now();
-    reinstall_faults();
+    #[cfg(feature = "fault-injection")]
+    alive_sat::fault::rearm();
 
     let vcfg = {
         let mut v = VerifyConfig::fast();
@@ -290,7 +278,7 @@ fn campaign(transforms: &[(String, Transform)], cfg: &FuzzConfig, tracer: &Trace
             OutcomeKind::Error => out.errors += 1,
         }
         out.digest ^= case_hash(idx, outcome.kind, &outcome.detail);
-        if let Some((class, detail)) = classify(outcome.kind, &outcome.detail, &audit) {
+        if let Some((class, detail)) = classify(outcome, &audit) {
             failures.push((idx, class, detail));
         }
     }

@@ -150,10 +150,16 @@ static COUNTS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64
 /// process must serialize around it.
 pub fn install(plan: Option<FailurePlan>) {
     let mut slot = PLAN.lock().unwrap_or_else(|e| e.into_inner());
+    rearm();
+    *slot = plan;
+}
+
+/// Resets every site's counter, keeping the installed plan, so its faults
+/// fire again from the first operation.
+pub fn rearm() {
     for count in &COUNTS {
         count.store(0, Ordering::SeqCst);
     }
-    *slot = plan;
 }
 
 /// Counts one operation at `site` and returns the fault scheduled for

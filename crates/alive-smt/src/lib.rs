@@ -51,7 +51,7 @@ pub use alive_sat::{
 };
 pub use blast::{Blasted, Blaster};
 pub use eval::{eval, Assignment, EvalError};
-pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult};
+pub use qe::{solve_exists_forall, EfConfig, EfOutcome, EfResult, EfStop};
 pub use solver::{ProofTranscript, SmtSolver};
 pub use subst::{substitute, substitute_assignment, substitute_with};
 pub use term::{BvDef, BvOp, Fixed, GuardedRewrite, Law, Op, Shape, Term, TermId, TermPool};

@@ -18,7 +18,8 @@ use crate::eval::Assignment;
 use crate::solver::{ProofTranscript, SmtSolver};
 use crate::subst::substitute_assignment;
 use crate::term::{TermId, TermPool};
-use alive_sat::{Budget, SolveResult, SolverStats, Tracer};
+use alive_sat::{Budget, Exhaustion, SolveResult, SolverStats, Tracer};
+use std::fmt;
 
 /// Result of an exists-forall query.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,9 +29,38 @@ pub enum EfResult {
     Sat(Assignment),
     /// No such witness exists.
     Unsat,
-    /// Gave up; the payload says why (iteration limit, budget exhaustion,
-    /// cancellation, ...).
-    Unknown(String),
+    /// Gave up; the payload says where and why.
+    Unknown(EfStop),
+}
+
+/// Why an exists-forall query stopped without an answer: the stage whose
+/// budget ran out, with the limit that tripped, or the iteration cap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EfStop {
+    /// The one SAT call of a quantifier-free query.
+    QuantifierFree(Exhaustion),
+    /// The budget poll before the given (1-based) CEGIS round.
+    Round(usize, Exhaustion),
+    /// The search for a candidate witness.
+    CandidateSearch(Exhaustion),
+    /// The search for universal values breaking the candidate.
+    CounterexampleSearch(Exhaustion),
+    /// The CEGIS loop ran its configured number of rounds. Every SAT call
+    /// under the cap finished, so a larger conflict budget replays the
+    /// same run.
+    IterationLimit(usize),
+}
+
+impl fmt::Display for EfStop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EfStop::QuantifierFree(e) => write!(f, "quantifier-free query: {e}"),
+            EfStop::Round(n, e) => write!(f, "CEGIS round {n}: {e}"),
+            EfStop::CandidateSearch(e) => write!(f, "candidate search: {e}"),
+            EfStop::CounterexampleSearch(e) => write!(f, "counterexample search: {e}"),
+            EfStop::IterationLimit(n) => write!(f, "CEGIS iteration limit of {n} reached"),
+        }
+    }
 }
 
 /// Configuration for [`solve_exists_forall`].
@@ -79,12 +109,10 @@ pub struct EfOutcome {
     pub rounds: usize,
 }
 
-/// Formats why a sub-solver answered `Unknown`.
-fn unknown_reason(s: &SmtSolver, what: &str) -> String {
-    match s.exhaustion() {
-        Some(e) => format!("{what}: {e}"),
-        None => format!("{what}: resource budget exhausted"),
-    }
+/// The stop of a sub-solver that answered `Unknown` at `stage`.
+fn stopped(s: &SmtSolver, stage: fn(Exhaustion) -> EfStop) -> EfResult {
+    let e = s.exhaustion().expect("every Unknown records why");
+    EfResult::Unknown(stage(e))
 }
 
 /// A fresh sub-solver under the query's budget and tracer.
@@ -139,10 +167,7 @@ pub fn solve_exists_forall(
                 let transcript = want_proof.then(|| candidates.proof_transcript());
                 (EfResult::Unsat, transcript)
             }
-            SolveResult::Unknown => {
-                let reason = unknown_reason(&candidates, "quantifier-free query");
-                (EfResult::Unknown(reason), None)
-            }
+            SolveResult::Unknown => (stopped(&candidates, EfStop::QuantifierFree), None),
         }
     } else {
         if config.seed_with_zero {
@@ -173,8 +198,7 @@ pub fn solve_exists_forall(
                 // is cheap, a long refinement loop must still observe the
                 // shared deadline and cancellation promptly.
                 if let Some(e) = config.budget.check_soft() {
-                    let reason = format!("CEGIS round {rounds}: {e}");
-                    break 'cegis (EfResult::Unknown(reason), None);
+                    break 'cegis (EfResult::Unknown(EfStop::Round(rounds, e)), None);
                 }
                 match candidates.check() {
                     SolveResult::Unsat => {
@@ -182,8 +206,7 @@ pub fn solve_exists_forall(
                         break 'cegis (EfResult::Unsat, transcript);
                     }
                     SolveResult::Unknown => {
-                        let reason = unknown_reason(&candidates, "candidate search");
-                        break 'cegis (EfResult::Unknown(reason), None);
+                        break 'cegis (stopped(&candidates, EfStop::CandidateSearch), None);
                     }
                     SolveResult::Sat => {}
                 }
@@ -198,8 +221,7 @@ pub fn solve_exists_forall(
                 match verdict {
                     SolveResult::Unsat => break 'cegis (EfResult::Sat(x_star), None),
                     SolveResult::Unknown => {
-                        let reason = unknown_reason(&verifier, "counterexample search");
-                        break 'cegis (EfResult::Unknown(reason), None);
+                        break 'cegis (stopped(&verifier, EfStop::CounterexampleSearch), None);
                     }
                     SolveResult::Sat => {
                         let u_star = verifier.model(pool, univ_vars);
@@ -208,8 +230,8 @@ pub fn solve_exists_forall(
                     }
                 }
             }
-            let reason = format!("CEGIS iteration limit of {} reached", config.max_iterations);
-            (EfResult::Unknown(reason), None)
+            let stop = EfStop::IterationLimit(config.max_iterations);
+            (EfResult::Unknown(stop), None)
         }
     };
     // Every path ends here, so the candidate solver's counters are folded
@@ -387,15 +409,12 @@ mod tests {
             max_iterations: 1,
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
-            EfResult::Unknown(reason) => {
-                assert!(
-                    reason.contains("iteration limit"),
-                    "reason should name the iteration limit, got: {reason}"
-                );
-            }
-            other => panic!("expected Unknown, got {other:?}"),
-        }
+        let result = solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result;
+        let EfResult::Unknown(stop) = result else {
+            panic!("expected Unknown, got {result:?}")
+        };
+        assert_eq!(stop, EfStop::IterationLimit(1));
+        assert_eq!(stop.to_string(), "CEGIS iteration limit of 1 reached");
     }
 
     #[test]
@@ -413,15 +432,15 @@ mod tests {
             budget: alive_sat::Budget::default().deadline_in(std::time::Duration::ZERO),
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
-            EfResult::Unknown(reason) => {
-                assert!(
-                    reason.contains("deadline"),
-                    "reason should name the deadline, got: {reason}"
-                );
-            }
-            other => panic!("expected Unknown, got {other:?}"),
-        }
+        let result = solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result;
+        let EfResult::Unknown(stop) = result else {
+            panic!("expected Unknown, got {result:?}")
+        };
+        assert_eq!(stop, EfStop::Round(1, Exhaustion::Deadline));
+        assert_eq!(
+            stop.to_string(),
+            "CEGIS round 1: wall-clock deadline exceeded"
+        );
     }
 
     #[test]
@@ -436,15 +455,11 @@ mod tests {
             budget: alive_sat::Budget::default().with_cancel(token),
             ..EfConfig::default()
         };
-        match solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result {
-            EfResult::Unknown(reason) => {
-                assert!(
-                    reason.contains("cancelled"),
-                    "reason should say cancelled, got: {reason}"
-                );
-            }
-            other => panic!("expected Unknown, got {other:?}"),
-        }
+        let result = solve_exists_forall(&mut p, &[x], &[u], matrix, &config, false).result;
+        let EfResult::Unknown(stop) = result else {
+            panic!("expected Unknown, got {result:?}")
+        };
+        assert_eq!(stop, EfStop::Round(1, Exhaustion::Cancelled));
     }
 
     #[test]

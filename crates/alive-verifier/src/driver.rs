@@ -9,14 +9,15 @@
 //! * **budgets** — each transform is verified under a [`Budget`] combining
 //!   a per-attempt wall-clock deadline, a SAT conflict limit, and a shared
 //!   [`CancelToken`];
-//! * **panic isolation** — a panic anywhere inside verification degrades to
-//!   an `Unknown` outcome with an `internal error:` reason instead of
-//!   aborting the run;
+//! * **panic isolation** — the verifier's one panic boundary turns a panic
+//!   anywhere inside verification into an `Unknown` outcome with an
+//!   `internal error:` reason instead of aborting the run;
 //! * **escalating retries** — transforms whose conflict budget ran out are
 //!   re-run with the conflict limit multiplied, so a cheap first pass over
 //!   the corpus is followed by a slower second look at the stragglers only;
 //!   a retry resumes at the condition that ran out, since every condition
-//!   before it is already refuted;
+//!   before it is already refuted. The decision matches on the typed
+//!   [`UnknownReason`]; its text is rendered only into the report;
 //! * **structured reporting** — every transform yields a
 //!   [`TransformOutcome`] with verdict, wall time, per-attempt records,
 //!   solver counters, and per-phase timings, and the whole run serializes
@@ -28,13 +29,12 @@
 //! on the caller's thread through [`verify_single`].
 
 use crate::verify::{
-    panic_message, verify_impl, CheckPoint, PhaseTimes, Verdict, VerifyConfig, VerifyStats,
+    verify_impl, CheckPoint, PhaseTimes, UnknownReason, Verdict, VerifyConfig, VerifyStats,
 };
 use alive_ir::Transform;
 use alive_proof::Certificate;
-use alive_smt::{Budget, CancelToken};
+use alive_smt::{Budget, CancelToken, Exhaustion};
 use alive_trace::sealed::json_escape;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Settings for the resilient driver.
@@ -50,7 +50,8 @@ pub struct DriverConfig {
     /// Keep verifying after an invalid transform or an error (the default
     /// stops at the first, reporting the rest as skipped).
     pub keep_going: bool,
-    /// How many escalating retries a budget-exhausted transform gets.
+    /// How many escalating retries a transform gets whose conflict budget
+    /// ran out: the one stop a larger budget can change (docs/ROBUSTNESS.md §4).
     pub max_retries: u32,
     /// Conflict-budget multiplier applied on each retry.
     pub retry_multiplier: u64,
@@ -141,6 +142,9 @@ pub struct TransformOutcome {
     /// Human-readable detail: the verdict display, counterexample, or the
     /// reason no conclusion was reached.
     pub detail: String,
+    /// Why an `Unknown` verified in this process stopped (`detail` renders
+    /// it); `None` for other kinds and for outcomes replayed from a store.
+    pub reason: Option<UnknownReason>,
     /// Certificates for refuted conditions (when requested), every
     /// attempt's in check order.
     pub certificates: Vec<Certificate>,
@@ -182,6 +186,7 @@ impl TransformOutcome {
             name: name.to_string(),
             kind,
             detail,
+            reason: None,
             certificates: Vec::new(),
             wall: Duration::ZERO,
             conflicts: 0,
@@ -308,52 +313,6 @@ impl RunReport {
     }
 }
 
-/// Should an `Unknown` with this reason be retried at a larger budget?
-///
-/// Conflict exhaustion and the CEGIS iteration limit are worth a second,
-/// bigger attempt. Deadline exhaustion is not — re-arming the same timeout
-/// would just spend it again. Neither are cancellation, injected faults,
-/// or internal errors. This is the one retry policy.
-fn is_retryable_reason(reason: &str) -> bool {
-    (reason.contains("budget exhausted") || reason.contains("iteration limit"))
-        && !reason.contains("cancelled")
-        && !reason.contains("injected")
-        && !reason.contains("internal error")
-}
-
-/// Verifies `t` once under the given budget, starting at `at`, with the
-/// driver-level panic boundary (covering validation and type enumeration,
-/// which sit outside the verifier's own per-typing isolation).
-fn attempt(
-    t: &Transform,
-    config: &DriverConfig,
-    budget: Budget,
-    at: &mut CheckPoint,
-) -> (Verdict, VerifyStats, Vec<Certificate>) {
-    let mut vc = config.verify.clone();
-    vc.ef.budget = budget;
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        verify_impl(t, &vc, config.with_certificates, at)
-    }));
-    match caught {
-        Ok(Ok((verdict, stats, certs))) => (verdict, stats, certs),
-        Ok(Err(e)) => (
-            Verdict::Unknown {
-                reason: format!("error: {}", e.message),
-            },
-            VerifyStats::default(),
-            Vec::new(),
-        ),
-        Err(payload) => (
-            Verdict::Unknown {
-                reason: format!("internal error: {}", panic_message(payload.as_ref())),
-            },
-            VerifyStats::default(),
-            Vec::new(),
-        ),
-    }
-}
-
 /// Verifies one transform end to end: escalating-retry loop (each retry
 /// resuming at the condition the previous attempt ran out on), per-attempt
 /// budgets, attempt history. `cancel` is the token the attempt budgets
@@ -389,25 +348,30 @@ pub(crate) fn verify_one(
         on_attempt(deadline);
         // The attempt's budget: an absolute deadline, the (possibly
         // escalated) conflict limit, and the given cancel token.
-        let budget = Budget {
+        let mut vc = config.verify.clone();
+        vc.ef.budget = Budget {
             deadline,
             conflicts: budget_conflicts,
             cancel: Some(cancel.clone()),
         };
-        let (verdict, stats, attempt_certificates) = attempt(t, config, budget, &mut at);
-        totals.add_attempt(&stats);
-        certificates.extend(attempt_certificates);
-        let (kind, detail) = match &verdict {
-            Verdict::Valid { .. } => (OutcomeKind::Valid, verdict.to_string()),
-            Verdict::Invalid(_) => (OutcomeKind::Invalid, verdict.to_string()),
-            Verdict::Unknown { reason } => {
-                if let Some(rest) = reason.strip_prefix("error: ") {
-                    (OutcomeKind::Error, rest.to_string())
-                } else {
-                    (OutcomeKind::Unknown, reason.clone())
+        let checked = verify_impl(t, &vc, config.with_certificates, &mut at);
+        let (kind, detail, reason, stats) = match checked {
+            Ok((verdict, stats, attempt_certificates)) => {
+                certificates.extend(attempt_certificates);
+                match verdict {
+                    Verdict::Valid { .. } => (OutcomeKind::Valid, verdict.to_string(), None, stats),
+                    Verdict::Invalid(_) => (OutcomeKind::Invalid, verdict.to_string(), None, stats),
+                    Verdict::Unknown { reason } => (
+                        OutcomeKind::Unknown,
+                        reason.to_string(),
+                        Some(reason),
+                        stats,
+                    ),
                 }
             }
+            Err(e) => (OutcomeKind::Error, e.message, None, VerifyStats::default()),
         };
+        totals.add_attempt(&stats);
         attempts.push(Attempt {
             wall: attempt_start.elapsed(),
             conflicts: stats.sat.conflicts,
@@ -416,12 +380,11 @@ pub(crate) fn verify_one(
                 k => k.as_str().to_string(),
             },
         });
-        if kind == OutcomeKind::Unknown
-            && retries < config.max_retries
-            && budget_conflicts.is_some()
-            && is_retryable_reason(&detail)
-            && !cancel.is_cancelled()
-        {
+        // The one retry rule: only a spent conflict budget is worth a
+        // bigger attempt.
+        let conflicts_ran_out =
+            reason.as_ref().and_then(UnknownReason::exhaustion) == Some(Exhaustion::Conflicts);
+        if conflicts_ran_out && retries < config.max_retries && !cancel.is_cancelled() {
             retries += 1;
             budget_conflicts =
                 budget_conflicts.map(|c| c.saturating_mul(config.retry_multiplier.max(2)));
@@ -431,6 +394,7 @@ pub(crate) fn verify_one(
             name: name.to_string(),
             kind,
             detail,
+            reason,
             certificates,
             wall: start.elapsed(),
             conflicts: totals.sat.conflicts,

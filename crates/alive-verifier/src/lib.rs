@@ -49,5 +49,6 @@ pub use store::{
     ResumePlan, ScrubReport, StoreLock, StoreOpen, StoreRecord, VerdictStore,
 };
 pub use verify::{
-    verify, verify_with_certificates, PhaseTimes, Verdict, VerifyConfig, VerifyError, VerifyStats,
+    verify, verify_with_certificates, PhaseTimes, UnknownReason, Verdict, VerifyConfig,
+    VerifyError, VerifyStats,
 };

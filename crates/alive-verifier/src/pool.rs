@@ -29,8 +29,9 @@
 //! this degenerates to the sequential fail-fast behavior).
 
 use crate::driver::{verify_one, Attempt, DriverConfig, OutcomeKind, RunReport, TransformOutcome};
+use crate::verify::UnknownReason;
 use alive_ir::Transform;
-use alive_smt::CancelToken;
+use alive_smt::{CancelToken, Exhaustion};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -224,24 +225,6 @@ fn worker_loop(shared: &Arc<Shared>, slot_idx: usize, worker_id: u32) {
             },
         );
         drop(task_span);
-        // The task token is private, so "cancelled" can mean two things:
-        // global cancellation, or the watchdog's deadline backstop. Keep
-        // the reason honest.
-        if outcome.kind == OutcomeKind::Unknown
-            && outcome.detail.contains("cancelled")
-            && !shared.config.cancel.is_cancelled()
-        {
-            let cause = {
-                let workers = shared.workers.lock().unwrap_or_else(|e| e.into_inner());
-                workers[slot_idx].slot.cancelled_at.map(|(_, c)| c)
-            };
-            if cause == Some(CancelCause::Deadline) {
-                outcome.detail = "wall-clock deadline exceeded (watchdog)".to_string();
-                if let Some(last) = outcome.attempts.last_mut() {
-                    last.outcome = format!("unknown: {}", outcome.detail);
-                }
-            }
-        }
         if !shared.config.keep_going
             && matches!(outcome.kind, OutcomeKind::Invalid | OutcomeKind::Error)
         {
@@ -257,6 +240,19 @@ fn worker_loop(shared: &Arc<Shared>, slot_idx: usize, worker_id: u32) {
                 return;
             }
             slot.busy = false;
+            // The task token is private, so "cancelled" can mean two
+            // things: global cancellation, or the watchdog's deadline
+            // backstop. Keep the reason honest.
+            if matches!(slot.cancelled_at, Some((_, CancelCause::Deadline)))
+                && !shared.config.cancel.is_cancelled()
+                && outcome.reason.as_ref().and_then(UnknownReason::exhaustion)
+                    == Some(Exhaustion::Cancelled)
+            {
+                outcome.detail = "wall-clock deadline exceeded (watchdog)".to_string();
+                if let Some(last) = outcome.attempts.last_mut() {
+                    last.outcome = format!("unknown: {}", outcome.detail);
+                }
+            }
         }
         if shared.results.send((task.index, outcome)).is_err() {
             return;
@@ -415,47 +411,25 @@ pub fn run_supervised(
     drop(spawn_span);
     drop(queue_gate);
 
-    let mut stopped_dispatch = false;
     while remaining > 0 {
         match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok((index, outcome)) => {
-                if slots[index].is_some() {
-                    continue; // late duplicate after a detach race
-                }
-                let kind = outcome.kind;
+            Ok((index, outcome)) if slots[index].is_none() => {
                 observer(index, &outcome);
                 slots[index] = Some(outcome);
                 remaining -= 1;
-                if !config.keep_going
-                    && matches!(kind, OutcomeKind::Invalid | OutcomeKind::Error)
-                    && !stopped_dispatch
-                {
-                    stopped_dispatch = true;
-                    let drained = {
-                        let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                        let n = queue.len();
-                        queue.clear();
-                        n
-                    };
-                    report.skipped += drained;
-                    remaining -= drained;
-                }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if config.cancel.is_cancelled() {
-                    // Workers stop pulling on cancellation; whatever is
-                    // still queued will never run.
-                    let drained = {
-                        let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                        let n = queue.len();
-                        queue.clear();
-                        n
-                    };
-                    report.skipped += drained;
-                    remaining -= drained;
-                }
-            }
+            // A late duplicate after a detach race, or no outcome yet.
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
+        }
+        // Workers stop pulling after a fail-fast stop (raised before the
+        // failing outcome is sent) or on cancellation; whatever is still
+        // queued then will never run.
+        if shared.fail_fast.load(Ordering::SeqCst) || config.cancel.is_cancelled() {
+            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            report.skipped += queue.len();
+            remaining -= queue.len();
+            queue.clear();
         }
     }
 

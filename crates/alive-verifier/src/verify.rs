@@ -18,7 +18,8 @@ use alive_ir::{validate, Transform};
 use alive_proof::{Certificate, CertificateMeta, Step};
 use alive_smt::{
     eval, solve_exists_forall, substitute, substitute_with, Assignment, BvVal, EfConfig, EfResult,
-    EvalError, Op, ProofEvent, ProofTranscript, SolverStats, Sort, TermId, TermPool, Value,
+    EfStop, EvalError, Exhaustion, Op, ProofEvent, ProofTranscript, SolverStats, Sort, TermId,
+    TermPool, Value,
 };
 use alive_typeck::{enumerate_typings, TypeAssignment, TypeckConfig};
 use alive_vcgen::{encode_transform, TransformEnc};
@@ -37,11 +38,69 @@ pub enum Verdict {
     },
     /// A counterexample was found.
     Invalid(Box<Counterexample>),
-    /// Resource limits prevented a conclusion.
+    /// No conclusion was reached.
     Unknown {
-        /// Which condition could not be decided.
-        reason: String,
+        /// Where verification stopped, and why.
+        reason: UnknownReason,
     },
+}
+
+/// Why a verification stopped without a verdict. Rendered (by `Display`)
+/// only where it is shown; decisions match on the variant.
+#[derive(Clone, Debug, PartialEq)]
+pub enum UnknownReason {
+    /// The solver stopped while discharging a refinement condition.
+    Solver {
+        /// The condition being discharged.
+        check: FailureKind,
+        /// Where in the exists-forall query it stopped, and why.
+        stop: EfStop,
+    },
+    /// A counterexample to the condition failed concrete re-validation.
+    Revalidation(FailureKind),
+    /// Verification panicked: a defect in the stack, or an injected fault.
+    Panic {
+        /// The typing (in enumeration order) and the condition being
+        /// checked, when the panic came after typing enumeration.
+        at: Option<(usize, FailureKind)>,
+        /// The panic payload.
+        message: String,
+    },
+}
+
+impl UnknownReason {
+    /// The budget limit that stopped the solver, if one did.
+    pub fn exhaustion(&self) -> Option<Exhaustion> {
+        let UnknownReason::Solver { stop, .. } = self else {
+            return None;
+        };
+        match *stop {
+            EfStop::QuantifierFree(e)
+            | EfStop::Round(_, e)
+            | EfStop::CandidateSearch(e)
+            | EfStop::CounterexampleSearch(e) => Some(e),
+            EfStop::IterationLimit(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for UnknownReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnknownReason::Solver { check, stop } => write!(f, "{check} check: {stop}"),
+            UnknownReason::Revalidation(check) => write!(
+                f,
+                "{check} counterexample failed concrete re-validation (possible solver defect)"
+            ),
+            UnknownReason::Panic { at, message } => {
+                f.write_str("internal error: ")?;
+                if let Some((typing, check)) = at {
+                    write!(f, "panic in typing {typing} at the {check} check: ")?;
+                }
+                f.write_str(message)
+            }
+        }
+    }
 }
 
 impl Verdict {
@@ -196,7 +255,8 @@ pub fn verify_with_certificates(
 }
 
 /// A position in the order conditions are checked in: a typing (in
-/// enumeration order) and one of its refinement conditions.
+/// enumeration order) and one of its refinement conditions (an index into
+/// [`CONDITIONS`]).
 ///
 /// An attempt that ends Unknown leaves its checkpoint at the condition
 /// that ran out. Every condition before it was refuted, and a larger
@@ -208,40 +268,72 @@ pub(crate) struct CheckPoint {
     pub(crate) condition: usize,
 }
 
-/// What checking one type assignment concluded.
-enum TypingOutcome {
-    /// Every refinement condition was refuted; move to the next typing.
-    Passed,
-    /// A final verdict (Invalid or Unknown) — stop here.
-    Stop(Verdict),
-}
+/// The refinement conditions, in the order each typing checks them (the
+/// memory condition only with memory operations).
+const CONDITIONS: [FailureKind; 4] = [
+    FailureKind::Definedness,
+    FailureKind::Poison,
+    FailureKind::ValueMismatch,
+    FailureKind::MemoryMismatch,
+];
 
-/// Renders a panic payload for an `Unknown` reason string.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Renders a panic payload for an `Unknown` reason.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<&str>().copied();
+    let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("non-string panic payload").to_string()
 }
 
 /// The one verification entry: statistics always, certificates (one per
 /// refuted condition) only when `want_certificates` is set. Checking starts
 /// at `at` and leaves it at the last condition checked.
+///
+/// This is the one panic boundary: a defect anywhere in validation, typing
+/// enumeration, encoding, solving or counterexample construction degrades
+/// the verdict to Unknown instead of tearing down the caller. The
+/// statistics and certificates live outside it, so everything refuted
+/// before the panic is kept, and the checkpoint names where it came.
 pub(crate) fn verify_impl(
     t: &Transform,
     config: &VerifyConfig,
     want_certificates: bool,
     at: &mut CheckPoint,
 ) -> Result<(Verdict, VerifyStats, Vec<Certificate>), VerifyError> {
+    let mut stats = VerifyStats::default();
+    let mut certificates = Vec::new();
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        check_typings(
+            t,
+            config,
+            &mut stats,
+            want_certificates.then_some(&mut certificates),
+            at,
+        )
+    }));
+    let verdict = match checked {
+        Ok(verdict) => verdict?,
+        Err(payload) => Verdict::Unknown {
+            reason: UnknownReason::Panic {
+                // `typings` is set as each typing's check begins.
+                at: (stats.typings > 0).then(|| (at.typing, CONDITIONS[at.condition])),
+                message: panic_message(payload.as_ref()),
+            },
+        },
+    };
+    Ok((verdict, stats, certificates))
+}
+
+/// Validates `t`, enumerates its typings and checks each from `at` on.
+fn check_typings(
+    t: &Transform,
+    config: &VerifyConfig,
+    stats: &mut VerifyStats,
+    mut certificates: Option<&mut Vec<Certificate>>,
+    at: &mut CheckPoint,
+) -> Result<Verdict, VerifyError> {
     // The tracer travels inside the CEGIS config so one installation covers
     // the whole stack (driver phases here, blasting and SAT below).
     let tracer = config.ef.tracer.clone();
-    let mut stats = VerifyStats::default();
-    let mut certificates = Vec::new();
-
     validate(t).map_err(|e| VerifyError {
         message: e.to_string(),
     })?;
@@ -256,62 +348,35 @@ pub(crate) fn verify_impl(
     stats.phases.typeck += typeck_start.elapsed();
     let transform_name = t.name.clone().unwrap_or_else(|| "<unnamed>".to_string());
 
-    let start = *at;
-    for (typing_idx, typing) in typings.iter().enumerate().skip(start.typing) {
+    let first = at.typing;
+    for (typing_idx, typing) in typings.iter().enumerate().skip(first) {
         stats.typings = typing_idx + 1;
-        *at = CheckPoint {
-            typing: typing_idx,
-            condition: if typing_idx == start.typing {
-                start.condition
-            } else {
-                0
-            },
-        };
+        if typing_idx > first {
+            *at = CheckPoint {
+                typing: typing_idx,
+                condition: 0,
+            };
+        }
         let _typing_span = tracer.span_with("typing", || typing_idx.to_string());
-        // Panic isolation (outer boundary): a defect anywhere in encoding,
-        // solving, or counterexample construction for one typing degrades
-        // the verdict to Unknown instead of tearing down the caller. The
-        // per-condition boundary inside gives more precise reasons; this one
-        // catches everything else.
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            check_one_typing(
-                t,
-                typing,
-                config,
-                &transform_name,
-                &mut stats,
-                want_certificates.then_some(&mut certificates),
-                &mut at.condition,
-            )
-        }));
-        match caught {
-            Ok(Ok(TypingOutcome::Passed)) => {}
-            Ok(Ok(TypingOutcome::Stop(v))) => return Ok((v, stats, certificates)),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Ok((
-                    Verdict::Unknown {
-                        reason: format!(
-                            "internal error: panic while checking typing {}: {}",
-                            typing.summary(),
-                            panic_message(payload.as_ref())
-                        ),
-                    },
-                    stats,
-                    certificates,
-                ));
-            }
+        if let Some(v) = check_one_typing(
+            t,
+            typing,
+            config,
+            &transform_name,
+            stats,
+            certificates.as_deref_mut(),
+            &mut at.condition,
+        )? {
+            return Ok(v);
         }
     }
-    Ok((
-        Verdict::Valid {
-            typings_checked: typings.len(),
-        },
-        stats,
-        certificates,
-    ))
+    Ok(Verdict::Valid {
+        typings_checked: typings.len(),
+    })
 }
 
+/// Checks one type assignment's conditions from `condition` on: `None`
+/// when every one was refuted, else the verdict (Invalid or Unknown).
 fn check_one_typing(
     t: &Transform,
     typing: &TypeAssignment,
@@ -320,7 +385,7 @@ fn check_one_typing(
     stats: &mut VerifyStats,
     mut certificates: Option<&mut Vec<Certificate>>,
     condition: &mut usize,
-) -> Result<TypingOutcome, VerifyError> {
+) -> Result<Option<Verdict>, VerifyError> {
     let tracer = config.ef.tracer.clone();
     let encode_start = Instant::now();
     let encode_span = tracer.span("encode");
@@ -383,26 +448,11 @@ fn check_one_typing(
         for (idx, (kind, matrix, original, evars)) in checks.into_iter().enumerate().skip(first) {
             *condition = idx;
             stats.queries += 1;
-            // Panic isolation (inner boundary): a panic inside the solver stack
-            // is reported against the condition being discharged.
             let solve_start = Instant::now();
-            let solved = catch_unwind(AssertUnwindSafe(|| {
-                solve_exists_forall(
-                    &mut pool, &evars, &univ_vars, matrix, &config.ef, want_proof,
-                )
-            }));
+            let outcome = solve_exists_forall(
+                &mut pool, &evars, &univ_vars, matrix, &config.ef, want_proof,
+            );
             stats.phases.solve += solve_start.elapsed();
-            let outcome = match solved {
-                Ok(o) => o,
-                Err(payload) => {
-                    return Ok(TypingOutcome::Stop(Verdict::Unknown {
-                        reason: format!(
-                            "internal error: panic during {kind} check: {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    }));
-                }
-            };
             stats.sat += outcome.sat;
             stats.ef_rounds += outcome.rounds as u64;
             match outcome.result {
@@ -427,25 +477,22 @@ fn check_one_typing(
                     let _span = tracer.span("check-model");
                     if !revalidate_model(&pool, original, &model, &univ_vars) {
                         stats.phases.check += check_start.elapsed();
-                        return Ok(TypingOutcome::Stop(Verdict::Unknown {
-                            reason: format!(
-                                "{kind} counterexample failed concrete re-validation \
-                             (possible solver defect)"
-                            ),
+                        return Ok(Some(Verdict::Unknown {
+                            reason: UnknownReason::Revalidation(kind),
                         }));
                     }
                     let cex = build_counterexample(&pool, t, &enc, &model, kind, typing.summary());
                     stats.phases.check += check_start.elapsed();
-                    return Ok(TypingOutcome::Stop(Verdict::Invalid(Box::new(cex))));
+                    return Ok(Some(Verdict::Invalid(Box::new(cex))));
                 }
-                EfResult::Unknown(reason) => {
-                    return Ok(TypingOutcome::Stop(Verdict::Unknown {
-                        reason: format!("{kind} check: {reason}"),
+                EfResult::Unknown(stop) => {
+                    return Ok(Some(Verdict::Unknown {
+                        reason: UnknownReason::Solver { check: kind, stop },
                     }));
                 }
             }
         }
-        Ok(TypingOutcome::Passed)
+        Ok(None)
     })();
     // Equalities the ring normal form decided and terms the operator
     // table's laws rewrote while encoding or solving: what explains a

@@ -6,9 +6,10 @@
 //! mutex; tests in other binaries run in other processes and are unaffected.
 
 use alive_ir::Transform;
-use alive_smt::CancelToken;
+use alive_smt::{CancelToken, EfStop};
 use alive_verifier::{
-    run_transforms_parallel, DriverConfig, OutcomeKind, PoolConfig, RunReport, VerifyConfig,
+    run_transforms_parallel, DriverConfig, OutcomeKind, PoolConfig, RunReport, UnknownReason,
+    VerifyConfig,
 };
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -180,6 +181,40 @@ fn exhausted_retries_stay_unknown() {
 }
 
 #[test]
+fn an_iteration_limit_is_not_retried() {
+    let _g = serial();
+    // Under the CEGIS cap every SAT call finishes, so a larger conflict
+    // budget would replay the same run: one attempt, no retries.
+    let src = "%a = add i8 %x, undef\n%r = and %a, undef\n=>\n%r = and %x, undef";
+    let corpus = vec![named("t", src)];
+    let mut verify = VerifyConfig::fast();
+    verify.ef.max_iterations = 1;
+    let config = DriverConfig {
+        verify,
+        conflict_budget: Some(1_000),
+        max_retries: 2,
+        keep_going: true,
+        ..DriverConfig::default()
+    };
+    let report = run_transforms_parallel(&corpus, &config, &PoolConfig::default());
+    let o = &report.outcomes[0];
+    assert_eq!(o.kind, OutcomeKind::Unknown, "{}", o.detail);
+    assert!(
+        matches!(
+            o.reason,
+            Some(UnknownReason::Solver {
+                stop: EfStop::IterationLimit(1),
+                ..
+            })
+        ),
+        "{}",
+        o.detail
+    );
+    assert!(o.detail.ends_with("CEGIS iteration limit of 1 reached"));
+    assert_eq!((o.retries, o.attempts.len()), (0, 1));
+}
+
+#[test]
 fn json_report_escapes_special_characters() {
     let _g = serial();
     use alive_verifier::{Attempt, TransformOutcome};
@@ -188,6 +223,7 @@ fn json_report_escapes_special_characters() {
             name: "with \"quotes\"\nand newline".to_string(),
             kind: OutcomeKind::Unknown,
             detail: "tab\there".to_string(),
+            reason: None,
             certificates: Vec::new(),
             wall: Duration::from_millis(3),
             conflicts: 1,
@@ -219,6 +255,7 @@ fn json_report_escapes_special_characters() {
 mod faults {
     use super::*;
     use alive_sat::fault::{self, FailurePlan};
+    use alive_verifier::{infer_attributes, verify_single, FailureKind};
 
     /// Installs `spec` for the duration of one closure, then clears it.
     fn with_plan<T>(spec: &str, f: impl FnOnce() -> T) -> T {
@@ -248,6 +285,56 @@ mod faults {
             report.outcomes[0].detail
         );
         assert_eq!(report.exit_code(), 2);
+    }
+
+    #[test]
+    fn a_panic_keeps_everything_refuted_before_it() {
+        let _g = serial();
+        // INTRO at widths 4 and 8: two typings, one SAT query each (the
+        // definedness and poison conditions fold to false). The second SAT
+        // query panics, after typing 0's three conditions were refuted.
+        let t = alive_ir::parse_transform(INTRO).unwrap();
+        let config = DriverConfig {
+            verify: VerifyConfig::fast(),
+            with_certificates: true,
+            ..DriverConfig::default()
+        };
+        let o = with_plan("sat:panic@2", || verify_single("t", &t, &config));
+        assert_eq!(o.kind, OutcomeKind::Unknown, "{}", o.detail);
+        assert_eq!((o.typings, o.queries, o.retries), (2, 6, 0));
+        let typing0 = &o.certificates[0].meta.typing;
+        let kept: Vec<_> = o
+            .certificates
+            .iter()
+            .filter(|c| &c.meta.typing == typing0)
+            .collect();
+        assert_eq!(kept.len(), 3);
+        for cert in &o.certificates {
+            cert.check()
+                .expect("a certificate kept past the panic checks");
+        }
+        assert_eq!(
+            o.reason,
+            Some(UnknownReason::Panic {
+                at: Some((1, FailureKind::ValueMismatch)),
+                message: "injected fault: panic in alive_sat::Solver::solve".to_string(),
+            })
+        );
+        assert!(
+            o.detail
+                .starts_with("internal error: panic in typing 1 at the Mismatch in values check: "),
+            "{}",
+            o.detail
+        );
+    }
+
+    #[test]
+    fn attribute_inference_turns_a_panic_into_an_error() {
+        let _g = serial();
+        let t = alive_ir::parse_transform(INTRO).unwrap();
+        let result = with_plan("sat:panic@1", || infer_attributes(&t, &narrow()));
+        let err = result.expect_err("a panicking query must not infer attributes");
+        assert!(err.message.contains("internal error: "), "{}", err.message);
     }
 
     #[test]

@@ -598,6 +598,16 @@ fn read_transforms(files: &[String], tracer: &Tracer) -> (Vec<(String, Transform
     (transforms, failures)
 }
 
+/// An outcome's verdict line, as a verification run prints it.
+fn shown(o: &TransformOutcome) -> String {
+    match o.kind {
+        OutcomeKind::Valid | OutcomeKind::Invalid => o.detail.clone(),
+        OutcomeKind::Unknown => format!("Verification inconclusive: {}", o.detail),
+        OutcomeKind::Error => format!("error: {}", o.detail),
+        OutcomeKind::Hung => format!("Hung: {}", o.detail),
+    }
+}
+
 /// Installs the fault plan named by `ALIVE_FAULT` (fault-injection builds
 /// only), for every subcommand. Returns `false` when the spec fails to
 /// parse, so a malformed plan exits 64 before any work starts.
@@ -1589,55 +1599,45 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
         }
         println!("----------------------------------------");
         println!("Name: {}", outcome.name);
-        match outcome.kind {
-            OutcomeKind::Valid => {
-                println!(
-                    "{}{}",
-                    outcome.detail,
-                    if outcome.resumed {
-                        " [resumed from journal]"
-                    } else {
-                        ""
-                    }
-                );
-                if let Some(dir) = &proof_dir {
-                    match persist_certificates(
-                        dir,
-                        &outcome.name,
-                        &outcome.certificates,
-                        &mut used_slugs,
-                    ) {
-                        Ok(n) => println!("{n} certificates written and re-checked"),
-                        Err(e) => {
-                            println!("certificate error: {e}");
-                            aux_failures += 1;
-                        }
-                    }
-                }
-                let t = &transforms[i].1;
-                if infer {
-                    match infer_attributes(t, &verify_config) {
-                        Ok(r) => {
-                            if r.pre_weakened || r.post_strengthened {
-                                println!("Optimal attributes:\n{}", r.inferred);
-                            }
-                        }
-                        Err(e) => println!("(attribute inference: {e})"),
-                    }
-                }
-                if emit_cpp {
-                    match generate_cpp(t) {
-                        Ok(cpp) => println!("{cpp}"),
-                        Err(e) => println!("(codegen: {e})"),
+        let resumed = outcome.resumed && outcome.kind == OutcomeKind::Valid;
+        let resumed = if resumed {
+            " [resumed from journal]"
+        } else {
+            ""
+        };
+        println!("{}{resumed}", shown(outcome));
+        if outcome.kind == OutcomeKind::Valid {
+            if let Some(dir) = &proof_dir {
+                match persist_certificates(
+                    dir,
+                    &outcome.name,
+                    &outcome.certificates,
+                    &mut used_slugs,
+                ) {
+                    Ok(n) => println!("{n} certificates written and re-checked"),
+                    Err(e) => {
+                        println!("certificate error: {e}");
+                        aux_failures += 1;
                     }
                 }
             }
-            OutcomeKind::Invalid => println!("{}", outcome.detail),
-            OutcomeKind::Unknown => {
-                println!("Verification inconclusive: {}", outcome.detail)
+            let t = &transforms[i].1;
+            if infer {
+                match infer_attributes(t, &verify_config) {
+                    Ok(r) => {
+                        if r.pre_weakened || r.post_strengthened {
+                            println!("Optimal attributes:\n{}", r.inferred);
+                        }
+                    }
+                    Err(e) => println!("(attribute inference: {e})"),
+                }
             }
-            OutcomeKind::Error => println!("error: {}", outcome.detail),
-            OutcomeKind::Hung => println!("Hung: {}", outcome.detail),
+            if emit_cpp {
+                match generate_cpp(t) {
+                    Ok(cpp) => println!("{cpp}"),
+                    Err(e) => println!("(codegen: {e})"),
+                }
+            }
         }
         if paranoid {
             let audit = paranoid_audit(
@@ -1666,16 +1666,9 @@ fn run_verify(c: &mut Cursor) -> Result<ExitCode, String> {
         for dup in dup_names.get(i).map_or(&[][..], Vec::as_slice) {
             println!("----------------------------------------");
             println!("Name: {dup}");
-            let verdict = match outcome.kind {
-                OutcomeKind::Valid | OutcomeKind::Invalid => outcome.detail.clone(),
-                OutcomeKind::Unknown => {
-                    format!("Verification inconclusive: {}", outcome.detail)
-                }
-                OutcomeKind::Error => format!("error: {}", outcome.detail),
-                OutcomeKind::Hung => format!("Hung: {}", outcome.detail),
-            };
             println!(
-                "{verdict} [deduped: canonically identical to {}]",
+                "{} [deduped: canonically identical to {}]",
+                shown(outcome),
                 outcome.name
             );
         }
